@@ -11,7 +11,7 @@
 // inputs through each layer's public calls to split the time per layer;
 // live_rw's traced run also probes the serving front door (serve.*).
 // The last stdout line is the JSON result; the exit code is non-zero when
-// any correctness check fails or the load generator ran late.
+// any correctness check fails.
 
 #include <sys/resource.h>
 
@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -76,7 +77,9 @@ constexpr double kServeProbeSeconds = 2;
 constexpr size_t kQueueDepth = 1 << 16;
 constexpr uint64_t kHotCacheBudget = 64ull << 20;
 constexpr uint64_t kColdValueCacheBudget = 2ull << 20;
-constexpr double kWriteBatchesPerSec = 100;  // live_rw writer rate
+// live_rw: each reader applies one batch after every kReadsPerWrite of its
+// own reads, so every run does the same reads and writes in the same ratio.
+constexpr uint64_t kReadsPerWrite = 4096;
 constexpr int kOpsPerBatch = 16;
 // serve.slo_qps: the highest ladder rate whose p99 stays within the limit
 // while no more than kSloMaxBacklog requests are ever outstanding (a queue
@@ -86,14 +89,9 @@ constexpr double kSloLadderQps[] = {25000, 50000, 100000, 150000, 200000,
 constexpr double kSloStepSeconds = 1.0;
 constexpr double kSloP99LimitUs = 1000;
 constexpr uint64_t kSloMaxBacklog = 20000;
-// An open-loop window whose generator p99 lag exceeds its limit is invalid
-// (the harness, not the system, was slow); it is re-run, never reported.
-// The writer keeps its absolute schedule, so a late batch only shifts
-// within the window; its limit is five mean gaps between batches. An SLO
-// ladder step past the serve limit is re-run once, then misses.
+// An SLO ladder step whose generator p99 lag exceeds this limit is invalid
+// (the harness, not the system, was slow): it is re-run once, then misses.
 constexpr double kServeMaxLagP99Us = 2000;
-constexpr double kWriteMaxLagP99Us = 5 * 1e6 / kWriteBatchesPerSec;
-constexpr int kMaxWindowAttempts = 3;
 
 struct ComplexCase {
   const char* question;
@@ -835,9 +833,12 @@ class WriteStream {
   std::vector<rdf::MutationOp> added_;
 };
 
-/// nproc-2 closed-loop readers on LiveKbqaEngine::AnswerCached (Zipfian over
-/// the pool) while one open-loop writer (the caller) applies 16-op batches
-/// at a fixed rate under the default auto-merge policy.
+/// nproc-1 closed-loop readers on LiveKbqaEngine::AnswerCached (Zipfian over
+/// the pool). Each reader also applies one 16-op batch after every
+/// kReadsPerWrite of its reads, under the default auto-merge policy. Every
+/// Apply orphans both caches, so the read cost follows the reads between
+/// writes: a fixed ratio gives every run the same work, while writes on a
+/// clock would make it follow the random gaps between them.
 Window RunLive(System& sys, const Inputs& inputs, WriteStream* writes,
                double seconds, uint64_t seed, SpanRecorder* spans,
                uint64_t request_base) {
@@ -852,6 +853,9 @@ Window RunLive(System& sys, const Inputs& inputs, WriteStream* writes,
   Window w(start, end);
   std::vector<Window> per;
   for (int t = 0; t < readers; ++t) per.emplace_back(start, end);
+  // Guards the write stream, the order of its batches and their spans.
+  std::mutex write_mu;
+  uint64_t batches = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < readers; ++t) {
     threads.emplace_back([&, t] {
@@ -885,35 +889,25 @@ Window RunLive(System& sys, const Inputs& inputs, WriteStream* writes,
         } else {
           ++me.tally.non_ok;
         }
+        if ((j + 1) % kReadsPerWrite != 0) continue;
+        std::lock_guard<std::mutex> lock(write_mu);
+        std::vector<rdf::MutationOp> batch;
+        for (int k = 0; k < kOpsPerBatch; ++k) batch.push_back(writes->Next());
+        const uint64_t a0 = NowNs();
+        live.Apply(batch);
+        const uint64_t a1 = NowNs();
+        me.write_latency.push_back(a1 - a0);
+        me.write_ops += batch.size();
+        // Writes get their own span buffer; the readers' fill with reads.
+        spans->Record(readers, "rdf.mutable.apply",
+                      request_base + (1ull << 40) + batches++, a0, a1);
+        if (traced) {
+          const auto snap = live.Pin();
+          me.overlay_edges_sum +=
+              snap->overlay->num_adds + snap->overlay->tombstones.size();
+        }
       }
     });
-  }
-  Rng rng(seed ^ 0x5bd1e995u);
-  uint64_t due = start;
-  uint64_t batches = 0;
-  uint64_t previous_done = start;
-  for (;;) {
-    due += PoissonGapNs(rng, kWriteBatchesPerSec);
-    if (due >= end) break;
-    std::vector<rdf::MutationOp> batch;
-    for (int k = 0; k < kOpsPerBatch; ++k) batch.push_back(writes->Next());
-    WaitUntilNs(due);
-    const uint64_t a0 = NowNs();
-    live.Apply(batch);
-    const uint64_t a1 = NowNs();
-    // Lateness behind a slow Apply is the system's, not the generator's.
-    w.lag.push_back(a0 - std::max(due, previous_done));
-    previous_done = a1;
-    w.write_latency.push_back(a1 - a0);
-    w.write_ops += batch.size();
-    const uint64_t request = request_base + (1ull << 40) + batches++;
-    spans->Record(readers, "loadgen.write", request, due, a1);
-    spans->Record(readers, "rdf.mutable.apply", request, a0, a1);
-    if (traced) {
-      const auto snap = live.Pin();
-      w.overlay_edges_sum +=
-          snap->overlay->num_adds + snap->overlay->tombstones.size();
-    }
   }
   for (std::thread& t : threads) t.join();
   mark.Delta(&w);
@@ -922,10 +916,13 @@ Window RunLive(System& sys, const Inputs& inputs, WriteStream* writes,
     w.tally.Add(me.tally);
     w.latency.Merge(me.latency);
     w.pin.Merge(me.pin);
+    w.write_latency.insert(w.write_latency.end(), me.write_latency.begin(),
+                           me.write_latency.end());
+    w.write_ops += me.write_ops;
+    w.overlay_edges_sum += me.overlay_edges_sum;
   }
-  w.tally.sent += batches;  // every write batch is an attempt too
-  w.tally.succeeded += batches;
-  w.lag_p99_us = Percentile(w.lag, 0.99) / 1e3;
+  w.tally.sent += w.write_latency.size();  // every write batch is an attempt
+  w.tally.succeeded += w.write_latency.size();
   return w;
 }
 
@@ -1167,27 +1164,6 @@ TrainSplit ReplayTrain(const System& sys, SpanRecorder* spans, int buffer,
 // ---------------------------------------------------------------------------
 // Driver.
 
-/// Runs an open-loop window until its generator kept to schedule: a late
-/// generator makes the window invalid, and an invalid window is re-run,
-/// never reported.
-template <typename Run>
-Window RunValid(const char* what, double max_lag_p99_us, Run&& run) {
-  for (int attempt = 1;; ++attempt) {
-    Window w = run();
-    if (w.lag_p99_us <= max_lag_p99_us) return w;
-    std::fprintf(stderr,
-                 "%s: generator p99 lag %.1f us > %.0f us limit, window "
-                 "invalid (attempt %d of %d)\n",
-                 what, w.lag_p99_us, max_lag_p99_us, attempt,
-                 kMaxWindowAttempts);
-    if (attempt == kMaxWindowAttempts) {
-      std::fprintf(stderr, "%s: load generator ran late; no valid window\n",
-                   what);
-      std::exit(3);
-    }
-  }
-}
-
 double MedianOf(std::vector<double> v) { return Percentile(v, 0.5); }
 
 /// Emits `specs` in order from `values`; every computed value must be
@@ -1254,10 +1230,8 @@ int Main(int argc, char** argv) {
         return RunCold(*sys->kbqa, inputs, sys->warm_answers, seconds, seed,
                        recorder, request_base);
       case Workload::kLiveRw:
-        return RunValid("live_rw", kWriteMaxLagP99Us, [&] {
-          return RunLive(*sys, inputs, writes.get(), seconds, seed, recorder,
-                         request_base);
-        });
+        return RunLive(*sys, inputs, writes.get(), seconds, seed, recorder,
+                       request_base);
     }
     std::abort();
   };
@@ -1293,8 +1267,6 @@ int Main(int argc, char** argv) {
     // Load generator and accounting over both halves.
     Tally windows = plain.tally;
     windows.Add(w.tally);
-    metrics["loadgen.lag_p50_us"] = Percentile(w.lag, 0.5) / 1e3;
-    metrics["loadgen.lag_p99_us"] = Percentile(w.lag, 0.99) / 1e3;
     metrics["loadgen.sent"] = static_cast<double>(windows.sent);
     metrics["loadgen.succeeded"] = static_cast<double>(windows.succeeded);
     metrics["loadgen.failed"] = static_cast<double>(windows.failed());
@@ -1338,6 +1310,8 @@ int Main(int argc, char** argv) {
                    kServeQps, kServeProbeSeconds,
                    probe.latency.PercentileNs(0.5) / 1e3,
                    probe.latency.PercentileNs(0.99) / 1e3, probe.lag_p99_us);
+      metrics["loadgen.lag_p50_us"] = Percentile(probe.lag, 0.5) / 1e3;
+      metrics["loadgen.lag_p99_us"] = probe.lag_p99_us;
       metrics["serve.admit_p50_ns"] = Percentile(probe.admit, 0.5);
       metrics["serve.admit_p99_ns"] = Percentile(probe.admit, 0.99);
       metrics["serve.queue_p50_us"] = Percentile(probe.queue, 0.5) / 1e3;
@@ -1455,8 +1429,8 @@ int Main(int argc, char** argv) {
 
     // Shares of the mean request. The pipeline runs once per answer-cache
     // miss (once per BFQ call on answer_cold), and only value lookups that
-    // missed the value cache walk the KB. The writer's lag on live_rw is
-    // not part of a reader's request.
+    // missed the value cache walk the KB. A live_rw reader's Apply calls
+    // are not part of its requests.
     const double requests = static_cast<double>(w.latency.Count());
     const double e2e_ns = w.latency.MeanNs();
     const double runs_per_request =

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-  python3 perfbench/run.py --workload serve_hot --seed 1 --seconds 10 --trace 0
+  python3 perfbench/run.py --workload answer_cold --seed 1 --seconds 20 --trace 0
   python3 perfbench/run.py --list
 
 The first run configures and builds perfbench/ (which compiles the library
