@@ -11,11 +11,6 @@
 #                             # build bench_serving, run a short low-QPS
 #                             # open-loop pass (--smoke), and validate the
 #                             # BENCH_serving.json schema
-#   scripts/check.sh --mem-smoke
-#                             # build bench_memory_budget, run the Small
-#                             # world sweep (--smoke: compression ratio +
-#                             # paged budget curve + engine bit-identity),
-#                             # and validate the BENCH_memory.json schema
 #   scripts/check.sh --mutation-smoke
 #                             # build bench_mutation, run the Small-world
 #                             # mixed read/write pass (--smoke: reads
@@ -82,15 +77,6 @@ run_serve_smoke() {
   (cd build && ./bench/bench_serving --smoke)
   echo "== BENCH_serving.json schema =="
   python3 scripts/validate_bench.py build/BENCH_serving.json
-}
-
-run_mem_smoke() {
-  echo "== memory-budget smoke (bench_memory_budget --smoke) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target bench_memory_budget
-  (cd build && ./bench/bench_memory_budget --smoke)
-  echo "== BENCH_memory.json schema =="
-  python3 scripts/validate_bench.py build/BENCH_memory.json
 }
 
 run_mutation_smoke() {
@@ -169,10 +155,6 @@ case "${1:-}" in
     run_serve_smoke
     echo "== OK (serve smoke) =="
     ;;
-  --mem-smoke)
-    run_mem_smoke
-    echo "== OK (mem smoke) =="
-    ;;
   --mutation-smoke)
     run_mutation_smoke
     echo "== OK (mutation smoke) =="
@@ -201,7 +183,7 @@ case "${1:-}" in
     echo "== OK =="
     ;;
   *)
-    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mem-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke]" >&2
+    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke]" >&2
     exit 2
     ;;
 esac

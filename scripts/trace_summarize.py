@@ -127,7 +127,7 @@ def summarize(events, top_k, out):
                   f"{100.0 * (total_service - attributed) / total_service:>6.1f}%\n")
 
     out.write("\n== cache traffic ==\n")
-    for cache in ("value_cache", "answer_cache", "block_cache"):
+    for cache in ("value_cache", "answer_cache"):
         hits = sum(e.get(cache, {}).get("hits", 0) for e in events)
         misses = sum(e.get(cache, {}).get("misses", 0) for e in events)
         total = hits + misses

@@ -7,10 +7,6 @@ One validator per artifact family, dispatched on file name:
       saturation that kept up with its offered load, an overload run that
       actually exercised admission control, and p50/p99/p999 latency split
       into queue-wait vs service for both.
-  BENCH_memory.json   — the memory-budget bench: compressed-vs-raw
-      residency of the expanded-KB substrate (ratio <= 0.5) and the
-      hit-rate/latency sweep of the paged substrate, with the engine
-      bit-identity flag asserted at every budget point.
   BENCH_observability.json — the obs bench: paired A/B overhead of the
       metrics registry AND of wide-event telemetry through the serving
       front door, both gated under their 2% budgets, plus the bare-engine
@@ -192,82 +188,6 @@ def validate_observability(doc):
             "snapshot JSON round-trip failed")
 
 
-# ---- BENCH_memory.json ----
-
-SWEEP_KEYS = (
-    "budget_fraction",
-    "budget_bytes",
-    "resident_bytes",
-    "hit_rate",
-    "evictions",
-    "p50_ns",
-    "p99_ns",
-    "lookups_per_s",
-    "answers_identical",
-    "questions_compared",
-)
-
-
-def validate_memory(doc):
-    for key in ("config", "raw_bytes", "full_residency", "sweep"):
-        require(key in doc, f"top-level {key} missing")
-    require(is_number(doc["raw_bytes"]) and doc["raw_bytes"] > 0,
-            "raw_bytes missing or non-positive")
-
-    full = doc["full_residency"]
-    for key in ("resident_bytes", "payload_bytes", "index_bytes",
-                "paths_bytes", "ratio_vs_raw", "num_blocks", "num_triples"):
-        require(key in full, f"full_residency.{key} missing")
-    require(full["num_blocks"] >= 1, "substrate has no blocks")
-    require(full["num_triples"] >= 1, "substrate has no triples")
-    require(
-        0 < full["ratio_vs_raw"] <= 0.5,
-        f"compression ratio {full['ratio_vs_raw']} above the 50% bar",
-    )
-    require(
-        full["resident_bytes"]
-        >= full["payload_bytes"] + full["index_bytes"] + full["paths_bytes"],
-        "full_residency parts exceed the resident total",
-    )
-
-    sweep = doc["sweep"]
-    require(isinstance(sweep, list) and len(sweep) >= 3,
-            "sweep needs at least 3 budget points")
-    prev_fraction = None
-    for i, point in enumerate(sweep):
-        name = f"sweep[{i}]"
-        for key in SWEEP_KEYS:
-            require(key in point, f"{name}.{key} missing")
-        require(
-            0 < point["budget_fraction"] <= 1.0,
-            f"{name}.budget_fraction out of (0, 1]",
-        )
-        if prev_fraction is not None:
-            require(
-                point["budget_fraction"] < prev_fraction,
-                f"{name} fractions must descend (100% -> 5%)",
-            )
-        prev_fraction = point["budget_fraction"]
-        require(0 <= point["hit_rate"] <= 1.0, f"{name}.hit_rate out of [0,1]")
-        require(
-            point["p50_ns"] <= point["p99_ns"],
-            f"{name} percentiles not monotone",
-        )
-        require(point["lookups_per_s"] > 0, f"{name} measured no throughput")
-        require(
-            point["answers_identical"] is True,
-            f"{name}: engine answers diverged under this budget",
-        )
-        require(
-            point["questions_compared"] > 0,
-            f"{name} compared no questions",
-        )
-    require(
-        any(p["budget_fraction"] <= 0.10 for p in sweep),
-        "sweep never reached the 10% budget point",
-    )
-
-
 # ---- BENCH_mutation.json ----
 
 
@@ -320,7 +240,6 @@ def validate_mutation(doc):
 
 VALIDATORS = {
     "BENCH_serving.json": validate_serving,
-    "BENCH_memory.json": validate_memory,
     "BENCH_observability.json": validate_observability,
     "BENCH_mutation.json": validate_mutation,
 }

@@ -4,22 +4,9 @@
 
 #include "nlp/tokenizer.h"
 #include "obs/obs.h"
-#include "util/memory_budget.h"
 #include "util/strings.h"
 
 namespace kbqa::core {
-
-namespace {
-
-/// One arbiter definition shared by option resolution and gauge export:
-/// the decoded-block working set is the biggest lever on answer latency
-/// under pressure, so it gets twice the weight of either memo cache.
-util::MemoryBudget ArbitratedBudget(uint64_t total) {
-  return util::MemoryBudget(
-      total, {{"value_cache", 1.0}, {"answer_cache", 1.0}, {"ekb_blocks", 2.0}});
-}
-
-}  // namespace
 
 KbqaSystem::KbqaSystem(const corpus::World* world, const KbqaOptions& options)
     : world_(world), options_(options) {
@@ -76,28 +63,11 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   em_stats_ = EmStats();
   KBQA_RETURN_IF_ERROR(learner.Train(corpus, &store_, &em_stats_));
 
-  // 4. Compressed expanded-KB substrate (optional) + online inference
-  //    engine (§3.3). The substrate shares the expansion's PathIds, so it
-  //    can serve the engine's V(e, p+) lookups directly.
-  cekb_.reset();
-  if (options_.use_compressed_expansion) {
-    KBQA_TRACE_SPAN("system.compress_expansion");
-    rdf::CompressedExpandedKb::Options copt;
-    copt.target_block_edges = options_.compressed_block_edges;
-    if (options_.process_memory_budget_bytes > 0) {
-      copt.decoded_cache_budget_bytes =
-          ArbitratedBudget(options_.process_memory_budget_bytes)
-              .BudgetFor("ekb_blocks");
-    }
-    auto cekb = rdf::CompressedExpandedKb::FromExpanded(*ekb_, copt);
-    if (!cekb.ok()) return cekb.status();
-    cekb_ = std::make_unique<rdf::CompressedExpandedKb>(std::move(cekb).value());
-  }
-
+  // 4. Online inference engine (§3.3), over the expansion's PathIds.
   loaded_paths_.reset();
   online_ = std::make_unique<OnlineInference>(
       &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
-      EffectiveOnlineOptions(), cekb_.get());
+      options_.online);
 
   variants_ = std::make_unique<VariantSolver>(
       &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
@@ -117,34 +87,6 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   return Status::Ok();
 }
 
-OnlineInference::Options KbqaSystem::EffectiveOnlineOptions() const {
-  OnlineInference::Options online = options_.online;
-  if (options_.process_memory_budget_bytes > 0) {
-    const util::MemoryBudget budget =
-        ArbitratedBudget(options_.process_memory_budget_bytes);
-    online.value_cache_budget_bytes = budget.BudgetFor("value_cache");
-    online.answer_cache_budget_bytes = budget.BudgetFor("answer_cache");
-  }
-  return online;
-}
-
-void KbqaSystem::PublishMemoryGauges() const {
-  if (online_ != nullptr) {
-    util::MemoryBudget::Publish("value_cache",
-                                online_->value_cache_stats().bytes);
-    util::MemoryBudget::Publish("answer_cache",
-                                online_->answer_cache_stats().bytes);
-  }
-  if (cekb_ != nullptr) {
-    const rdf::CompressedExpandedKb::MemoryStats stats = cekb_->memory_stats();
-    util::MemoryBudget::Publish("ekb_blocks", stats.decoded_cache_bytes);
-    util::MemoryBudget::Publish("ekb_compressed", stats.compressed_bytes);
-  }
-  if (options_.process_memory_budget_bytes > 0) {
-    ArbitratedBudget(options_.process_memory_budget_bytes).PublishBudgets();
-  }
-}
-
 Status KbqaSystem::SaveModel(const std::string& path) const {
   if (!trained()) return Status::FailedPrecondition("train before SaveModel");
   const rdf::PathDictionary& paths =
@@ -158,15 +100,12 @@ Status KbqaSystem::LoadModel(const std::string& path) {
   store_ = std::move(loaded.value().store);
   loaded_paths_ = std::make_unique<rdf::PathDictionary>(
       std::move(loaded.value().paths));
-  // No compressed substrate here: its PathIds belong to a Train-time
-  // expansion dictionary, not the freshly loaded one.
   online_ = std::make_unique<OnlineInference>(&world_->kb, &world_->taxonomy,
                                               ner_.get(), &store_,
                                               loaded_paths_.get(),
-                                              EffectiveOnlineOptions());
+                                              options_.online);
   // The decomposer (if any) belongs to a previous training run whose path
-  // ids no longer match; drop it, along with any stale substrate.
-  cekb_.reset();
+  // ids no longer match; drop it.
   decomposer_.reset();
   pattern_index_.reset();
   return Status::Ok();
@@ -194,7 +133,7 @@ std::unique_ptr<LiveKbqaEngine> KbqaSystem::MakeLiveEngine(
   if (!trained()) return nullptr;
   LiveKbqaEngine::Options options;
   options.alias_predicates = world_->alias_predicates;
-  options.online = EffectiveOnlineOptions();
+  options.online = options_.online;
   const rdf::PathDictionary* paths =
       loaded_paths_ != nullptr ? loaded_paths_.get() : &ekb_->paths();
   return std::make_unique<LiveKbqaEngine>(live, &world_->taxonomy, &store_,

@@ -21,7 +21,6 @@
 #include "nlp/pattern.h"
 #include "nlp/question_classifier.h"
 #include "obs/metrics.h"
-#include "rdf/compressed_expanded.h"
 #include "rdf/expanded_predicate.h"
 #include "util/status.h"
 
@@ -37,18 +36,6 @@ struct KbqaOptions {
   /// Build the corpus pattern index / decomposer during Train (disable to
   /// measure the BFQ-only pipeline).
   bool enable_complex_questions = true;
-  /// Compress the expanded KB into the block-compressed substrate after
-  /// Train and route the engine's V(e, p+) misses through it (see
-  /// rdf::CompressedExpandedKb). Answers are bit-identical either way.
-  bool use_compressed_expansion = true;
-  /// Edge-count target per compressed block (Train-built substrate).
-  size_t compressed_block_edges = 4096;
-  /// Single process memory budget arbitrated across the engine's caches —
-  /// value cache : answer cache : decoded expanded-KB blocks at weights
-  /// 1:1:2 via util::MemoryBudget — overriding the per-component
-  /// `*_budget_bytes` options above. 0 = no arbitration: each component's
-  /// own budget applies unchanged (0 there still means unbounded).
-  uint64_t process_memory_budget_bytes = 0;
 };
 
 /// The result of answering a (possibly complex) question: the final answer
@@ -109,8 +96,8 @@ class KbqaSystem : public QaSystemInterface {
 
   /// Wires a live-mutation serving engine (DESIGN.md §10) over `live`
   /// from this system's trained artifacts: the taxonomy, template store,
-  /// path dictionary, alias predicates, and arbitrated online options the
-  /// frozen engine uses. `live` is typically seeded with a copy of the
+  /// path dictionary, alias predicates, and online options the frozen
+  /// engine uses. `live` is typically seeded with a copy of the
   /// training world's KB — rdf::RebuildKb keeps base ids stable across
   /// merges, so the learned distributions stay valid without retraining.
   /// Requires trained() (returns null otherwise); `live` and this system
@@ -125,11 +112,6 @@ class KbqaSystem : public QaSystemInterface {
   // ---- Introspection (benchmarks, tests, ablations) ----
   const TemplateStore& template_store() const { return store_; }
   const rdf::ExpandedKb& expanded_kb() const { return *ekb_; }
-  /// The Train-built compressed substrate, or null (LoadModel path, or
-  /// use_compressed_expansion off).
-  const rdf::CompressedExpandedKb* compressed_expanded_kb() const {
-    return cekb_.get();
-  }
   const EmStats& em_stats() const { return em_stats_; }
   const nlp::GazetteerNer& ner() const { return *ner_; }
   const nlp::PatternIndex* pattern_index() const {
@@ -151,24 +133,13 @@ class KbqaSystem : public QaSystemInterface {
     return obs::MetricsRegistry::Global().Snapshot();
   }
 
-  /// Exports current per-component memory accounting as `mem.*.bytes`
-  /// gauges (value cache, answer cache, decoded blocks, compressed
-  /// payload), plus the arbitrated `mem.*.budget_bytes` when a process
-  /// budget is set. Call at scrape time; cheap.
-  void PublishMemoryGauges() const;
-
  private:
-  /// options_.online with the process memory budget arbitrated in (no-op
-  /// when process_memory_budget_bytes == 0).
-  OnlineInference::Options EffectiveOnlineOptions() const;
-
   const corpus::World* world_;
   KbqaOptions options_;
 
   nlp::QuestionClassifier classifier_;
   std::unique_ptr<nlp::GazetteerNer> ner_;
   std::unique_ptr<rdf::ExpandedKb> ekb_;
-  std::unique_ptr<rdf::CompressedExpandedKb> cekb_;
   std::unique_ptr<EvExtractor> extractor_;
   TemplateStore store_;
   EmStats em_stats_;

@@ -14,7 +14,7 @@ LiveKbqaEngine::EngineState::EngineState(
     : pinned(std::move(snapshot)),
       ner(*pinned->base, options.alias_predicates),
       online(pinned->base.get(), taxonomy, &ner, store, paths, options.online,
-             /*cekb=*/nullptr, live) {}
+             live) {}
 
 LiveKbqaEngine::LiveKbqaEngine(rdf::MutableKb* live,
                                const taxonomy::Taxonomy* taxonomy,

@@ -143,14 +143,12 @@ OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
                                  const TemplateStore* store,
                                  const rdf::PathDictionary* paths,
                                  const Options& options,
-                                 const rdf::CompressedExpandedKb* cekb,
                                  const rdf::MutableKb* live)
     : kb_(kb),
       taxonomy_(taxonomy),
       ner_(ner),
       store_(store),
       paths_(paths),
-      cekb_(cekb),
       live_(live),
       options_(options),
       value_cache_(options.value_cache_budget_bytes),
@@ -174,18 +172,13 @@ void OnlineInference::LookupValues(const PinnedKb& view, rdf::TermId entity,
     *scratch = view.snap->ObjectsViaPath(entity, paths_->GetPath(path));
     return;
   }
-  // Both frozen sources produce the same sorted-unique value set: the
-  // substrate materializes exactly the BFS closure ObjectsViaPath walks,
-  // so the only difference is decode-a-block vs re-walk-the-KB.
-  // TryObjects returns false (entity outside the materialized seed set,
-  // or a paged block that went bad underneath us) -> online walk.
-  if (cekb_ != nullptr && cekb_->TryObjects(entity, path, scratch)) return;
   *scratch = rdf::ObjectsViaPath(*view.kb, entity, paths_->GetPath(path));
 }
 
 const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
     const PinnedKb& view, rdf::TermId entity, rdf::PathId path,
-    std::vector<rdf::TermId>* scratch, CacheTally* tally) const {
+    std::vector<rdf::TermId>* scratch, CacheTally* tally,
+    obs::RequestContext* ctx) const {
   KBQA_TRACE_SPAN_SAMPLED("answer.value_lookup");
   if (!options_.enable_value_cache) {
     LookupValues(view, entity, path, scratch);
@@ -197,11 +190,9 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
     return *scratch;
   }
   ++tally->misses;
-  // Misses are the slow path (block decode or KB re-walk), so per-request
-  // attribution times them individually; hits are counted but not timed —
-  // their cost stays inside the surrounding stage. The TLS binding is how
-  // the request context reaches this depth (see ScopedRequestContext).
-  obs::RequestContext* const ctx = obs::CurrentRequestContext();
+  // Misses are the slow path (a KB walk), so per-request attribution times
+  // them individually; hits are counted but not timed — their cost stays
+  // inside the surrounding stage.
   const uint64_t miss_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
   LookupValues(view, entity, path, scratch);
   // Insert copies the value set; concurrent misses on the same key both
@@ -357,10 +348,6 @@ AnswerResult OnlineInference::AnswerTokensPinned(
   KBQA_TRACE_DETAIL_WINDOW();
   KBQA_TRACE_SPAN_SAMPLED("answer");
   obs::RequestContext* const ctx = answer_options.request_context;
-  // Bind the request context for layers reached without an options plumb
-  // (the compressed-KB pager stamps block traffic through the TLS). No-op
-  // when ctx is null.
-  obs::ScopedRequestContext request_scope(ctx);
   if (ctx != nullptr && view.snap != nullptr) {
     ctx->kb_epoch = view.snap->epoch;
   }
@@ -435,7 +422,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
             if (gate.Hit()) return false;
             ++result.num_predicates;
             const std::vector<rdf::TermId>& values =
-                CachedObjects(view, entity, pp.path, &scratch, tally);
+                CachedObjects(view, entity, pp.path, &scratch, tally, ctx);
             if (values.empty()) continue;
             const double p_v = 1.0 / static_cast<double>(values.size());
             ++result.num_grounded_predicates;
@@ -506,7 +493,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   result.sparql = rdf::QueryToString(rdf::BuildPathQuery(
       *view.kb, best.best_entity, paths_->GetPath(best.best_path)));
   for (rdf::TermId v : CachedObjects(view, best.best_entity, best.best_path,
-                                     &scratch, tally)) {
+                                     &scratch, tally, ctx)) {
     result.values.push_back(materialize(v));
   }
   // Rank covers sort + winner materialization (minus any timed value
@@ -528,7 +515,8 @@ bool OnlineInference::IsPrimitiveBfq(
       [&](const nlp::Mention&, rdf::TermId entity, double, TemplateId t) {
         for (const PredicateProb& pp : store_->Distribution(t)) {
           if (pp.probability < options_.min_predicate_prob) continue;
-          if (!CachedObjects(view, entity, pp.path, &scratch, &tally)
+          if (!CachedObjects(view, entity, pp.path, &scratch, &tally,
+                             /*ctx=*/nullptr)
                    .empty()) {
             found = true;
             return false;

@@ -11,7 +11,6 @@
 #include "nlp/ner.h"
 #include "obs/metrics.h"
 #include "obs/wide_event.h"
-#include "rdf/compressed_expanded.h"
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
 #include "rdf/mutable_kb.h"
@@ -167,15 +166,9 @@ class OnlineInference {
     uint64_t answer_cache_budget_bytes = 0;
   };
 
-  /// All references must outlive the inference engine. `cekb` (optional)
-  /// is the block-compressed expanded-KB substrate: when non-null and it
-  /// materializes the queried (entity, path), value-cache misses decode
-  /// from it instead of re-walking the base KB. Lookups on entities outside
-  /// the materialized seed set fall back to the online walk, so answers are
-  /// bit-identical with or without it — the substrate only changes where
-  /// the bytes live. Its PathIds must come from the same dictionary as
-  /// `paths` (KbqaSystem wires it only on the Train path, where both are
-  /// the expansion's dictionary).
+  /// All references must outlive the inference engine. V(e, p+) is
+  /// computed online (§6.1): a value-cache miss walks p+ from e over the
+  /// KB the request pinned.
   ///
   /// `live` (optional) switches the engine to live-mutation mode: every
   /// Answer pins one KbSnapshot for its whole duration (RCU read-side),
@@ -183,12 +176,11 @@ class OnlineInference {
   /// merged view, and all cache keys carry the snapshot version so a
   /// post-mutation query can never see a pre-mutation cache entry. `kb`
   /// must then be the live KB's current base (or an id-stable ancestor —
-  /// see rdf::RebuildKb); `cekb` must be null.
+  /// see rdf::RebuildKb).
   OnlineInference(const rdf::KnowledgeBase* kb,
                   const taxonomy::Taxonomy* taxonomy,
                   const nlp::GazetteerNer* ner, const TemplateStore* store,
                   const rdf::PathDictionary* paths, const Options& options,
-                  const rdf::CompressedExpandedKb* cekb = nullptr,
                   const rdf::MutableKb* live = nullptr);
 
   /// Answers a binary factoid question.
@@ -266,10 +258,12 @@ class OnlineInference {
   /// and the returned reference points there, valid until the next call
   /// with the same `scratch`. Copy-out is what makes eviction safe: no
   /// caller ever holds a reference into the cache. The cache key carries
-  /// `view.version()`, so entries never cross mutation boundaries.
+  /// `view.version()`, so entries never cross mutation boundaries. `ctx`
+  /// (nullable) is charged the miss walk as its value_lookup stage.
   const std::vector<rdf::TermId>& CachedObjects(
       const PinnedKb& view, rdf::TermId entity, rdf::PathId path,
-      std::vector<rdf::TermId>* scratch, CacheTally* tally) const;
+      std::vector<rdf::TermId>* scratch, CacheTally* tally,
+      obs::RequestContext* ctx) const;
 
   /// AnswerTokens against an already-pinned world — the body behind every
   /// public answering entry point (AnswerCached pins once and reuses the
@@ -289,10 +283,9 @@ class OnlineInference {
   void FlushAnswerStats(const AnswerResult* result,
                         const CacheTally& tally) const;
 
-  /// V(e, p+) without the memo cache: walk the pinned merged view in live
-  /// mode; otherwise decode from the compressed substrate when it
-  /// materializes the pair, else walk the base KB. Result lands in
-  /// `*scratch`.
+  /// V(e, p+) without the memo cache: walk p+ from `entity` over the
+  /// pinned merged view in live mode, over the frozen KB otherwise. Result
+  /// lands in `*scratch`.
   void LookupValues(const PinnedKb& view, rdf::TermId entity,
                     rdf::PathId path,
                     std::vector<rdf::TermId>* scratch) const;
@@ -302,7 +295,6 @@ class OnlineInference {
   const nlp::GazetteerNer* ner_;
   const TemplateStore* store_;
   const rdf::PathDictionary* paths_;
-  const rdf::CompressedExpandedKb* cekb_;
   const rdf::MutableKb* live_;
   Options options_;
 

@@ -31,7 +31,7 @@ constexpr const char* kOutcomeNames[kWideOutcomeCount] = {
 // copies a slot and then sees a different tag knows the writer lapped it
 // mid-copy and skips the row.
 
-constexpr size_t kSlotWords = 24;
+constexpr size_t kSlotWords = 22;
 
 enum SlotWord : size_t {
   kWordSeq = 0,
@@ -48,8 +48,6 @@ enum SlotWord : size_t {
   kWordStageCounts0 = kWordStageNs0 + kWideStageCount,  // 2 counts per word
   kWordValueCache = kWordStageCounts0 + 3,  // hits | misses << 32
   kWordAnswerCache,
-  kWordBlockCache,
-  kWordBlocksDecoded,
   kWordKbEpoch,
 };
 static_assert(kWordKbEpoch == kSlotWords - 1, "slot layout mismatch");
@@ -78,8 +76,6 @@ void EncodeEvent(const WideEvent& e, uint64_t (&w)[kSlotWords]) {
   }
   w[kWordValueCache] = PackPair(e.value_cache_hits, e.value_cache_misses);
   w[kWordAnswerCache] = PackPair(e.answer_cache_hits, e.answer_cache_misses);
-  w[kWordBlockCache] = PackPair(e.block_cache_hits, e.block_cache_misses);
-  w[kWordBlocksDecoded] = e.blocks_decoded;
   w[kWordKbEpoch] = e.kb_epoch;
 }
 
@@ -110,9 +106,6 @@ WideEvent DecodeEvent(const uint64_t (&w)[kSlotWords]) {
   e.value_cache_misses = static_cast<uint32_t>(w[kWordValueCache] >> 32);
   e.answer_cache_hits = static_cast<uint32_t>(w[kWordAnswerCache]);
   e.answer_cache_misses = static_cast<uint32_t>(w[kWordAnswerCache] >> 32);
-  e.block_cache_hits = static_cast<uint32_t>(w[kWordBlockCache]);
-  e.block_cache_misses = static_cast<uint32_t>(w[kWordBlockCache] >> 32);
-  e.blocks_decoded = static_cast<uint32_t>(w[kWordBlocksDecoded]);
   e.kb_epoch = w[kWordKbEpoch];
   return e;
 }
@@ -208,9 +201,6 @@ void WideEvent::StampFrom(const RequestContext& ctx) {
   value_cache_misses = ctx.value_cache_misses;
   answer_cache_hits = ctx.answer_cache_hits;
   answer_cache_misses = ctx.answer_cache_misses;
-  block_cache_hits = ctx.block_cache_hits;
-  block_cache_misses = ctx.block_cache_misses;
-  blocks_decoded = ctx.blocks_decoded;
   kb_epoch = ctx.kb_epoch;
 }
 
@@ -257,10 +247,6 @@ std::string WideEvent::ToJsonLine() const {
   out += "},\"answer_cache\":{";
   field("hits", answer_cache_hits, /*first=*/true);
   field("misses", answer_cache_misses);
-  out += "},\"block_cache\":{";
-  field("hits", block_cache_hits, /*first=*/true);
-  field("misses", block_cache_misses);
-  field("decoded", blocks_decoded);
   out += '}';
   field("kb_epoch", kb_epoch);
   out += '}';
@@ -372,21 +358,6 @@ void WideEvents::ResetForTest() {
   sink.total_recorded.store(0, std::memory_order_relaxed);
   sink.dropped.store(0, std::memory_order_relaxed);
   sink.sample_period.store(1, std::memory_order_relaxed);
-}
-
-namespace {
-thread_local RequestContext* tl_current_request = nullptr;
-}  // namespace
-
-RequestContext* CurrentRequestContext() { return tl_current_request; }
-
-ScopedRequestContext::ScopedRequestContext(RequestContext* ctx)
-    : previous_(tl_current_request) {
-  if (ctx != nullptr) tl_current_request = ctx;
-}
-
-ScopedRequestContext::~ScopedRequestContext() {
-  tl_current_request = previous_;
 }
 
 }  // namespace kbqa::obs

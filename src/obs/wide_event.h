@@ -89,9 +89,6 @@ struct RequestContext {
   uint32_t value_cache_misses = 0;
   uint32_t answer_cache_hits = 0;
   uint32_t answer_cache_misses = 0;
-  uint32_t block_cache_hits = 0;
-  uint32_t block_cache_misses = 0;
-  uint32_t blocks_decoded = 0;
 
   /// KB epoch the answer was computed against (0 for a frozen KB; the
   /// pinned snapshot's epoch in live-mutation mode — see DESIGN.md §10).
@@ -156,9 +153,6 @@ struct WideEvent {
   uint32_t value_cache_misses = 0;
   uint32_t answer_cache_hits = 0;
   uint32_t answer_cache_misses = 0;
-  uint32_t block_cache_hits = 0;
-  uint32_t block_cache_misses = 0;
-  uint32_t blocks_decoded = 0;
 
   /// KB epoch the answer was computed against (0 = frozen KB).
   uint64_t kb_epoch = 0;
@@ -218,25 +212,6 @@ class WideEvents {
   /// period. Test-only; racing recorders may leak a row into the fresh
   /// generation.
   static void ResetForTest();
-};
-
-/// Thread-local current-request binding for layers too deep to thread a
-/// pointer through (the compressed-KB pager stamps block-cache traffic via
-/// this). Install with ScopedRequestContext around handler execution.
-RequestContext* CurrentRequestContext();
-
-/// Binds `ctx` as the thread's current request for the scope's lifetime.
-/// A null `ctx` is a no-op (the existing binding, if any, stays), so an
-/// unsampled nested call cannot mask an outer sampled request.
-class ScopedRequestContext {
- public:
-  explicit ScopedRequestContext(RequestContext* ctx);
-  ~ScopedRequestContext();
-  ScopedRequestContext(const ScopedRequestContext&) = delete;
-  ScopedRequestContext& operator=(const ScopedRequestContext&) = delete;
-
- private:
-  RequestContext* previous_;
 };
 
 }  // namespace kbqa::obs

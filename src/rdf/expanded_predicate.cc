@@ -417,37 +417,6 @@ void ExpandedKb::ForEachTriple(
   }
 }
 
-std::vector<TermId> ExpandedKb::Subjects() const {
-  std::vector<TermId> subjects;
-  subjects.reserve(by_s_.size());
-  for (const auto& [s, vec] : by_s_) {
-    (void)vec;
-    subjects.push_back(s);
-  }
-  std::sort(subjects.begin(), subjects.end());
-  return subjects;
-}
-
-uint64_t ExpandedKb::ApproxResidentBytes() const {
-  // Hash-map node: key + vector header + bucket/next-pointer overhead
-  // (~libstdc++ _Hash_node bookkeeping, counted conservatively at two
-  // pointers per node plus one bucket slot).
-  constexpr uint64_t kNodeOverhead =
-      sizeof(TermId) + sizeof(std::vector<std::pair<PathId, TermId>>) +
-      3 * sizeof(void*);
-  uint64_t bytes = by_s_.size() * kNodeOverhead;
-  for (const auto& [s, vec] : by_s_) {
-    (void)s;
-    bytes += vec.capacity() * sizeof(std::pair<PathId, TermId>);
-  }
-  for (size_t i = 0; i < paths_.size(); ++i) {
-    bytes += sizeof(PredPath) +
-             paths_.GetPath(static_cast<PathId>(i)).capacity() *
-                 sizeof(PredId);
-  }
-  return bytes;
-}
-
 std::vector<TermId> ObjectsViaPath(const KnowledgeBase& kb, TermId e,
                                    const PredPath& path) {
   std::vector<TermId> frontier = {e};

@@ -145,16 +145,6 @@ class ExpandedKb {
   void ForEachTriple(
       const std::function<void(const ExpandedTriple&)>& fn) const;
 
-  /// All materialized subjects, ascending. O(n log n); intended for
-  /// snapshotting/compaction passes, not the answer path.
-  std::vector<TermId> Subjects() const;
-
-  /// Estimated resident bytes of the uncompressed substrate: the per-subject
-  /// edge vectors (at allocated capacity), hash-map node overhead, and the
-  /// path dictionary. The baseline the compressed representation is
-  /// measured against.
-  uint64_t ApproxResidentBytes() const;
-
  private:
   ExpandedKb() = default;
 

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -16,13 +17,28 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/wide_event.h"
-#include "util/memory_budget.h"
 
 namespace kbqa::serve {
 
 namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
+
+/// Current process resident-set size in bytes (Linux /proc/self/statm;
+/// 0 where unavailable).
+uint64_t ProcessResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size_pages = 0;     // NOLINT(runtime/int)
+  unsigned long long resident_pages = 0; // NOLINT(runtime/int)
+  const int matched =
+      std::fscanf(f, "%llu %llu", &size_pages, &resident_pages);
+  std::fclose(f);
+  if (matched != 2) return 0;
+  const long page = sysconf(_SC_PAGESIZE);  // NOLINT(runtime/int)
+  if (page <= 0) return 0;
+  return resident_pages * static_cast<uint64_t>(page);
+}
 
 std::string KvLine(const char* key, const std::string& value) {
   std::string out = key;
@@ -56,7 +72,7 @@ std::string QueryParam(const std::string& path_and_query,
 std::string RenderIndex() {
   return "kbqa exposition endpoints:\n"
          "  /metricsz        metrics registry (text; ?format=json)\n"
-         "  /statusz         build info, uptime, memory gauges\n"
+         "  /statusz         build info, uptime, process RSS\n"
          "  /eventz          recent wide events as JSONL (?n=K)\n"
          "  /slo             SLO burn-rate evaluation (JSON)\n";
 }
@@ -89,21 +105,13 @@ std::string RenderStatusz(const ExpositionOptions& options) {
   const uint64_t uptime_ns = obs::NowSteadyNs() - StartSteadyNs();
   out += KvLine("uptime_s", std::to_string(uptime_ns / 1'000'000'000ull));
   out += KvLine("process.resident_bytes",
-                std::to_string(util::ProcessResidentBytes()));
+                std::to_string(ProcessResidentBytes()));
   out += KvLine("wide_events.recorded",
                 std::to_string(obs::WideEvents::TotalRecorded()));
   out += KvLine("wide_events.dropped",
                 std::to_string(obs::WideEvents::Dropped()));
   out += KvLine("wide_events.sample_period",
                 std::to_string(obs::WideEvents::SamplePeriod()));
-  // Memory-budget gauges (mem.*), straight from the registry so /statusz
-  // shows the budget split next to live residency.
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  for (const auto& g : snap.gauges) {
-    if (g.name.rfind("mem.", 0) != 0) continue;
-    out += KvLine(g.name.c_str(),
-                  std::to_string(static_cast<uint64_t>(g.value)));
-  }
   if (options.statusz_extra) options.statusz_extra(&out);
   return out;
 }

@@ -6,8 +6,7 @@
 ///
 ///   /metricsz   global metrics registry (text tables; ?format=json for
 ///               the MetricsSnapshot JSON)
-///   /statusz    build info, uptime, process RSS, mem.* budget gauges,
-///               wide-event sink totals
+///   /statusz    build info, uptime, process RSS, wide-event sink totals
 ///   /eventz     recent wide events as JSONL (?n=K, newest last)
 ///   /slo        SLO burn-rate evaluation as JSON (404 when no monitor
 ///               is attached)

@@ -9,8 +9,8 @@
 
 namespace kbqa::util {
 
-/// Byte-oriented integer and string codecs shared by the snapshot formats
-/// (rdf snapshot v3, compressed expanded-KB blocks).
+/// Byte-oriented integer and string codecs behind the rdf snapshot v3
+/// format.
 ///
 /// Conventions:
 ///  - Encoders append to a `std::string*` byte sink and cannot fail.
@@ -64,73 +64,11 @@ inline const uint8_t* GetVarint32(const uint8_t* p, const uint8_t* limit,
   return q;
 }
 
-// ---------------------------------------------------------------- zigzag --
-
-/// Maps signed to unsigned so small-magnitude negatives stay short varints.
-constexpr uint64_t ZigZagEncode64(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-constexpr int64_t ZigZagDecode64(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-// ------------------------------------------------------------- fixed-width --
-
-inline void PutFixed64(std::string* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline const uint8_t* GetFixed64(const uint8_t* p, const uint8_t* limit,
-                                 uint64_t* value) {
-  if (limit - p < 8) return nullptr;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  *value = v;
-  return p + 8;
-}
-
 // ------------------------------------------------------------- delta runs --
 
-/// Encodes a non-decreasing u32 sequence as: varint count, varint first
-/// value, then varint deltas. Empty sequences encode as a bare zero count.
-inline void AppendDeltaRun32(std::string* dst, const uint32_t* values,
-                             size_t n) {
-  PutVarint64(dst, n);
-  for (size_t i = 0; i < n; ++i) {
-    PutVarint32(dst, i == 0 ? values[0] : values[i] - values[i - 1]);
-  }
-}
-
-/// Decodes a run written by AppendDeltaRun32, appending to `*out`.
-/// Fails on truncation, on a count larger than the remaining bytes could
-/// possibly encode (1 byte minimum per value), or on delta overflow past
-/// UINT32_MAX — all markers of corruption.
-inline bool DecodeDeltaRun32(const uint8_t** p, const uint8_t* limit,
-                             std::vector<uint32_t>* out) {
-  uint64_t n = 0;
-  const uint8_t* q = GetVarint64(*p, limit, &n);
-  if (q == nullptr || n > static_cast<uint64_t>(limit - q)) return false;
-  out->reserve(out->size() + static_cast<size_t>(n));
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t delta = 0;
-    q = GetVarint32(q, limit, &delta);
-    if (q == nullptr) return false;
-    prev = (i == 0) ? delta : prev + delta;
-    if (prev > UINT32_MAX) return false;
-    out->push_back(static_cast<uint32_t>(prev));
-  }
-  *p = q;
-  return true;
-}
-
-/// u64 variant (CSR offset arrays). Same contract as the u32 run.
+/// Encodes a non-decreasing u64 sequence (CSR offset arrays) as: varint
+/// count, varint first value, then varint deltas. Empty sequences encode as
+/// a bare zero count.
 inline void AppendDeltaRun64(std::string* dst, const uint64_t* values,
                              size_t n) {
   PutVarint64(dst, n);
@@ -139,6 +77,10 @@ inline void AppendDeltaRun64(std::string* dst, const uint64_t* values,
   }
 }
 
+/// Decodes a run written by AppendDeltaRun64, appending to `*out`.
+/// Fails on truncation, on a count larger than the remaining bytes could
+/// possibly encode (1 byte minimum per value), or on a delta that wraps
+/// past UINT64_MAX — all markers of corruption.
 inline bool DecodeDeltaRun64(const uint8_t** p, const uint8_t* limit,
                              std::vector<uint64_t>* out) {
   uint64_t n = 0;

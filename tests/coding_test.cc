@@ -112,105 +112,7 @@ TEST(Varint, Get32RejectsValuesAbove32Bits) {
   EXPECT_EQ(v, std::numeric_limits<uint32_t>::max());
 }
 
-// ---------------------------------------------------------------- zigzag --
-
-TEST(ZigZag, RoundTripBoundaries) {
-  const int64_t cases[] = {0,
-                           -1,
-                           1,
-                           -2,
-                           std::numeric_limits<int64_t>::min(),
-                           std::numeric_limits<int64_t>::max()};
-  for (int64_t v : cases) {
-    EXPECT_EQ(ZigZagDecode64(ZigZagEncode64(v)), v);
-  }
-  // Small magnitudes must map to small codes (short varints).
-  EXPECT_EQ(ZigZagEncode64(0), 0u);
-  EXPECT_EQ(ZigZagEncode64(-1), 1u);
-  EXPECT_EQ(ZigZagEncode64(1), 2u);
-  EXPECT_EQ(ZigZagEncode64(-2), 3u);
-}
-
-// ------------------------------------------------------------- fixed64 --
-
-TEST(Fixed64, RoundTripAndTruncation) {
-  std::string buf;
-  PutFixed64(&buf, 0x0123456789abcdefULL);
-  ASSERT_EQ(buf.size(), 8u);
-  uint64_t v = 0;
-  const uint8_t* p = GetFixed64(Begin(buf), End(buf), &v);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(v, 0x0123456789abcdefULL);
-  EXPECT_EQ(GetFixed64(Begin(buf), End(buf) - 1, &v), nullptr);
-}
-
 // ------------------------------------------------------------ delta runs --
-
-std::vector<uint32_t> RoundTrip32(const std::vector<uint32_t>& in) {
-  std::string buf;
-  AppendDeltaRun32(&buf, in.data(), in.size());
-  std::vector<uint32_t> out;
-  const uint8_t* p = Begin(buf);
-  EXPECT_TRUE(DecodeDeltaRun32(&p, End(buf), &out));
-  EXPECT_EQ(p, End(buf));
-  return out;
-}
-
-TEST(DeltaRun32, RoundTripShapes) {
-  EXPECT_EQ(RoundTrip32({}), (std::vector<uint32_t>{}));
-  EXPECT_EQ(RoundTrip32({0}), (std::vector<uint32_t>{0}));
-  EXPECT_EQ(RoundTrip32({42}), (std::vector<uint32_t>{42}));
-  const uint32_t kMax = std::numeric_limits<uint32_t>::max();
-  EXPECT_EQ(RoundTrip32({0, kMax}), (std::vector<uint32_t>{0, kMax}));
-  EXPECT_EQ(RoundTrip32({kMax, kMax}), (std::vector<uint32_t>{kMax, kMax}));
-  EXPECT_EQ(RoundTrip32({5, 5, 5, 9}), (std::vector<uint32_t>{5, 5, 5, 9}));
-}
-
-TEST(DeltaRun32, RoundTripRandomSorted) {
-  Rng rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<uint32_t> values;
-    const size_t n = rng.Uniform(300);
-    uint64_t v = 0;
-    for (size_t i = 0; i < n; ++i) {
-      v += rng.Uniform(1 << 16);
-      if (v > std::numeric_limits<uint32_t>::max()) break;
-      values.push_back(static_cast<uint32_t>(v));
-    }
-    EXPECT_EQ(RoundTrip32(values), values);
-  }
-}
-
-TEST(DeltaRun32, CountBeyondBufferFails) {
-  std::string buf;
-  PutVarint64(&buf, 1ULL << 40);  // claims 2^40 values, has none
-  std::vector<uint32_t> out;
-  const uint8_t* p = Begin(buf);
-  EXPECT_FALSE(DecodeDeltaRun32(&p, End(buf), &out));
-}
-
-TEST(DeltaRun32, TruncatedPayloadFails) {
-  std::string buf;
-  const std::vector<uint32_t> values = {10, 20, 300000, 300001};
-  AppendDeltaRun32(&buf, values.data(), values.size());
-  for (size_t keep = 1; keep < buf.size(); ++keep) {
-    std::vector<uint32_t> out;
-    const uint8_t* p = Begin(buf);
-    EXPECT_FALSE(DecodeDeltaRun32(&p, Begin(buf) + keep, &out))
-        << "prefix " << keep;
-  }
-}
-
-TEST(DeltaRun32, SumOverflowFails) {
-  // Two max deltas sum past UINT32_MAX — decoder must flag, not wrap.
-  std::string buf;
-  PutVarint64(&buf, 2);
-  PutVarint32(&buf, std::numeric_limits<uint32_t>::max());
-  PutVarint32(&buf, 1);
-  std::vector<uint32_t> out;
-  const uint8_t* p = Begin(buf);
-  EXPECT_FALSE(DecodeDeltaRun32(&p, End(buf), &out));
-}
 
 TEST(DeltaRun64, RoundTripBoundaries) {
   const std::vector<uint64_t> values = {0, 0, 1, (1ULL << 32) - 1,
@@ -222,6 +124,26 @@ TEST(DeltaRun64, RoundTripBoundaries) {
   const uint8_t* p = Begin(buf);
   ASSERT_TRUE(DecodeDeltaRun64(&p, End(buf), &out));
   EXPECT_EQ(out, values);
+}
+
+TEST(DeltaRun64, CountBeyondBufferFails) {
+  std::string buf;
+  PutVarint64(&buf, 1ULL << 40);  // claims 2^40 values, has none
+  std::vector<uint64_t> out;
+  const uint8_t* p = Begin(buf);
+  EXPECT_FALSE(DecodeDeltaRun64(&p, End(buf), &out));
+}
+
+TEST(DeltaRun64, TruncatedPayloadFails) {
+  std::string buf;
+  const std::vector<uint64_t> values = {10, 20, 300000, 1ULL << 40};
+  AppendDeltaRun64(&buf, values.data(), values.size());
+  for (size_t keep = 1; keep < buf.size(); ++keep) {
+    std::vector<uint64_t> out;
+    const uint8_t* p = Begin(buf);
+    EXPECT_FALSE(DecodeDeltaRun64(&p, Begin(buf) + keep, &out))
+        << "prefix " << keep;
+  }
 }
 
 TEST(DeltaRun64, WrapAroundFails) {
@@ -376,14 +298,8 @@ TEST(CorruptInput, RandomBytesNeverCrash) {
       EXPECT_LE(p, End(buf));
     }
 
-    std::vector<uint32_t> run32;
-    const uint8_t* q = Begin(buf);
-    if (DecodeDeltaRun32(&q, End(buf), &run32)) {
-      EXPECT_LE(q, End(buf));
-    }
-
     std::vector<uint64_t> run64;
-    q = Begin(buf);
+    const uint8_t* q = Begin(buf);
     if (DecodeDeltaRun64(&q, End(buf), &run64)) {
       EXPECT_LE(q, End(buf));
     }
@@ -400,17 +316,17 @@ TEST(CorruptInput, RandomBytesNeverCrash) {
 // either a clean failure or a *different* well-formed prefix — never UB.
 // (ASan/UBSan in CI give this test its teeth.)
 TEST(CorruptInput, SingleBitFlipsHandled) {
-  std::vector<uint32_t> values;
-  for (uint32_t i = 0; i < 64; ++i) values.push_back(i * i);
+  std::vector<uint64_t> values;
+  for (uint64_t i = 0; i < 64; ++i) values.push_back(i * i);
   std::string buf;
-  AppendDeltaRun32(&buf, values.data(), values.size());
+  AppendDeltaRun64(&buf, values.data(), values.size());
   for (size_t byte = 0; byte < buf.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupt = buf;
       corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-      std::vector<uint32_t> out;
+      std::vector<uint64_t> out;
       const uint8_t* p = Begin(corrupt);
-      if (DecodeDeltaRun32(&p, End(corrupt), &out)) {
+      if (DecodeDeltaRun64(&p, End(corrupt), &out)) {
         EXPECT_LE(p, End(corrupt));
       }
     }

@@ -133,67 +133,6 @@ TEST_F(ConsistencyTest, AnswerValuesListMatchesSparqlRowCount) {
   EXPECT_EQ(rows.value().size(), result.values.size());
 }
 
-// The compressed expanded-KB substrate and the process memory budget are
-// pure representation/residency changes: every swept configuration must
-// answer bit-identically to the uncompressed, unbudgeted engine.
-TEST_F(ConsistencyTest, CompressedSubstrateAndBudgetsDontChangeAnswers) {
-  corpus::BenchmarkConfig config;
-  config.num_questions = 30;
-  config.seed = 90909;
-  corpus::BenchmarkSet set =
-      corpus::GenerateBenchmark(experiment().world(), config);
-
-  core::KbqaOptions base = experiment().kbqa().options();
-  base.use_compressed_expansion = false;
-  base.process_memory_budget_bytes = 0;
-  core::KbqaSystem reference(&experiment().world(), base);
-  ASSERT_TRUE(reference.Train(experiment().train_corpus()).ok());
-  ASSERT_EQ(reference.compressed_expanded_kb(), nullptr);
-
-  // Unbounded compressed, a roomy budget, and a starvation budget (the
-  // decoded-block and memo caches get a few KB each and churn constantly).
-  const uint64_t budgets[] = {0, 4u << 20, 32u << 10};
-  for (uint64_t budget : budgets) {
-    core::KbqaOptions options = base;
-    options.use_compressed_expansion = true;
-    options.compressed_block_edges = 512;  // several blocks even at test scale
-    options.process_memory_budget_bytes = budget;
-    core::KbqaSystem system(&experiment().world(), options);
-    ASSERT_TRUE(system.Train(experiment().train_corpus()).ok());
-    ASSERT_NE(system.compressed_expanded_kb(), nullptr);
-
-    for (const corpus::QaPair& pair : set.questions.pairs) {
-      core::AnswerResult got = system.Answer(pair.question);
-      core::AnswerResult want = reference.Answer(pair.question);
-      EXPECT_EQ(got.answered, want.answered) << budget << " " << pair.question;
-      EXPECT_EQ(got.value, want.value) << budget << " " << pair.question;
-      EXPECT_EQ(got.score, want.score) << budget << " " << pair.question;
-      EXPECT_EQ(got.predicate, want.predicate) << budget << " " << pair.question;
-      EXPECT_EQ(got.sparql, want.sparql) << budget << " " << pair.question;
-      EXPECT_EQ(got.values, want.values) << budget << " " << pair.question;
-      ASSERT_EQ(got.ranked.size(), want.ranked.size()) << pair.question;
-      for (size_t i = 0; i < got.ranked.size(); ++i) {
-        EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
-        EXPECT_EQ(got.ranked[i].score, want.ranked[i].score) << "bit-exact";
-      }
-    }
-
-    const rdf::CompressedExpandedKb::MemoryStats stats =
-        system.compressed_expanded_kb()->memory_stats();
-    EXPECT_EQ(stats.corrupt_blocks, 0u);
-    EXPECT_LT(stats.ResidentBytes(), stats.raw_equivalent_bytes) << budget;
-    if (budget != 0) {
-      EXPECT_GT(stats.decoded_cache_budget_bytes, 0u);
-      EXPECT_LE(stats.decoded_cache_bytes, stats.decoded_cache_budget_bytes);
-    }
-    system.PublishMemoryGauges();
-    obs::MetricsSnapshot snapshot = core::KbqaSystem::MetricsSnapshot();
-    ASSERT_NE(snapshot.gauge("mem.ekb_compressed.bytes"), nullptr);
-    EXPECT_EQ(snapshot.gauge("mem.ekb_compressed.bytes")->value,
-              static_cast<double>(stats.compressed_bytes));
-  }
-}
-
 TEST_F(ConsistencyTest, HybridNeverAnswersLessThanPrimary) {
   corpus::BenchmarkSet set = experiment().MakeQald3();
   for (const core::QaSystemInterface* baseline : experiment().Baselines()) {
