@@ -1,15 +1,19 @@
 #include "serve/exposition.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -23,6 +27,34 @@ namespace kbqa::serve {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
+
+/// How long one connection may take from accept to the last byte of its
+/// response. The accept thread serves connections one at a time, so this
+/// bounds how long an idle, trickling or never-reading client can hold up
+/// every later scrape.
+constexpr std::chrono::seconds kConnectionDeadline{2};
+
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// Waits until `fd` is ready for `events` (true), or until the wake pipe
+/// fires or `deadline` passes (false). No deadline waits indefinitely.
+bool WaitReady(int fd, short events, int wake_fd, Deadline deadline) {
+  for (;;) {
+    int timeout_ms = -1;
+    if (deadline) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      timeout_ms = static_cast<int>(left.count());
+    }
+    pollfd fds[2] = {{fd, events, 0}, {wake_fd, POLLIN, 0}};
+    const int n = ::poll(fds, 2, timeout_ms);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || fds[1].revents != 0) return false;
+    // Ready, or POLLHUP/POLLERR that the following call reports.
+    return true;
+  }
+}
 
 /// Current process resident-set size in bytes (Linux /proc/self/statm;
 /// 0 where unavailable).
@@ -154,11 +186,16 @@ std::string RenderSlo(const obs::SloMonitor& slo) {
   return os.str();
 }
 
-bool SendAll(int fd, const std::string& data) {
+bool SendAll(int fd, const std::string& data, int wake_fd,
+             Deadline deadline) {
   size_t sent = 0;
   while (sent < data.size()) {
+    if (!WaitReady(fd, POLLOUT, wake_fd, deadline)) return false;
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      continue;
+    }
     if (n <= 0) return false;
     sent += static_cast<size_t>(n);
   }
@@ -245,6 +282,15 @@ Result<std::unique_ptr<ExpositionServer>> ExpositionServer::Start(
     ::close(fd);
     return Status::Unavailable("exposition: listen() failed");
   }
+  // Non-blocking, so an accept after a readiness poll never blocks on a
+  // connection the client already abandoned. Accepted sockets stay
+  // blocking: Linux does not inherit O_NONBLOCK through accept.
+  int wake_fds[2];
+  if (::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK) != 0 ||
+      ::pipe(wake_fds) != 0) {
+    ::close(fd);
+    return Status::Unavailable("exposition: listener set-up failed");
+  }
   sockaddr_in bound;
   socklen_t bound_len = sizeof(bound);
   int port = options.port;
@@ -253,29 +299,36 @@ Result<std::unique_ptr<ExpositionServer>> ExpositionServer::Start(
     port = ntohs(bound.sin_port);
   }
   StartSteadyNs();  // pin the uptime epoch to server start
-  return std::unique_ptr<ExpositionServer>(
-      new ExpositionServer(options, fd, port));  // NOLINT(kbqa-naked-new)
+  return std::unique_ptr<ExpositionServer>(new ExpositionServer(
+      options, fd, wake_fds, port));  // NOLINT(kbqa-naked-new)
 }
 
 ExpositionServer::ExpositionServer(const ExpositionOptions& options,
-                                   int listen_fd, int port)
-    : options_(options), listen_fd_(listen_fd), port_(port) {
+                                   int listen_fd, const int wake_fds[2],
+                                   int port)
+    : options_(options),
+      listen_fd_(listen_fd),
+      wake_read_fd_(wake_fds[0]),
+      wake_write_fd_(wake_fds[1]),
+      port_(port) {
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
 ExpositionServer::~ExpositionServer() {
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(listen_fd_, SHUT_RDWR);
+  ::close(wake_write_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(wake_read_fd_);
   ::close(listen_fd_);
 }
 
 void ExpositionServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
+  while (WaitReady(listen_fd_, POLLIN, wake_read_fd_, std::nullopt)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+          errno == ECONNABORTED) {
+        continue;
+      }
       return;  // listener broken; nothing useful left to do
     }
     ServeConnection(fd);
@@ -284,11 +337,16 @@ void ExpositionServer::AcceptLoop() {
 }
 
 void ExpositionServer::ServeConnection(int fd) {
+  const Deadline deadline =
+      std::chrono::steady_clock::now() + kConnectionDeadline;
   std::string request;
   char buf[1024];
   while (request.size() < kMaxRequestBytes &&
          request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos) {
+    // Idle past the deadline, or the server is stopping: drop the
+    // connection unanswered.
+    if (!WaitReady(fd, POLLIN, wake_read_fd_, deadline)) return;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
@@ -306,7 +364,7 @@ void ExpositionServer::ServeConnection(int fd) {
   response += "\r\nContent-Length: " + std::to_string(body.size());
   response += "\r\nConnection: close\r\n\r\n";
   response += body;
-  SendAll(fd, response);
+  SendAll(fd, response, wake_read_fd_, deadline);
   requests_served_.fetch_add(1, std::memory_order_relaxed);
 }
 

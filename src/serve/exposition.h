@@ -13,7 +13,11 @@
 ///
 /// One accept thread handles connections serially — every handler renders
 /// from lock-free snapshots in microseconds, so a scrape cannot stall the
-/// serving path, and the serving path never blocks on the scraper. Lives
+/// serving path, and the serving path never blocks on the scraper. Each
+/// connection gets one fixed deadline to deliver its request and take its
+/// response, so an idle, trickling or never-reading client delays later
+/// scrapes by at most that deadline, and teardown wakes the accept thread
+/// wherever it waits. Lives
 /// in src/serve (not src/obs) because it needs util's Status/Result
 /// machinery and kbqa_util itself links against kbqa_obs — obs cannot
 /// link util symbols without a static library cycle.
@@ -49,7 +53,8 @@ class ExpositionServer {
   static Result<std::unique_ptr<ExpositionServer>> Start(
       const ExpositionOptions& options);
 
-  /// Stops the listener and joins the accept thread.
+  /// Wakes the accept thread (even mid-connection), joins it, and closes
+  /// the listener.
   ~ExpositionServer();
 
   ExpositionServer(const ExpositionServer&) = delete;
@@ -78,15 +83,19 @@ class ExpositionServer {
   static std::string ParseRequestPath(const std::string& request);
 
  private:
-  ExpositionServer(const ExpositionOptions& options, int listen_fd, int port);
+  ExpositionServer(const ExpositionOptions& options, int listen_fd,
+                   const int wake_fds[2], int port);
 
   void AcceptLoop();
   void ServeConnection(int fd);
 
   ExpositionOptions options_;
   int listen_fd_ = -1;
+  /// Self-pipe: the destructor closes the write end, which makes the read
+  /// end readable and ends every poll the accept thread is in.
+  int wake_read_fd_ = -1;
+  int wake_write_fd_ = -1;
   int port_ = 0;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_served_{0};
   std::thread accept_thread_;
 };

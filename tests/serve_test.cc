@@ -10,12 +10,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -670,6 +672,122 @@ TEST(ExpositionServerTest, ServesHttpOverARealSocket) {
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("build.compiler"), std::string::npos);
   EXPECT_EQ(server->requests_served(), 1u);
+}
+
+/// Connects a TCP socket to 127.0.0.1:`port`; -1 on failure. Reads on it
+/// give up after 10 s — far past the server's per-connection deadline — so
+/// a server that waits on a stuck client forever fails the tests below
+/// instead of hanging them. `rcvbuf` > 0 shrinks the receive buffer.
+int ConnectLoopback(int port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendRequest(int fd, const std::string& path) {
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  return ::send(fd, request.data(), request.size(), 0) ==
+         static_cast<ssize_t>(request.size());
+}
+
+/// One GET over a fresh connection; returns whatever arrived before the
+/// server closed it or the read timed out.
+std::string Scrape(int port, const std::string& path) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0 || !SendRequest(fd, path)) return "";
+  std::string response;
+  char buf[1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+TEST(ExpositionServerTest, IdleConnectionDoesNotBlockLaterScrapes) {
+  auto started = ExpositionServer::Start(ExpositionOptions{});
+  ASSERT_TRUE(started.ok()) << started.status();
+  std::unique_ptr<ExpositionServer> server = std::move(started).value();
+
+  // Connects and never sends a byte.
+  const int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
+  const std::string response = Scrape(server->port(), "/statusz");
+  // The server closed the idle connection at its deadline: end of stream.
+  char byte;
+  EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);
+  ::close(idle);  // also frees a server that waits on it, so teardown ends
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
+      << "scrape blocked behind an idle connection";
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+TEST(ExpositionServerTest, ClientThatNeverReadsDoesNotBlockLaterScrapes) {
+  obs::WideEvents::ResetForTest();
+  // Enough events (about 4 MB of /eventz JSONL) to overflow the socket
+  // buffers of a client that never reads its response.
+  std::vector<std::thread> recorders;
+  for (uint64_t t = 0; t < 4; ++t) {
+    recorders.emplace_back([t] {
+      for (uint64_t i = 0; i < obs::WideEvents::kRingCapacity; ++i) {
+        obs::WideEvent e;
+        e.trace_id = (t << 32) | (i + 1);
+        obs::WideEvents::Record(e);
+      }
+    });
+  }
+  for (std::thread& r : recorders) r.join();
+  auto started = ExpositionServer::Start(ExpositionOptions{});
+  ASSERT_TRUE(started.ok()) << started.status();
+  std::unique_ptr<ExpositionServer> server = std::move(started).value();
+
+  const int stuck = ConnectLoopback(server->port(), /*rcvbuf=*/4096);
+  ASSERT_GE(stuck, 0);
+  ASSERT_TRUE(SendRequest(stuck, "/eventz?n=8192"));
+  const std::string response = Scrape(server->port(), "/statusz");
+  ::close(stuck);  // also frees a server blocked sending to it
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
+      << "scrape blocked behind a client that never reads";
+}
+
+TEST(ExpositionServerTest, TeardownWakesAcceptThreadOnIdleConnection) {
+  auto started = ExpositionServer::Start(ExpositionOptions{});
+  ASSERT_TRUE(started.ok()) << started.status();
+  std::unique_ptr<ExpositionServer> server = std::move(started).value();
+  const int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
+  // Let the accept thread take the idle connection and wait on it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::promise<void> torn_down;
+  std::future<void> done = torn_down.get_future();
+  std::thread teardown([&] {
+    server.reset();
+    torn_down.set_value();
+  });
+  // Well inside the receive deadline: teardown must wake the thread, not
+  // wait the idle client out.
+  const bool woke =
+      done.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  ::close(idle);  // frees a server that waits on the idle client
+  teardown.join();
+  EXPECT_TRUE(woke) << "teardown blocked on an idle connection";
 }
 
 // ---------- Engine-backed (Small experiment) ----------
