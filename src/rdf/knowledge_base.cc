@@ -26,17 +26,12 @@ constexpr uint64_t kMagicV3 = 0x4b42514152444633ULL;  // "KBQARDF3"
 // Sanity caps for snapshot headers: reject sizes no plausible snapshot
 // reaches before attempting a huge allocation on a corrupt file.
 constexpr uint64_t kMaxCount = 1ULL << 32;
-constexpr uint64_t kMaxBlobBytes = 1ULL << 34;
 
 // Fixed shard count for the Freeze() counting-sort passes. A constant —
 // never derived from the thread count — so the shard split, and with it
 // every intermediate and final array, is bit-identical for any pool size
 // (the determinism contract of DESIGN.md §5).
 constexpr size_t kFreezeShards = 16;
-
-static_assert(std::is_trivially_copyable_v<PredicateObject> &&
-                  sizeof(PredicateObject) == 8,
-              "snapshot format writes PredicateObject arrays byte-for-byte");
 
 /// Save failure injection (SetSaveFailureAfterBytesForTest): the byte
 /// count after which every writer starts failing; negative = disabled.
@@ -50,7 +45,6 @@ class BinaryWriter {
   bool ok() const { return ok_; }
 
   void WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }
-  void WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
   void WriteBytes(const void* data, size_t n) {
     if (!ok_ || n == 0) return;
     const int64_t fail_after =
@@ -77,11 +71,6 @@ class BinaryReader {
 
   uint64_t ReadU64() {
     uint64_t v = 0;
-    ReadBytes(&v, sizeof(v));
-    return v;
-  }
-  uint32_t ReadU32() {
-    uint32_t v = 0;
     ReadBytes(&v, sizeof(v));
     return v;
   }
@@ -348,55 +337,6 @@ std::vector<TermId> KnowledgeBase::AllEntities() const {
 
 namespace {
 
-/// Writes a dictionary as one offset array + one contiguous string blob.
-void WriteDictionary(BinaryWriter& w, const Dictionary& dict) {
-  const size_t n = dict.size();
-  std::vector<uint64_t> offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    offsets[i + 1] = offsets[i] + dict.GetString(static_cast<TermId>(i)).size();
-  }
-  std::string blob;
-  blob.reserve(offsets[n]);
-  for (size_t i = 0; i < n; ++i) blob += dict.GetString(static_cast<TermId>(i));
-  w.WriteU64(n);
-  w.WriteBytes(offsets.data(), offsets.size() * sizeof(uint64_t));
-  w.WriteBytes(blob.data(), blob.size());
-}
-
-/// Reads a dictionary written by WriteDictionary. Returns false on any
-/// structural problem (reader I/O errors are checked by the caller).
-/// `budget` is the number of bytes left in the file: every buffer sized
-/// from an in-file count must fit in it, so a corrupt count fails here
-/// with Corruption instead of attempting a multi-gigabyte allocation.
-bool ReadDictionary(BinaryReader& r, uint64_t budget, Dictionary* dict) {
-  uint64_t n = r.ReadU64();
-  if (!r.ok() || n > kMaxCount) return false;
-  if (budget < sizeof(uint64_t) ||
-      n + 1 > (budget - sizeof(uint64_t)) / sizeof(uint64_t)) {
-    return false;
-  }
-  std::vector<uint64_t> offsets(n + 1, 0);
-  r.ReadBytes(offsets.data(), offsets.size() * sizeof(uint64_t));
-  if (!r.ok() || offsets[0] != 0 || offsets[n] > kMaxBlobBytes ||
-      offsets[n] > budget) {
-    return false;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (offsets[i] > offsets[i + 1]) return false;
-  }
-  std::string blob(offsets[n], '\0');
-  r.ReadBytes(blob.data(), blob.size());
-  if (!r.ok()) return false;
-  dict->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::string_view term(blob.data() + offsets[i], offsets[i + 1] - offsets[i]);
-    // A repeated string would intern to an earlier id and desynchronize the
-    // dense id space — corrupt by definition.
-    if (dict->Intern(term) != static_cast<TermId>(i)) return false;
-  }
-  return true;
-}
-
 /// Validates one loaded CSR direction: monotone offsets covering the edge
 /// array, ids in range, per-node ranges strictly sorted by (p, o), and —
 /// since only entities may anchor edges in this direction — empty ranges
@@ -517,9 +457,8 @@ std::string EncodeCsr(const std::vector<uint64_t>& offsets,
   return enc;
 }
 
-/// Decodes an EncodeCsr section into the exact in-memory CSR arrays the
-/// v2 reader produces. Structural validation (sortedness, id ranges) is
-/// left to ValidCsr, which runs on both load paths.
+/// Decodes an EncodeCsr section into the in-memory CSR arrays. Structural
+/// validation (sortedness, id ranges) is left to ValidCsr.
 bool DecodeCsr(const uint8_t* p, const uint8_t* limit, size_t num_nodes,
                std::vector<uint64_t>* offsets,
                std::vector<PredicateObject>* edges) {
@@ -564,11 +503,8 @@ void KnowledgeBase::SetSaveFailureAfterBytesForTest(int64_t bytes) {
   g_save_failure_after_bytes.store(bytes, std::memory_order_relaxed);
 }
 
-Status KnowledgeBase::Save(const std::string& path, int format_version) const {
+Status KnowledgeBase::Save(const std::string& path) const {
   if (!frozen_) return Status::FailedPrecondition("Save requires Freeze()");
-  if (format_version != 2 && format_version != 3) {
-    return Status::InvalidArgument("unsupported snapshot format version");
-  }
   // Crash safety (DESIGN.md §10): the snapshot is written to a temp file
   // in the same directory, flushed and fsynced, then atomically renamed
   // over `path`. A writer that dies mid-write — a background re-freeze
@@ -582,46 +518,23 @@ Status KnowledgeBase::Save(const std::string& path, int format_version) const {
   }
   BinaryWriter w(f);
 
-  if (format_version == 3) {
-    w.WriteU64(kMagicV3);
+  w.WriteU64(kMagicV3);
 
-    std::string nodes_enc;
-    AppendDictionary(&nodes_enc, nodes_);
-    std::vector<uint32_t> kind_bits(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) kind_bits[i] = is_literal_[i];
-    util::AppendBitPacked(&nodes_enc, kind_bits.data(), kind_bits.size(),
-                          /*bits=*/1);
-    WriteSection(w, nodes_enc);
+  std::string nodes_enc;
+  AppendDictionary(&nodes_enc, nodes_);
+  std::vector<uint32_t> kind_bits(nodes_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) kind_bits[i] = is_literal_[i];
+  util::AppendBitPacked(&nodes_enc, kind_bits.data(), kind_bits.size(),
+                        /*bits=*/1);
+  WriteSection(w, nodes_enc);
 
-    std::string preds_enc;
-    AppendDictionary(&preds_enc, predicates_);
-    util::PutVarint64(&preds_enc, name_predicate_);
-    WriteSection(w, preds_enc);
+  std::string preds_enc;
+  AppendDictionary(&preds_enc, predicates_);
+  util::PutVarint64(&preds_enc, name_predicate_);
+  WriteSection(w, preds_enc);
 
-    WriteSection(w, EncodeCsr(out_offsets_, out_edges_));
-    WriteSection(w, EncodeCsr(in_offsets_, in_edges_));
-  } else {
-    w.WriteU64(kMagicV2);
-
-    WriteDictionary(w, nodes_);
-    std::vector<uint8_t> literal_bytes(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      literal_bytes[i] = is_literal_[i];
-    }
-    w.WriteBytes(literal_bytes.data(), literal_bytes.size());
-
-    WriteDictionary(w, predicates_);
-    w.WriteU32(name_predicate_);
-
-    // Both CSR directions, each as two contiguous block transfers.
-    w.WriteU64(out_edges_.size());
-    w.WriteBytes(out_offsets_.data(), out_offsets_.size() * sizeof(uint64_t));
-    w.WriteBytes(out_edges_.data(),
-                 out_edges_.size() * sizeof(PredicateObject));
-    w.WriteU64(in_edges_.size());
-    w.WriteBytes(in_offsets_.data(), in_offsets_.size() * sizeof(uint64_t));
-    w.WriteBytes(in_edges_.data(), in_edges_.size() * sizeof(PredicateObject));
-  }
+  WriteSection(w, EncodeCsr(out_offsets_, out_edges_));
+  WriteSection(w, EncodeCsr(in_offsets_, in_edges_));
 
   // Durability before visibility: data must be on disk before the rename
   // makes it the snapshot.
@@ -660,152 +573,76 @@ Result<KnowledgeBase> KnowledgeBase::Load(const std::string& path) {
     return Status::Corruption(what + " in " + path);
   };
 
-  uint64_t magic = r.ReadU64();
-  if (magic == kMagicV1) {
-    return fail(
-        "unsupported snapshot format version 1 (pre-CSR); re-export the KB "
-        "and Save() it with this build");
+  const uint64_t magic = r.ReadU64();
+  if (magic == kMagicV1 || magic == kMagicV2) {
+    return fail("unsupported snapshot format version " +
+                std::string(magic == kMagicV1 ? "1 (pre-CSR)" : "2") +
+                "; re-export the KB and Save() it with this build");
   }
-  if (magic != kMagicV2 && magic != kMagicV3) return fail("bad magic");
+  if (magic != kMagicV3) return fail("bad magic");
 
-  // Total file size gates every count / length header before a buffer is
-  // sized from it, in both format versions: a corrupt header must fail
-  // with Corruption, never trigger a garbage-sized allocation.
+  // Total file size gates every section length before a buffer is sized
+  // from it: a corrupt header must fail with Corruption, never trigger a
+  // garbage-sized allocation.
   if (std::fseek(f, 0, SEEK_END) != 0) return fail("unseekable snapshot");
   const long file_end = std::ftell(f);
   if (file_end < 8 || std::fseek(f, 8, SEEK_SET) != 0) {
     return fail("unseekable snapshot");
   }
-  // Bytes left between the reader's current position and end of file.
-  auto bytes_left = [&]() -> uint64_t {
-    const long pos = std::ftell(f);
-    if (pos < 0 || pos > file_end) return 0;
-    return static_cast<uint64_t>(file_end - pos);
+  uint64_t remaining = static_cast<uint64_t>(file_end) - 8;
+  std::string enc;
+  auto section_bytes = [&enc] {
+    return std::pair<const uint8_t*, const uint8_t*>(
+        reinterpret_cast<const uint8_t*>(enc.data()),
+        reinterpret_cast<const uint8_t*>(enc.data()) + enc.size());
   };
 
-  if (magic == kMagicV3) {
-    uint64_t remaining = static_cast<uint64_t>(file_end) - 8;
-    std::string enc;
-    auto section_bytes = [&enc] {
-      return std::pair<const uint8_t*, const uint8_t*>(
-          reinterpret_cast<const uint8_t*>(enc.data()),
-          reinterpret_cast<const uint8_t*>(enc.data()) + enc.size());
-    };
-
-    if (!ReadSection(r, remaining, &enc)) return fail("bad node section");
-    remaining -= enc.size() + 16;
-    auto [p, limit] = section_bytes();
-    if (!DecodeDictionary(&p, limit, &kb.nodes_)) {
-      return fail("bad node dictionary");
-    }
-    const size_t num_nodes = kb.nodes_.size();
-    std::vector<uint32_t> kind_bits;
-    if (!util::DecodeBitPacked(&p, limit, num_nodes, /*bits=*/1,
-                               &kind_bits) ||
-        p != limit) {
-      return fail("bad node kind flags");
-    }
-    kb.is_literal_.resize(num_nodes);
-    kb.num_entities_ = 0;
-    for (size_t i = 0; i < num_nodes; ++i) {
-      kb.is_literal_[i] = kind_bits[i] != 0;
-      if (kind_bits[i] == 0) ++kb.num_entities_;
-    }
-
-    if (!ReadSection(r, remaining, &enc)) return fail("bad predicate section");
-    remaining -= enc.size() + 16;
-    std::tie(p, limit) = section_bytes();
-    if (!DecodeDictionary(&p, limit, &kb.predicates_)) {
-      return fail("bad predicate dictionary");
-    }
-    uint64_t name_pred = 0;
-    p = util::GetVarint64(p, limit, &name_pred);
-    if (p == nullptr || p != limit) return fail("bad name predicate");
-    if (name_pred != kInvalidPred && name_pred >= kb.predicates_.size()) {
-      return fail("name predicate out of range");
-    }
-
-    if (!ReadSection(r, remaining, &enc)) return fail("bad out CSR section");
-    remaining -= enc.size() + 16;
-    std::tie(p, limit) = section_bytes();
-    if (!DecodeCsr(p, limit, num_nodes, &kb.out_offsets_, &kb.out_edges_)) {
-      return fail("bad out CSR block");
-    }
-    if (!ValidCsr(kb.out_offsets_, kb.out_edges_, kb.is_literal_,
-                  kb.predicates_.size(), /*anchor_is_subject=*/true)) {
-      return fail("invalid out CSR");
-    }
-
-    if (!ReadSection(r, remaining, &enc)) return fail("bad in CSR section");
-    std::tie(p, limit) = section_bytes();
-    if (!DecodeCsr(p, limit, num_nodes, &kb.in_offsets_, &kb.in_edges_)) {
-      return fail("bad in CSR block");
-    }
-    if (!ValidCsr(kb.in_offsets_, kb.in_edges_, kb.is_literal_,
-                  kb.predicates_.size(), /*anchor_is_subject=*/false)) {
-      return fail("invalid in CSR");
-    }
-    if (kb.in_edges_.size() != kb.out_edges_.size()) {
-      return fail("CSR direction size mismatch");
-    }
-    std::fclose(f);
-
-    kb.name_predicate_ = static_cast<PredId>(name_pred);
-    kb.num_triples_ = kb.out_edges_.size();
-    kb.frozen_ = true;
-    kb.BuildNameIndex();
-    return kb;
-  }
-
-  if (!ReadDictionary(r, bytes_left(), &kb.nodes_)) {
+  if (!ReadSection(r, remaining, &enc)) return fail("bad node section");
+  remaining -= enc.size() + 16;
+  auto [p, limit] = section_bytes();
+  if (!DecodeDictionary(&p, limit, &kb.nodes_)) {
     return fail("bad node dictionary");
   }
   const size_t num_nodes = kb.nodes_.size();
-  std::vector<uint8_t> literal_bytes(num_nodes);
-  r.ReadBytes(literal_bytes.data(), literal_bytes.size());
-  if (!r.ok()) return fail("short read (node kinds)");
+  std::vector<uint32_t> kind_bits;
+  if (!util::DecodeBitPacked(&p, limit, num_nodes, /*bits=*/1, &kind_bits) ||
+      p != limit) {
+    return fail("bad node kind flags");
+  }
   kb.is_literal_.resize(num_nodes);
   kb.num_entities_ = 0;
   for (size_t i = 0; i < num_nodes; ++i) {
-    if (literal_bytes[i] > 1) return fail("bad node kind flag");
-    kb.is_literal_[i] = literal_bytes[i] != 0;
-    if (literal_bytes[i] == 0) ++kb.num_entities_;
+    kb.is_literal_[i] = kind_bits[i] != 0;
+    if (kind_bits[i] == 0) ++kb.num_entities_;
   }
 
-  if (!ReadDictionary(r, bytes_left(), &kb.predicates_)) {
+  if (!ReadSection(r, remaining, &enc)) return fail("bad predicate section");
+  remaining -= enc.size() + 16;
+  std::tie(p, limit) = section_bytes();
+  if (!DecodeDictionary(&p, limit, &kb.predicates_)) {
     return fail("bad predicate dictionary");
   }
-  uint32_t name_pred = r.ReadU32();
+  uint64_t name_pred = 0;
+  p = util::GetVarint64(p, limit, &name_pred);
+  if (p == nullptr || p != limit) return fail("bad name predicate");
+  if (name_pred != kInvalidPred && name_pred >= kb.predicates_.size()) {
+    return fail("name predicate out of range");
+  }
 
-  auto read_csr = [&](std::vector<uint64_t>* offsets,
-                      std::vector<PredicateObject>* edges) {
-    uint64_t num_edges = r.ReadU64();
-    if (!r.ok() || num_edges > kMaxCount) return false;
-    // Gate both buffers against the bytes actually left in the file
-    // *before* sizing them: a corrupt or truncated file must fail here
-    // with Corruption, not allocate and bulk-read a garbage-sized block.
-    if (num_edges > bytes_left() / sizeof(PredicateObject)) return false;
-    offsets->assign(num_nodes + 1, 0);
-    r.ReadBytes(offsets->data(), offsets->size() * sizeof(uint64_t));
-    if (!r.ok()) return false;
-    if ((*offsets)[0] != 0 || (*offsets)[num_nodes] != num_edges) {
-      return false;
-    }
-    for (size_t node = 0; node < num_nodes; ++node) {
-      if ((*offsets)[node] > (*offsets)[node + 1]) return false;
-    }
-    edges->resize(num_edges);
-    r.ReadBytes(edges->data(), num_edges * sizeof(PredicateObject));
-    return r.ok();
-  };
-  if (!read_csr(&kb.out_offsets_, &kb.out_edges_)) {
+  if (!ReadSection(r, remaining, &enc)) return fail("bad out CSR section");
+  remaining -= enc.size() + 16;
+  std::tie(p, limit) = section_bytes();
+  if (!DecodeCsr(p, limit, num_nodes, &kb.out_offsets_, &kb.out_edges_)) {
     return fail("bad out CSR block");
   }
   if (!ValidCsr(kb.out_offsets_, kb.out_edges_, kb.is_literal_,
                 kb.predicates_.size(), /*anchor_is_subject=*/true)) {
     return fail("invalid out CSR");
   }
-  if (!read_csr(&kb.in_offsets_, &kb.in_edges_)) {
+
+  if (!ReadSection(r, remaining, &enc)) return fail("bad in CSR section");
+  std::tie(p, limit) = section_bytes();
+  if (!DecodeCsr(p, limit, num_nodes, &kb.in_offsets_, &kb.in_edges_)) {
     return fail("bad in CSR block");
   }
   if (!ValidCsr(kb.in_offsets_, kb.in_edges_, kb.is_literal_,
@@ -817,10 +654,7 @@ Result<KnowledgeBase> KnowledgeBase::Load(const std::string& path) {
   }
   std::fclose(f);
 
-  if (name_pred != kInvalidPred && name_pred >= kb.predicates_.size()) {
-    return Status::Corruption("name predicate out of range in " + path);
-  }
-  kb.name_predicate_ = name_pred;
+  kb.name_predicate_ = static_cast<PredId>(name_pred);
   kb.num_triples_ = kb.out_edges_.size();
   kb.frozen_ = true;
   kb.BuildNameIndex();

@@ -153,28 +153,23 @@ class KnowledgeBase {
 
   // ---- Serialization ----
 
-  /// Writes the frozen store to a binary snapshot. The default format
-  /// (version 3) is compressed: front-coded dictionaries, bit-packed node
-  /// kinds, delta-varint CSR offsets and per-node delta-coded edge runs,
-  /// each section framed with a byte length and FNV-1a checksum so
-  /// truncation or bit flips surface as a clean Corruption at load.
-  /// `format_version == 2` keeps the legacy raw-block layout (fixed-width
-  /// offset arrays + bulk edge fwrites) for compatibility tests and size
-  /// comparisons.
+  /// Writes the frozen store to a binary snapshot (format version 3):
+  /// front-coded dictionaries, bit-packed node kinds, delta-varint CSR
+  /// offsets and per-node delta-coded edge runs, each section framed with a
+  /// byte length and FNV-1a checksum so truncation or bit flips surface as
+  /// a clean Corruption at load.
   /// Crash-safe: the bytes are written to a temp file in the same
   /// directory, fsynced, and atomically renamed over `path` — a Save that
   /// dies mid-write can never clobber an existing good snapshot.
-  [[nodiscard]] Status Save(const std::string& path,
-                            int format_version = 3) const;
+  [[nodiscard]] Status Save(const std::string& path) const;
   /// Test-only failure injection: every subsequent Save fails (as a short
   /// write) once it has emitted more than `bytes` bytes, simulating a
   /// crash / full disk mid-snapshot. Negative disables (the default).
   static void SetSaveFailureAfterBytesForTest(int64_t bytes);
-  /// Reads a snapshot previously written by Save — either format version;
-  /// both decode into the identical in-memory CSR form, so a v2 file loads
-  /// bit-identically through this reader. Only the dictionary hash index
-  /// and the name index are rebuilt. A version-1 snapshot, bad checksum,
-  /// or any other format mismatch yields a clean Corruption status.
+  /// Reads a snapshot previously written by Save. Only the dictionary hash
+  /// index and the name index are rebuilt. A version-1 or version-2
+  /// snapshot, bad checksum, or any other format mismatch yields a clean
+  /// Corruption status.
   [[nodiscard]] static Result<KnowledgeBase> Load(const std::string& path);
 
  private:

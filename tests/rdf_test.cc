@@ -11,6 +11,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
+#include "util/coding.h"
 
 namespace kbqa::rdf {
 namespace {
@@ -280,146 +281,104 @@ TEST_F(ToyKbTest, LoadRejectsTruncatedSnapshot) {
 
 TEST_F(ToyKbTest, LoadRejectsCorruptCsrOffsets) {
   std::string path = ::testing::TempDir() + "/corrupt_offsets.bin";
-  // This test hand-computes byte positions of the v2 layout, so pin the
-  // legacy format explicitly now that Save defaults to v3.
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/2).ok());
+  ASSERT_TRUE(kb_.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
 
-  // Locate the out-CSR block from the (known) v2 layout: magic, node
-  // dictionary (count + offsets + blob), is_literal bytes, predicate
-  // dictionary, name-predicate id, then edge_count + offsets + edges.
-  size_t node_blob = 0, pred_blob = 0;
-  for (TermId id = 0; id < kb_.num_nodes(); ++id) {
-    node_blob += kb_.NodeString(id).size();
+  // Locate the out-CSR section: the snapshot is a u64 magic followed by
+  // four framed sections [u64 length][payload][u64 FNV-1a checksum] —
+  // nodes, predicates, out CSR, in CSR.
+  size_t section = 8;
+  for (int skip = 0; skip < 2; ++skip) {
+    uint64_t len = 0;
+    ASSERT_LE(section + 8, bytes.size());
+    std::memcpy(&len, bytes.data() + section, sizeof(len));
+    section += 8 + len + 8;
   }
-  for (PredId p = 0; p < kb_.num_predicates(); ++p) {
-    pred_blob += kb_.PredicateString(p).size();
-  }
-  const size_t out_csr = 8 + (8 + (kb_.num_nodes() + 1) * 8 + node_blob) +
-                         kb_.num_nodes() +
-                         (8 + (kb_.num_predicates() + 1) * 8 + pred_blob) + 4;
-  const size_t offsets_begin = out_csr + 8;  // past edge_count
-  ASSERT_LT(offsets_begin + (kb_.num_nodes() + 1) * 8, bytes.size());
+  uint64_t len = 0;
+  ASSERT_LE(section + 8, bytes.size());
+  std::memcpy(&len, bytes.data() + section, sizeof(len));
+  ASSERT_LE(section + 16 + len, bytes.size());
+  const std::string payload = bytes.substr(section + 8, len);
+  const auto* begin = reinterpret_cast<const uint8_t*>(payload.data());
+  const uint8_t* p = begin;
+  std::vector<uint64_t> offsets;
+  ASSERT_TRUE(util::DecodeDeltaRun64(&p, begin + payload.size(), &offsets));
+  ASSERT_EQ(offsets.size(), kb_.num_nodes() + 1);
+  const std::string edge_runs = payload.substr(p - begin);
 
-  auto corrupt_u64_at = [&](size_t pos, uint64_t value) {
-    std::string mutated = bytes;
-    std::memcpy(mutated.data() + pos, &value, sizeof(value));
+  // Re-encodes the offsets with a valid frame and checksum, so only the
+  // CSR structure checks stand between the corruption and the store.
+  auto load_with_offsets = [&](const std::vector<uint64_t>& corrupt) {
+    std::string enc;
+    util::AppendDeltaRun64(&enc, corrupt.data(), corrupt.size());
+    enc += edge_runs;
+    std::string mutated = bytes.substr(0, section);
+    const uint64_t enc_len = enc.size();
+    const uint64_t sum = util::Fnv1a64(enc.data(), enc.size());
+    mutated.append(reinterpret_cast<const char*>(&enc_len), sizeof(enc_len));
+    mutated += enc;
+    mutated.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+    mutated += bytes.substr(section + 16 + len);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
     out.close();
     return KnowledgeBase::Load(path);
   };
 
-  // offsets[1] jumps past everything: non-monotone and inconsistent with
-  // the edge-count header. Must fail *before* any edge-buffer allocation.
-  auto non_monotone = corrupt_u64_at(offsets_begin + 8, ~uint64_t{0} / 2);
-  ASSERT_FALSE(non_monotone.ok());
-  EXPECT_EQ(non_monotone.status().code(), StatusCode::kCorruption);
+  // The untouched offsets re-encode to a loadable snapshot.
+  ASSERT_TRUE(load_with_offsets(offsets).ok());
 
-  // offsets[num_nodes] disagrees with edge_count while staying monotone.
-  auto tail_mismatch = corrupt_u64_at(
-      offsets_begin + kb_.num_nodes() * 8, kb_.num_triples() + 100);
+  // Every offset after the first jumps by 2^40: the implied edge count
+  // dwarfs the section. Must fail before any edge-buffer allocation.
+  std::vector<uint64_t> jump = offsets;
+  for (size_t i = 1; i < jump.size(); ++i) jump[i] += uint64_t{1} << 40;
+  auto jumped = load_with_offsets(jump);
+  ASSERT_FALSE(jumped.ok());
+  EXPECT_EQ(jumped.status().code(), StatusCode::kCorruption);
+
+  // offsets[num_nodes] disagrees with the edge runs while staying monotone.
+  std::vector<uint64_t> tail = offsets;
+  tail.back() += 100;
+  auto tail_mismatch = load_with_offsets(tail);
   ASSERT_FALSE(tail_mismatch.ok());
   EXPECT_EQ(tail_mismatch.status().code(), StatusCode::kCorruption);
+
+  // A range that does not start at zero.
+  std::vector<uint64_t> shifted = offsets;
+  shifted[0] = 1;
+  auto nonzero_start = load_with_offsets(shifted);
+  ASSERT_FALSE(nonzero_start.ok());
+  EXPECT_EQ(nonzero_start.status().code(), StatusCode::kCorruption);
 
   std::remove(path.c_str());
 }
 
 TEST_F(ToyKbTest, LoadRejectsOversizedV2CountsBeforeAllocating) {
-  // The legacy v2 layout carries raw u64 counts with no checksum. A count
-  // that stays under the 2^32 structural cap but exceeds what the file
-  // could possibly hold must fail as a clean Corruption *before* any
-  // buffer is sized from it — otherwise a 16-byte file can demand a
-  // 34 GB offsets array.
+  // The legacy v2 layout carried raw u64 counts with no checksum, and a
+  // 16-byte v2 file could once demand a 34 GB offsets array. The v2 reader
+  // is gone: any v2 file, however its counts are forged, must come back as
+  // a clean Corruption naming the version before anything is sized from
+  // it.
+  constexpr uint64_t kMagicV2 = 0x4b42514152444632ULL;  // "KBQARDF2"
   std::string path = ::testing::TempDir() + "/oversized_v2.bin";
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/2).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  for (const uint64_t count : {uint64_t{0xFFFFFFFF}, uint64_t{1} << 30,
+                               uint64_t{3}}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&kMagicV2, sizeof(kMagicV2), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+    std::fclose(f);
 
-  auto corrupt_u64_at = [&](std::string mutated, size_t pos, uint64_t value) {
-    std::memcpy(mutated.data() + pos, &value, sizeof(value));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    out.close();
-    return KnowledgeBase::Load(path);
-  };
-
-  // Node-dictionary count claims ~4 billion entries right after the magic.
-  auto huge_dict = corrupt_u64_at(bytes, 8, 0xFFFFFFFFull);
-  ASSERT_FALSE(huge_dict.ok());
-  EXPECT_EQ(huge_dict.status().code(), StatusCode::kCorruption);
-
-  // Out-CSR edge count claims 2^30 edges (an 8 GB buffer), with the
-  // offsets tail patched to agree so the count/offsets cross-check alone
-  // would not catch the lie.
-  size_t node_blob = 0, pred_blob = 0;
-  for (TermId id = 0; id < kb_.num_nodes(); ++id) {
-    node_blob += kb_.NodeString(id).size();
+    auto loaded = KnowledgeBase::Load(path);
+    ASSERT_FALSE(loaded.ok()) << count;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find("version 2"), std::string::npos)
+        << loaded.status();
   }
-  for (PredId p = 0; p < kb_.num_predicates(); ++p) {
-    pred_blob += kb_.PredicateString(p).size();
-  }
-  const size_t out_csr = 8 + (8 + (kb_.num_nodes() + 1) * 8 + node_blob) +
-                         kb_.num_nodes() +
-                         (8 + (kb_.num_predicates() + 1) * 8 + pred_blob) + 4;
-  const size_t offsets_tail = out_csr + 8 + kb_.num_nodes() * 8;
-  ASSERT_LT(offsets_tail + 8, bytes.size());
-  std::string mutated = bytes;
-  const uint64_t huge_edges = uint64_t{1} << 30;
-  std::memcpy(mutated.data() + out_csr, &huge_edges, sizeof(huge_edges));
-  auto huge_csr = corrupt_u64_at(std::move(mutated), offsets_tail, huge_edges);
-  ASSERT_FALSE(huge_csr.ok());
-  EXPECT_EQ(huge_csr.status().code(), StatusCode::kCorruption);
-
   std::remove(path.c_str());
-}
-
-TEST_F(ToyKbTest, V2SnapshotLoadsIdenticallyThroughV3Reader) {
-  // Backward compat: the same frozen store written as v2 and as v3 must
-  // load into element-for-element identical in-memory form.
-  std::string v2_path = ::testing::TempDir() + "/compat_v2.bin";
-  std::string v3_path = ::testing::TempDir() + "/compat_v3.bin";
-  ASSERT_TRUE(kb_.Save(v2_path, /*format_version=*/2).ok());
-  ASSERT_TRUE(kb_.Save(v3_path, /*format_version=*/3).ok());
-
-  auto from_v2 = KnowledgeBase::Load(v2_path);
-  auto from_v3 = KnowledgeBase::Load(v3_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status();
-  const KnowledgeBase& a = from_v2.value();
-  const KnowledgeBase& b = from_v3.value();
-
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_predicates(), b.num_predicates());
-  EXPECT_EQ(a.num_triples(), b.num_triples());
-  EXPECT_EQ(a.name_predicate(), b.name_predicate());
-  for (TermId id = 0; id < a.num_nodes(); ++id) {
-    EXPECT_EQ(a.NodeString(id), b.NodeString(id));
-    EXPECT_EQ(a.IsLiteral(id), b.IsLiteral(id));
-    auto out1 = a.Out(id), out2 = b.Out(id);
-    ASSERT_EQ(out1.size(), out2.size()) << "node " << id;
-    EXPECT_TRUE(std::equal(out1.begin(), out1.end(), out2.begin()));
-    auto in1 = a.In(id), in2 = b.In(id);
-    ASSERT_EQ(in1.size(), in2.size()) << "node " << id;
-    EXPECT_TRUE(std::equal(in1.begin(), in1.end(), in2.begin()));
-  }
-  for (PredId p = 0; p < a.num_predicates(); ++p) {
-    EXPECT_EQ(a.PredicateString(p), b.PredicateString(p));
-  }
-
-  // The compressed format must actually compress, even at toy scale.
-  std::ifstream f2(v2_path, std::ios::binary | std::ios::ate);
-  std::ifstream f3(v3_path, std::ios::binary | std::ios::ate);
-  EXPECT_LT(f3.tellg(), f2.tellg());
-  f2.close();
-  f3.close();
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
 }
 
 TEST_F(ToyKbTest, LoadRejectsBitFlippedV3Snapshot) {
@@ -427,7 +386,7 @@ TEST_F(ToyKbTest, LoadRejectsBitFlippedV3Snapshot) {
   // payload, or checksum — must come back as a clean Corruption, never a
   // crash, bad_alloc, or a silently different store.
   std::string path = ::testing::TempDir() + "/flip_src.bin";
-  ASSERT_TRUE(kb_.Save(path, /*format_version=*/3).ok());
+  ASSERT_TRUE(kb_.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
