@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -267,6 +268,11 @@ struct ClassifierCase {
   const char* question;
   QuestionClass expected;
 };
+
+// Prints the question instead of the struct's raw bytes (which include the
+// string's address), so the discovered test names stay stable across
+// builds.
+void PrintTo(const ClassifierCase& c, std::ostream* os) { *os << c.question; }
 
 class ClassifierTest : public ::testing::TestWithParam<ClassifierCase> {};
 
