@@ -418,12 +418,14 @@ void ExpandedKb::ForEachTriple(
 }
 
 std::vector<TermId> ObjectsViaPath(const KnowledgeBase& kb, TermId e,
-                                   const PredPath& path) {
+                                   const PredPath& path,
+                                   std::vector<TermId>* reads) {
   std::vector<TermId> frontier = {e};
   for (size_t depth = 0; depth < path.size(); ++depth) {
     std::vector<TermId> next;
     for (TermId node : frontier) {
       if (kb.IsLiteral(node)) continue;
+      if (reads != nullptr) reads->push_back(node);
       for (const auto& po : kb.ObjectsRange(node, path[depth])) {
         next.push_back(po.o);
       }

@@ -165,8 +165,12 @@ class ExpandedKb {
 /// Online value lookup for entities outside the materialized seed set:
 /// walks `path` from `e` through the base KB (§6.1's "explore the RDF
 /// knowledge base starting from e and going through p+"). Deduplicated.
+/// When `reads` is non-null, every node whose out-edges the walk read (the
+/// non-literal frontier nodes of each hop, hop by hop in sorted order) is
+/// appended to it.
 std::vector<TermId> ObjectsViaPath(const KnowledgeBase& kb, TermId e,
-                                   const PredPath& path);
+                                   const PredPath& path,
+                                   std::vector<TermId>* reads = nullptr);
 
 }  // namespace kbqa::rdf
 

@@ -68,19 +68,21 @@ bool BaseHasTriple(const KnowledgeBase& base, const Triple& t) {
          t.o < base.num_nodes() && base.HasTriple(t.s, t.p, t.o);
 }
 
-/// Applies one op to the mutable overlay. Later ops win: an add clears
-/// its triple's tombstone, a delete removes its triple's overlay add.
-/// Deletes of unknown strings are no-ops and never intern (so replaying
-/// an op log interns exactly the same strings in the same order on every
-/// replay — the id-stability invariant depends on this).
+/// Applies one op, part of the batch published as `version`, to the
+/// mutable overlay. Later ops win: an add clears its triple's tombstone,
+/// a delete removes its triple's overlay add. Either stamps its subject
+/// with `version`. Deletes of unknown strings are no-ops and never intern
+/// (so replaying an op log interns exactly the same strings in the same
+/// order on every replay — the id-stability invariant depends on this).
 void ApplyOp(const KnowledgeBase& base, const MutationOp& op,
-             DeltaOverlay* overlay) {
+             uint64_t version, DeltaOverlay* overlay) {
   if (op.is_delete) {
     const auto s = ResolveNode(base, *overlay, op.s);
     const auto p = ResolvePred(base, *overlay, op.p);
     const auto o = ResolveNode(base, *overlay, op.o);
     if (!s || !p || !o) return;
     const Triple t{*s, *p, *o};
+    overlay->subject_versions[t.s] = version;
     auto it = overlay->adds.find(t.s);
     if (it != overlay->adds.end()) {
       const PredicateObject po{t.p, t.o};
@@ -100,6 +102,7 @@ void ApplyOp(const KnowledgeBase& base, const MutationOp& op,
   const PredId p = InternPred(base, overlay, op.p);
   const TermId o = InternNode(base, overlay, op.o, op.object_is_literal);
   const Triple t{s, p, o};
+  overlay->subject_versions[s] = version;
   overlay->tombstones.erase(t);
   if (BaseHasTriple(base, t)) return;  // base-resident again: tombstone gone
   std::vector<PredicateObject>& edges = overlay->adds[s];
@@ -110,10 +113,12 @@ void ApplyOp(const KnowledgeBase& base, const MutationOp& op,
   ++overlay->num_adds;
 }
 
+/// Compiles `ops` against `base` as if all were applied at `version`.
 DeltaOverlay CompileOverlay(const KnowledgeBase& base,
-                            std::span<const MutationOp> ops) {
+                            std::span<const MutationOp> ops,
+                            uint64_t version) {
   DeltaOverlay overlay;
-  for (const MutationOp& op : ops) ApplyOp(base, op, &overlay);
+  for (const MutationOp& op : ops) ApplyOp(base, op, version, &overlay);
   return overlay;
 }
 
@@ -194,14 +199,15 @@ std::vector<TermId> KbSnapshot::Objects(TermId s, PredId p) const {
   return out;
 }
 
-std::vector<TermId> KbSnapshot::ObjectsViaPath(TermId e,
-                                               const PredPath& path) const {
-  if (overlay->empty()) return rdf::ObjectsViaPath(*base, e, path);
+std::vector<TermId> KbSnapshot::ObjectsViaPath(
+    TermId e, const PredPath& path, std::vector<TermId>* reads) const {
+  if (overlay->empty()) return rdf::ObjectsViaPath(*base, e, path, reads);
   std::vector<TermId> frontier = {e};
   for (size_t depth = 0; depth < path.size(); ++depth) {
     std::vector<TermId> next;
     for (TermId node : frontier) {
       if (IsLiteral(node)) continue;
+      if (reads != nullptr) reads->push_back(node);
       const PredId p = path[depth];
       if (node < base->num_nodes() && p < base->num_predicates()) {
         for (const PredicateObject& po : base->ObjectsRange(node, p)) {
@@ -231,6 +237,17 @@ bool KbSnapshot::HasTriple(TermId s, PredId p, TermId o) const {
   const auto range = overlay->AddsRange(s, p);
   return std::binary_search(range.begin(), range.end(), PredicateObject{p, o},
                             PredObjLess);
+}
+
+bool KbSnapshot::ChangedSince(std::span<const TermId> subjects,
+                              uint64_t since) const {
+  const auto& stamps = overlay->subject_versions;
+  if (stamps.empty()) return false;
+  for (TermId s : subjects) {
+    auto it = stamps.find(s);
+    if (it != stamps.end() && it->second > since) return true;
+  }
+  return false;
 }
 
 // ---------- RebuildKb ----------
@@ -317,11 +334,11 @@ void MutableKb::Apply(std::span<const MutationOp> batch) {
   {
     MutexLock lock(mu_);
     const std::shared_ptr<const KbSnapshot> current = Pin();
+    ++version_;
     for (const MutationOp& op : batch) {
-      ApplyOp(*current->base, op, &builder_);
+      ApplyOp(*current->base, op, version_, &builder_);
       ops_.push_back(op);
     }
-    ++version_;
     new_version = version_;
     version_atomic_.store(version_, std::memory_order_release);
     auto next = std::make_shared<KbSnapshot>();
@@ -420,20 +437,23 @@ void MutableKb::MergeLoop() {
     // Off-lock rebuild: readers keep answering from the old snapshot and
     // writers keep extending ops_ while the new base freezes.
     const auto merge_begin = std::chrono::steady_clock::now();
-    auto next_base = std::make_shared<const KnowledgeBase>(
-        RebuildKb(*base, CompileOverlay(*base, batch), options_.merge_threads));
+    auto next_base = std::make_shared<const KnowledgeBase>(RebuildKb(
+        *base, CompileOverlay(*base, batch, /*version=*/0),
+        options_.merge_threads));
 
     PublishHook hook;
     std::shared_ptr<const KbSnapshot> published;
     {
       MutexLock lock(mu_);
       // Publish: drop the consumed prefix, re-compile the residual ops
-      // (arrived during the rebuild) against the new base, swap.
+      // (arrived during the rebuild) against the new base, swap. The
+      // residual ops carry the publish version: the new epoch's first
+      // snapshot already contains them.
       ops_.erase(ops_.begin(),
                  ops_.begin() + static_cast<ptrdiff_t>(batch.size()));
-      builder_ = CompileOverlay(*next_base, ops_);
       ++epoch_;
       ++version_;
+      builder_ = CompileOverlay(*next_base, ops_, version_);
       epoch_atomic_.store(epoch_, std::memory_order_release);
       version_atomic_.store(version_, std::memory_order_release);
       auto next = std::make_shared<KbSnapshot>();

@@ -76,6 +76,12 @@ struct DeltaOverlay {
   std::unordered_map<TermId, std::vector<PredicateObject>> adds;
   /// Deleted base triples (exact set; only triples the base contains).
   std::unordered_set<Triple, TripleHash> tombstones;
+  /// For every subject an op of this epoch named: the version of the last
+  /// such op. An op can only change its own subject's out-edges, so a
+  /// subject absent here (or stamped at or before v) has the out-edges it
+  /// had at version v. Stamps outlive the edits themselves — an add undone
+  /// by a later delete leaves the subject stamped at the delete.
+  std::unordered_map<TermId, uint64_t> subject_versions;
   /// Total edges across `adds` (gauge fodder; adds maps are small).
   size_t num_adds = 0;
 
@@ -95,11 +101,11 @@ struct DeltaOverlay {
 /// pin one snapshot (shared_ptr) for the duration of one Answer and see a
 /// consistent world no matter how many Applies or merges land meanwhile.
 ///
-/// `version` increments on every Apply and every merge publish — it is
-/// the cache-key tag (two versions may answer differently). `epoch`
-/// increments only when a merge publishes a new base — it is the signal
-/// to rebuild base-derived read structures (NER gazetteer, per-epoch
-/// engines).
+/// `version` increments on every Apply and every merge publish; the
+/// overlay stamps each subject it touched with one (ChangedSince).
+/// `epoch` increments only when a merge publishes a new base — it is the
+/// signal to rebuild base-derived read structures (NER gazetteer,
+/// per-epoch engines) and the scope of every live cache entry.
 ///
 /// The read API mirrors the KnowledgeBase calls the online pipeline uses,
 /// with identical result ordering: merged object lists are sorted unique,
@@ -130,9 +136,20 @@ class KbSnapshot {
   /// Merged V(e, p): (base objects \ tombstones) ∪ overlay adds, sorted.
   std::vector<TermId> Objects(TermId s, PredId p) const;
   /// Merged BFS walk — the live equivalent of rdf::ObjectsViaPath, with
-  /// the identical sort/unique frontier discipline.
-  std::vector<TermId> ObjectsViaPath(TermId e, const PredPath& path) const;
+  /// the identical sort/unique frontier discipline. `reads` (nullable)
+  /// receives the nodes whose out-edges the walk read, exactly as
+  /// rdf::ObjectsViaPath reports them — an empty overlay included.
+  std::vector<TermId> ObjectsViaPath(TermId e, const PredPath& path,
+                                     std::vector<TermId>* reads = nullptr)
+      const;
   bool HasTriple(TermId s, PredId p, TermId o) const;
+
+  /// True when an op of this epoch after version `since` named one of
+  /// `subjects` as its subject — i.e. when a read of those subjects'
+  /// out-edges at `since` may differ from the same read here. Only
+  /// meaningful for a `since` of this snapshot's epoch: a merge publish
+  /// drops every stamp of the epoch it closes.
+  bool ChangedSince(std::span<const TermId> subjects, uint64_t since) const;
 };
 
 /// Rebuilds a frozen KnowledgeBase equal to `base` with `overlay` merged
@@ -150,18 +167,20 @@ KnowledgeBase RebuildKb(const KnowledgeBase& base, const DeltaOverlay& overlay,
 ///
 /// Writers call Apply/AddTriple/DeleteTriple; each Apply publishes a new
 /// KbSnapshot (same base, copy-on-write overlay, version+1) via an
-/// RCU-style atomic shared_ptr swap, so readers never block on writers
+/// RCU-style shared_ptr swap, so readers never block on writers' work
 /// and never observe a half-applied batch. When the pending op count
 /// reaches `merge_trigger_ops` (and auto_merge is on), a background
 /// thread rebuilds a fresh CSR base off-lock via RebuildKb, then
 /// publishes it — epoch+1 — with the residual overlay compiled from ops
-/// that arrived during the rebuild. Readers pin via Pin() and keep their
+/// that arrived during the rebuild, their subjects stamped with the
+/// publish version. Readers pin via Pin() and keep their
 /// snapshot alive for one request; old snapshots die when the last reader
 /// drops them.
 ///
-/// Thread safety: all methods are safe to call concurrently. `Pin` is
-/// wait-free (one atomic shared_ptr load); writers serialize on one
-/// mutex; the merge rebuild itself runs outside the lock.
+/// Thread safety: all methods are safe to call concurrently. `Pin` takes
+/// a leaf mutex for one shared_ptr copy and never waits on a writer's
+/// work; writers serialize on one mutex; the merge rebuild itself runs
+/// outside the lock.
 class MutableKb {
  public:
   struct Options {
@@ -196,7 +215,8 @@ class MutableKb {
   }
 
   /// Applies a batch of ops atomically: readers see either none or all of
-  /// the batch. Publishes a new snapshot (version+1).
+  /// the batch. Publishes a new snapshot (version+1) whose overlay stamps
+  /// every op's subject with that version.
   void Apply(std::span<const MutationOp> batch);
   void AddTriple(std::string_view s, std::string_view p, std::string_view o,
                  bool object_is_literal);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -195,6 +196,154 @@ TEST(MutableKbTest, MergedPathWalkSeesOverlayHops) {
   const std::vector<TermId> pruned = live.Pin()->ObjectsViaPath(a, path);
   ASSERT_EQ(pruned.size(), 1u);
   EXPECT_EQ(live.Pin()->NodeString(pruned[0]), "jane roe");
+}
+
+TEST(MutableKbTest, ApplyStampsEachSubjectWithItsBatchVersion) {
+  MutableKb live(BuildToyKb(), ManualMerge());
+  const auto base = live.Pin();
+  const TermId a = *base->LookupNode("person/a");
+  const TermId c = *base->LookupNode("person/c");
+  const TermId d = *base->LookupNode("city/d");
+  const TermId b = *base->LookupNode("marriage/b");
+  EXPECT_TRUE(base->overlay->subject_versions.empty());
+
+  const std::vector<MutationOp> batch = {
+      {false, "person/a", "dob", "1962", true},
+      {true, "city/d", "population", "390000", true},
+  };
+  live.Apply(batch);                                    // version 1
+  live.AddTriple("person/c", "dob", "1965", true);      // version 2
+  live.DeleteTriple("person/c", "dob", "1965");         // version 3
+  live.AddTriple("live/new", "likes", "city/d", false);  // version 4
+
+  const auto snap = live.Pin();
+  ASSERT_EQ(snap->version, 4u);
+  const TermId fresh = *snap->LookupNode("live/new");
+  const auto& stamps = snap->overlay->subject_versions;
+  EXPECT_EQ(stamps.size(), 4u);
+  EXPECT_EQ(stamps.at(a), 1u);
+  // The delete undid the add, yet person/c stays stamped: a read of its
+  // edges at version 2 saw the add, so it must not survive version 3.
+  EXPECT_EQ(stamps.at(c), 3u);
+  EXPECT_EQ(stamps.at(fresh), 4u);
+  // An object is not a subject: city/d keeps its batch-1 stamp.
+  EXPECT_EQ(stamps.at(d), 1u);
+
+  const std::vector<TermId> ad = {a, d};
+  EXPECT_TRUE(snap->ChangedSince(ad, 0));
+  EXPECT_FALSE(snap->ChangedSince(ad, 1));
+  EXPECT_TRUE(snap->ChangedSince(std::vector<TermId>{b, c}, 2));
+  EXPECT_FALSE(snap->ChangedSince(std::vector<TermId>{b, c}, 3));
+  EXPECT_FALSE(snap->ChangedSince(std::vector<TermId>{b}, 0));
+  // The snapshot pinned before any write saw no change at all.
+  EXPECT_FALSE(base->ChangedSince(ad, 0));
+}
+
+TEST(MutableKbTest, DeleteOfUnknownStringsInternsAndStampsNothing) {
+  MutableKb live(BuildToyKb(), ManualMerge());
+  const size_t nodes = live.Pin()->num_nodes();
+  const size_t preds = live.Pin()->num_predicates();
+  live.DeleteTriple("ghost", "dob", "1961");
+  live.DeleteTriple("person/a", "no such predicate", "1961");
+  live.DeleteTriple("person/a", "dob", "never seen");
+
+  const auto snap = live.Pin();
+  EXPECT_EQ(snap->version, 3u);
+  EXPECT_EQ(snap->num_nodes(), nodes);
+  EXPECT_EQ(snap->num_predicates(), preds);
+  EXPECT_TRUE(snap->overlay->new_nodes.empty());
+  EXPECT_TRUE(snap->overlay->new_preds.empty());
+  EXPECT_TRUE(snap->overlay->empty());
+  // None of them could change an edge, so none marks a subject changed.
+  EXPECT_TRUE(snap->overlay->subject_versions.empty());
+}
+
+TEST(MutableKbTest, ResidualOpsRecompiledAtPublishCarryThePublishVersion) {
+  // A base large enough that each rebuild takes a while, so writes keep
+  // landing while the merge thread freezes, and every Apply requests a
+  // merge: some publishes must carry a residual overlay.
+  KnowledgeBase base = BuildToyKb();
+  KnowledgeBase big;
+  for (TermId id = 0; id < base.num_nodes(); ++id) {
+    if (base.IsLiteral(id)) {
+      big.AddLiteral(base.NodeString(id));
+    } else {
+      big.AddEntity(base.NodeString(id));
+    }
+  }
+  for (PredId p = 0; p < base.num_predicates(); ++p) {
+    big.AddPredicate(base.PredicateString(p));
+  }
+  big.SetNamePredicate(base.name_predicate());
+  for (TermId s = 0; s < base.num_nodes(); ++s) {
+    for (const PredicateObject& po : base.Out(s)) big.AddTriple(s, po.p, po.o);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    big.AddTriple("bulk/" + std::to_string(i), "dob", std::to_string(i),
+                  true);
+  }
+  big.Freeze();
+
+  MutableKb::Options options;
+  options.merge_trigger_ops = 1;
+  MutableKb live(std::move(big), options);
+  std::atomic<int> residual_publishes{0};
+  std::atomic<int> misstamped{0};
+  live.SetPublishHook([&](const std::shared_ptr<const KbSnapshot>& snap) {
+    const auto& stamps = snap->overlay->subject_versions;
+    if (!stamps.empty()) residual_publishes.fetch_add(1);
+    for (const auto& [subject, version] : stamps) {
+      if (version != snap->version) misstamped.fetch_add(1);
+    }
+  });
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(60);
+  for (int i = 0; residual_publishes.load() < 3 &&
+                  std::chrono::steady_clock::now() < give_up;
+       ++i) {
+    live.AddTriple("person/a", "visited", "place_" + std::to_string(i),
+                   false);
+  }
+  live.ForceMerge();
+  live.SetPublishHook(nullptr);
+  EXPECT_GE(residual_publishes.load(), 3);
+  EXPECT_EQ(misstamped.load(), 0);
+}
+
+TEST(MutableKbTest, PathWalkReportsTheSameReadSetOverEmptyAndLiveOverlay) {
+  MutableKb live(BuildToyKb(), ManualMerge());
+  const auto empty = live.Pin();
+  const TermId a = *empty->LookupNode("person/a");
+  const TermId b = *empty->LookupNode("marriage/b");
+  const TermId c = *empty->LookupNode("person/c");
+  const PredId marriage = *empty->LookupPredicate("marriage");
+  const PredId person = *empty->LookupPredicate("person");
+  const PredId name = *empty->LookupPredicate("name");
+  const PredId dob = *empty->LookupPredicate("dob");
+  const PredPath spouse_name = {marriage, person, name};
+  const PredPath dob_dob = {dob, dob};
+
+  // Every node whose out-edges a hop read; the final frontier is not read,
+  // and a literal frontier node (1961 under dob -> dob) reads nothing.
+  std::vector<TermId> spouse_reads;
+  std::vector<TermId> dob_reads;
+  (void)empty->ObjectsViaPath(a, spouse_name, &spouse_reads);
+  (void)empty->ObjectsViaPath(a, dob_dob, &dob_reads);
+  EXPECT_EQ(spouse_reads, (std::vector<TermId>{a, b, c}));
+  EXPECT_EQ(dob_reads, (std::vector<TermId>{a}));
+
+  // A write elsewhere moves the walk off the empty-overlay fast path; the
+  // merged walk must report exactly the same reads.
+  live.AddTriple("city/d", "population", "400000", true);
+  const auto overlaid = live.Pin();
+  ASSERT_FALSE(overlaid->overlay->empty());
+  std::vector<TermId> overlaid_spouse_reads;
+  std::vector<TermId> overlaid_dob_reads;
+  EXPECT_EQ(overlaid->ObjectsViaPath(a, spouse_name, &overlaid_spouse_reads),
+            empty->ObjectsViaPath(a, spouse_name));
+  (void)overlaid->ObjectsViaPath(a, dob_dob, &overlaid_dob_reads);
+  EXPECT_EQ(overlaid_spouse_reads, spouse_reads);
+  EXPECT_EQ(overlaid_dob_reads, dob_reads);
 }
 
 TEST(MutableKbTest, MergePreservesBaseIdsAndEmptiesOverlay) {
