@@ -29,9 +29,10 @@ namespace kbqa::core {
 /// only *linkability of new entity names* waits for the next merge.
 ///
 /// Freshness contract: an answer computed after Apply(B) returns reflects
-/// B (the engine's caches are version-tagged, so no pre-B entry can be
-/// served). Answers already in flight may still reflect the pre-B world —
-/// they pinned their snapshot at start.
+/// B (a cache entry is served only if no subject it read changed after the
+/// version it was last validated at, so no pre-B entry can be served).
+/// Answers already in flight may still reflect the pre-B world — they
+/// pinned their snapshot at start.
 ///
 /// Training artifacts (template store, path dictionary, taxonomy) are
 /// shared across epochs unchanged: rdf::RebuildKb keeps every base

@@ -18,6 +18,16 @@ uint64_t EntityPathKey(rdf::TermId entity, rdf::PathId path) {
   return (static_cast<uint64_t>(entity) << 32) | path;
 }
 
+void SortUnique(std::vector<rdf::TermId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+void Append(const std::vector<rdf::TermId>& ids,
+            std::vector<rdf::TermId>* out) {
+  out->insert(out->end(), ids.begin(), ids.end());
+}
+
 /// Stateful deadline check for one answer: at most one clock read per
 /// probe, none at all when no deadline was requested, and sticky once
 /// exceeded (the pipeline never un-exceeds mid-request).
@@ -162,14 +172,30 @@ OnlineInference::PinnedKb OnlineInference::PinKb() const {
   return view;
 }
 
+template <typename T>
+bool OnlineInference::Revalidate(const PinnedKb& view, Validated<T>* entry) {
+  if (view.snap == nullptr) return true;
+  ReadSet& reads = *entry->reads;
+  if (reads.version == view.snap->version) return true;
+  // An entry stamped after the reader's pin may hold values interned
+  // after it, which the reader's snapshot cannot even name: a miss.
+  if (reads.version > view.snap->version ||
+      view.snap->ChangedSince(reads.subjects, reads.version)) {
+    return false;
+  }
+  reads.version = view.snap->version;
+  return true;
+}
+
 void OnlineInference::LookupValues(const PinnedKb& view, rdf::TermId entity,
                                    rdf::PathId path,
-                                   std::vector<rdf::TermId>* scratch) const {
+                                   std::vector<rdf::TermId>* scratch,
+                                   std::vector<rdf::TermId>* reads) const {
   // Live mode reads the pinned merged view (base minus tombstones plus
   // overlay adds, identical ordering to a frozen walk — an empty overlay
   // degenerates to the plain base walk bit-for-bit).
   if (view.snap != nullptr) {
-    *scratch = view.snap->ObjectsViaPath(entity, paths_->GetPath(path));
+    *scratch = view.snap->ObjectsViaPath(entity, paths_->GetPath(path), reads);
     return;
   }
   *scratch = rdf::ObjectsViaPath(*view.kb, entity, paths_->GetPath(path));
@@ -181,11 +207,19 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
     obs::RequestContext* ctx) const {
   KBQA_TRACE_SPAN_SAMPLED("answer.value_lookup");
   if (!options_.enable_value_cache) {
-    LookupValues(view, entity, path, scratch);
+    LookupValues(view, entity, path, scratch, tally->reads);
     return *scratch;
   }
-  const ValueCacheKey key{view.version(), EntityPathKey(entity, path)};
-  if (value_cache_.Get(key, scratch)) {
+  using Entry = Validated<std::vector<rdf::TermId>>;
+  const ValueCacheKey key{view.epoch(), EntityPathKey(entity, path)};
+  if (value_cache_.Visit(key, [&](Entry& entry) {
+        if (!Revalidate(view, &entry)) return false;
+        *scratch = entry.value;
+        if (tally->reads != nullptr) {
+          Append(entry.reads->subjects, tally->reads);
+        }
+        return true;
+      })) {
     ++tally->hits;
     return *scratch;
   }
@@ -194,12 +228,24 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
   // them individually; hits are counted but not timed — their cost stays
   // inside the surrounding stage.
   const uint64_t miss_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
-  LookupValues(view, entity, path, scratch);
-  // Insert copies the value set; concurrent misses on the same key both
-  // computed identical vectors from the immutable KB, and the cache keeps
-  // whichever landed first.
-  tally->evictions += value_cache_.Insert(
-      key, *scratch, scratch->size() * sizeof(rdf::TermId));
+  Entry entry;
+  uint64_t charge = 0;
+  if (view.snap != nullptr) {
+    entry.reads = std::make_unique<ReadSet>(ReadSet{view.snap->version, {}});
+    LookupValues(view, entity, path, scratch, &entry.reads->subjects);
+    SortUnique(&entry.reads->subjects);
+    charge = entry.reads->subjects.size() * sizeof(rdf::TermId);
+    if (tally->reads != nullptr) {
+      Append(entry.reads->subjects, tally->reads);
+    }
+  } else {
+    LookupValues(view, entity, path, scratch, /*reads=*/nullptr);
+  }
+  entry.value = *scratch;
+  charge += entry.value.size() * sizeof(rdf::TermId);
+  // A concurrent miss on the same key replaces this entry or is replaced
+  // by it; either carries the version its own walk saw.
+  tally->evictions += value_cache_.Insert(key, std::move(entry), charge);
   if (ctx != nullptr) {
     ctx->AddTimedSince(obs::WideStage::kValueLookup, miss_begin);
   }
@@ -281,25 +327,30 @@ std::vector<AnswerResult> OnlineInference::AnswerAll(
 
 AnswerResult OnlineInference::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options) const {
-  // One pin for key and computation: the memoized entry's version tag can
-  // never disagree with the world that computed it, even if an Apply or a
-  // merge lands between the two.
+  // One pin for key and computation: the memoized entry's epoch and
+  // version can never disagree with the world that computed it, even if
+  // an Apply or a merge lands between the two.
   const PinnedKb view = PinKb();
   if (!options_.enable_answer_cache) {
     return AnswerTokensPinned(nlp::TokenizeQuestion(question), answer_options,
-                              view);
+                              view, /*reads=*/nullptr);
   }
   // Normalized key: whitespace/case/punctuation paraphrases tokenize to
   // the same sequence, so they are the same question to the pipeline and
   // must be the same entry to the memo. Live mode prefixes the pinned
-  // version ("v<version>\n" cannot collide with normalized text, which
-  // never contains a newline) so mutations invalidate by key.
+  // epoch ("e<epoch>\n" cannot collide with normalized text, which never
+  // contains a newline): a merge publish drops the subject stamps entries
+  // are validated against, so no entry may outlive its epoch.
   std::string key = nlp::NormalizeText(question);
   if (view.snap != nullptr) {
-    key = "v" + std::to_string(view.snap->version) + "\n" + key;
+    key = "e" + std::to_string(view.snap->epoch) + "\n" + key;
   }
   AnswerResult result;
-  if (answer_cache_.Get(key, &result)) {
+  if (answer_cache_.Visit(key, [&](Validated<AnswerResult>& entry) {
+        if (!Revalidate(view, &entry)) return false;
+        result = entry.value;
+        return true;
+      })) {
     answer_cache_hits_.Add(1);
     KBQA_COUNTER_ADD("online.answer_cache.hits", 1);
     if (answer_options.request_context != nullptr) {
@@ -307,8 +358,13 @@ AnswerResult OnlineInference::AnswerCached(
     }
     return result;
   }
-  result = AnswerTokensPinned(nlp::TokenizeQuestion(question),
-                              answer_options, view);
+  Validated<AnswerResult> entry;
+  if (view.snap != nullptr) {
+    entry.reads = std::make_unique<ReadSet>(ReadSet{view.snap->version, {}});
+  }
+  result = AnswerTokensPinned(
+      nlp::TokenizeQuestion(question), answer_options, view,
+      entry.reads != nullptr ? &entry.reads->subjects : nullptr);
   answer_cache_misses_.Add(1);
   KBQA_COUNTER_ADD("online.answer_cache.misses", 1);
   if (answer_options.request_context != nullptr) {
@@ -318,8 +374,14 @@ AnswerResult OnlineInference::AnswerCached(
   // (kDeadlineExceeded) would otherwise serve its truncation to every
   // later request that has budget to compute the real thing.
   if (result.status.ok()) {
-    const uint64_t evictions = answer_cache_.Insert(
-        key, result, AnswerResultPayloadBytes(key, result));
+    uint64_t bytes = AnswerResultPayloadBytes(key, result);
+    if (entry.reads != nullptr) {
+      SortUnique(&entry.reads->subjects);
+      bytes += entry.reads->subjects.size() * sizeof(rdf::TermId);
+    }
+    entry.value = result;
+    const uint64_t evictions =
+        answer_cache_.Insert(key, std::move(entry), bytes);
     if (evictions != 0) {
       KBQA_COUNTER_ADD("online.answer_cache.evictions", evictions);
     }
@@ -335,12 +397,14 @@ AnswerResult OnlineInference::AnswerTokens(
 AnswerResult OnlineInference::AnswerTokens(
     const std::vector<std::string>& tokens,
     const AnswerOptions& answer_options) const {
-  return AnswerTokensPinned(tokens, answer_options, PinKb());
+  return AnswerTokensPinned(tokens, answer_options, PinKb(),
+                            /*reads=*/nullptr);
 }
 
 AnswerResult OnlineInference::AnswerTokensPinned(
     const std::vector<std::string>& tokens,
-    const AnswerOptions& answer_options, const PinnedKb& view) const {
+    const AnswerOptions& answer_options, const PinnedKb& view,
+    std::vector<rdf::TermId>* reads) const {
   // All answer spans — including the whole-answer one — record only inside
   // the 1-in-2^k detail windows opened here, keeping the steady-state cost
   // to a few thread-local reads per question. The latency histograms are
@@ -352,6 +416,7 @@ AnswerResult OnlineInference::AnswerTokensPinned(
     ctx->kb_epoch = view.snap->epoch;
   }
   CacheTally tally;
+  tally.reads = reads;
   AnswerResult result = AnswerTokensImpl(tokens, answer_options, &tally, view);
   FlushAnswerStats(&result, tally);
   if (ctx != nullptr) {
@@ -476,11 +541,13 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   result.score = best.score;
   // Materialization routes through the pinned view in live mode: values
   // may be overlay nodes the base has never interned, and an entity's
-  // display name may have mutated.
+  // display name may have mutated — so an entity value's name edges join
+  // the read set.
   const auto materialize = [&](rdf::TermId v) -> std::string {
     if (view.snap != nullptr) {
-      return view.snap->IsLiteral(v) ? view.snap->NodeString(v)
-                                     : view.snap->EntityName(v);
+      if (view.snap->IsLiteral(v)) return view.snap->NodeString(v);
+      if (tally->reads != nullptr) tally->reads->push_back(v);
+      return view.snap->EntityName(v);
     }
     return view.kb->IsLiteral(v) ? view.kb->NodeString(v)
                                  : view.kb->EntityName(v);

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,13 +53,13 @@ struct AnswerOptions {
   obs::RequestContext* request_context = nullptr;
 };
 
-/// Value-cache key: the (entity, path) pair tagged with the KB version it
-/// was computed against. A frozen KB is always version 0; in live mode
-/// every Apply/merge bumps the version, so entries computed against an
-/// older world can never be returned for a newer one (the stale-answer
-/// hazard of DESIGN.md §10). Stale-version entries age out by LRU.
+/// Value-cache key: the (entity, path) pair tagged with the KB epoch it
+/// was computed in. A frozen KB is always epoch 0. In live mode a merge
+/// publish bumps the epoch, so no entry crosses a merge; within an epoch
+/// each entry is re-validated against the subjects its walk read
+/// (DESIGN.md §10). Entries of past epochs age out by LRU.
 struct ValueCacheKey {
-  uint64_t version = 0;
+  uint64_t epoch = 0;
   uint64_t entity_path = 0;  // entity in the high 32 bits, path in the low
 
   friend bool operator==(const ValueCacheKey&, const ValueCacheKey&) =
@@ -70,7 +71,7 @@ struct ValueCacheKey {
 template <>
 struct std::hash<kbqa::core::ValueCacheKey> {
   size_t operator()(const kbqa::core::ValueCacheKey& key) const noexcept {
-    uint64_t h = key.version * 0x9e3779b97f4a7c15ULL ^ key.entity_path;
+    uint64_t h = key.epoch * 0x9e3779b97f4a7c15ULL ^ key.entity_path;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
@@ -133,10 +134,10 @@ struct AnswerResult {
 /// fan-outs are bounded constants; only the predicate enumeration scales.
 ///
 /// Thread safety: all answering methods are const and safe to call
-/// concurrently. The only mutable state is the V(e, p+) value cache, a
-/// per-instance memory-budgeted sharded LRU (see util/lru_cache.h) —
-/// lookups copy values out under a per-shard mutex, so evictions never
-/// invalidate anything a caller holds.
+/// concurrently. The only mutable state is the two memo caches (V(e, p+)
+/// values and whole answers), per-instance memory-budgeted sharded LRUs
+/// (see util/lru_cache.h) — lookups validate and copy values out under a
+/// per-shard mutex, so evictions never invalidate anything a caller holds.
 class OnlineInference {
  public:
   struct Options {
@@ -173,10 +174,12 @@ class OnlineInference {
   /// `live` (optional) switches the engine to live-mutation mode: every
   /// Answer pins one KbSnapshot for its whole duration (RCU read-side),
   /// value lookups and winner materialization route through the pinned
-  /// merged view, and all cache keys carry the snapshot version so a
-  /// post-mutation query can never see a pre-mutation cache entry. `kb`
-  /// must then be the live KB's current base (or an id-stable ancestor —
-  /// see rdf::RebuildKb).
+  /// merged view, and cache entries key on the snapshot epoch and carry
+  /// the sorted subjects their computation read. A hit is served only if
+  /// none of those subjects changed after the version the entry was last
+  /// validated at, so a post-mutation query can never see a pre-mutation
+  /// cache entry. `kb` must be the live KB's current base (or an
+  /// id-stable ancestor — see rdf::RebuildKb).
   OnlineInference(const rdf::KnowledgeBase* kb,
                   const taxonomy::Taxonomy* taxonomy,
                   const nlp::GazetteerNer* ner, const TemplateStore* store,
@@ -234,6 +237,28 @@ class OnlineInference {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
+    /// Live mode, when the answer will be memoized: collects every subject
+    /// whose out-edges the answer read — each value lookup's walk, whether
+    /// walked now or served from the value cache, plus every non-literal
+    /// value materialized through EntityName. Null otherwise.
+    std::vector<rdf::TermId>* reads = nullptr;
+  };
+
+  /// What a live-mode cache entry is re-validated by: the snapshot version
+  /// it was last validated at and the sorted subjects whose out-edges
+  /// computing it read.
+  struct ReadSet {
+    uint64_t version = 0;
+    std::vector<rdf::TermId> subjects;
+  };
+
+  /// A memoized result plus, in live mode, its read set. Frozen-mode
+  /// entries leave `reads` null and are never checked, so they cost what
+  /// a bare result costs.
+  template <typename T>
+  struct Validated {
+    T value;
+    std::unique_ptr<ReadSet> reads;
   };
 
   /// The KB world one Answer reads from start to finish. Frozen mode:
@@ -245,12 +270,21 @@ class OnlineInference {
     const rdf::KnowledgeBase* kb = nullptr;
     std::shared_ptr<const rdf::KbSnapshot> snap;
 
-    uint64_t version() const { return snap != nullptr ? snap->version : 0; }
+    uint64_t epoch() const { return snap != nullptr ? snap->epoch : 0; }
   };
 
-  /// Pins the current world: one atomic load in live mode, free in frozen
-  /// mode.
+  /// Pins the current world: in live mode one leaf-mutex shared_ptr copy
+  /// (MutableKb::Pin), free in frozen mode.
   PinnedKb PinKb() const;
+
+  /// The live-mode hit rule, run under the cache shard lock: `entry` is
+  /// current for a reader pinned at `view` if it was last validated at
+  /// the reader's version, or at an earlier one and no subject it read
+  /// changed since. A passing entry is re-stamped forward to the reader's
+  /// version, so later hits there skip the subject scan; an entry stamped
+  /// after the reader's pin is a miss. Frozen mode: always current.
+  template <typename T>
+  static bool Revalidate(const PinnedKb& view, Validated<T>* entry);
 
   /// V(e, p+) through the memo cache. The result always lands in
   /// `*scratch` — copied out of the cache on a hit, computed by the path
@@ -258,8 +292,10 @@ class OnlineInference {
   /// and the returned reference points there, valid until the next call
   /// with the same `scratch`. Copy-out is what makes eviction safe: no
   /// caller ever holds a reference into the cache. The cache key carries
-  /// `view.version()`, so entries never cross mutation boundaries. `ctx`
-  /// (nullable) is charged the miss walk as its value_lookup stage.
+  /// `view.epoch()` and live hits pass Revalidate, so entries never serve
+  /// a world their walk did not see. The walk's read set lands in
+  /// `tally->reads` when that is set. `ctx` (nullable) is charged the miss
+  /// walk as its value_lookup stage.
   const std::vector<rdf::TermId>& CachedObjects(
       const PinnedKb& view, rdf::TermId entity, rdf::PathId path,
       std::vector<rdf::TermId>* scratch, CacheTally* tally,
@@ -267,11 +303,13 @@ class OnlineInference {
 
   /// AnswerTokens against an already-pinned world — the body behind every
   /// public answering entry point (AnswerCached pins once and reuses the
-  /// view for its cache key and the computation, so the key's version
-  /// always matches the world that computed the entry).
+  /// view for its cache key and the computation, so the entry's epoch and
+  /// version always match the world that computed it). `reads` (nullable)
+  /// receives the answer's read set, unsorted.
   AnswerResult AnswerTokensPinned(const std::vector<std::string>& tokens,
                                   const AnswerOptions& answer_options,
-                                  const PinnedKb& view) const;
+                                  const PinnedKb& view,
+                                  std::vector<rdf::TermId>* reads) const;
 
   AnswerResult AnswerTokensImpl(const std::vector<std::string>& tokens,
                                 const AnswerOptions& answer_options,
@@ -285,10 +323,11 @@ class OnlineInference {
 
   /// V(e, p+) without the memo cache: walk p+ from `entity` over the
   /// pinned merged view in live mode, over the frozen KB otherwise. Result
-  /// lands in `*scratch`.
+  /// lands in `*scratch`; live mode appends the walk's read set to
+  /// `reads` (nullable).
   void LookupValues(const PinnedKb& view, rdf::TermId entity,
-                    rdf::PathId path,
-                    std::vector<rdf::TermId>* scratch) const;
+                    rdf::PathId path, std::vector<rdf::TermId>* scratch,
+                    std::vector<rdf::TermId>* reads) const;
 
   const rdf::KnowledgeBase* kb_;
   const taxonomy::Taxonomy* taxonomy_;
@@ -298,18 +337,19 @@ class OnlineInference {
   const rdf::MutableKb* live_;
   Options options_;
 
-  /// Keyed by (KB version, entity « 32 | path) — see ValueCacheKey.
-  mutable ShardedLruCache<ValueCacheKey, std::vector<rdf::TermId>>
+  /// Keyed by (KB epoch, entity « 32 | path) — see ValueCacheKey.
+  mutable ShardedLruCache<ValueCacheKey, Validated<std::vector<rdf::TermId>>>
       value_cache_;
   mutable obs::ShardedCounter cache_hits_;
   mutable obs::ShardedCounter cache_misses_;
 
   /// Whole-question memo for AnswerAll/AnswerCached: normalized question
-  /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
-  /// tokenize identically hit one entry. Internally synchronized (sharded
+  /// text (NormalizeText; live mode prefixes "e<epoch>\n") → full
+  /// AnswerResult, so surface paraphrases that tokenize identically hit
+  /// one entry. Internally synchronized (sharded
   /// LRU) like the value cache; results are copied out, so eviction never
   /// invalidates callers.
-  mutable ShardedLruCache<std::string, AnswerResult> answer_cache_;
+  mutable ShardedLruCache<std::string, Validated<AnswerResult>> answer_cache_;
   mutable obs::ShardedCounter answer_cache_hits_;
   mutable obs::ShardedCounter answer_cache_misses_;
 };

@@ -39,10 +39,12 @@ namespace kbqa {
 /// instant, including mid-insert under concurrency.
 ///
 /// Lookups are copy-out: `Get` copies the stored value into the caller's
-/// buffer under the shard lock. Returning references would pin entries
-/// against eviction (or dangle after one); copying keeps the locking
-/// trivial and the eviction policy exact. Values are expected to be small
-/// (e.g. the per-(entity, path) value vectors of the online engine).
+/// buffer under the shard lock, and `Visit` lets the caller check the
+/// entry and copy out just what it needs there. Returning references would
+/// pin entries against eviction (or dangle after one); copying keeps the
+/// locking trivial and the eviction policy exact. Values are expected to
+/// be small (e.g. the per-(entity, path) value vectors of the online
+/// engine).
 ///
 /// Thread safety: all methods are safe to call concurrently. Eviction
 /// never holds two shard locks at once, so borrowing cannot deadlock.
@@ -68,12 +70,26 @@ class ShardedLruCache {
   /// most-recently-used. Returns false (leaving `*out` untouched) when the
   /// key is absent.
   bool Get(const Key& key, Value* out) {
+    return Visit(key, [out](const Value& value) {
+      *out = value;
+      return true;
+    });
+  }
+
+  /// Calls `visit(value)` on the entry for `key` under its shard lock —
+  /// one lookup to check an entry, update it in place and copy out what
+  /// the caller needs. When `visit` returns true the entry is promoted to
+  /// most-recently-used and Visit returns true; it returns false when the
+  /// key is absent or `visit` rejected the entry. `visit` must not change
+  /// the entry's byte charge or call back into the cache.
+  template <typename Visitor>
+  bool Visit(const Key& key, Visitor&& visit) {
     Shard& shard = ShardFor(key);
     MutexLock lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) return false;
+    if (!visit(it->second->value)) return false;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    *out = it->second->value;
     return true;
   }
 

@@ -1,10 +1,12 @@
 // Live-mutation serving semantics (DESIGN.md §10): a LiveKbqaEngine over
 // a MutableKb must (a) answer exactly like the frozen engine while no
 // mutation has happened, (b) never serve a pre-mutation answer after a
-// mutation — the stale-cache regression this PR fixes — and (c) answer
-// identically before and after the background merge folds the overlay
-// into a fresh frozen base (id stability makes the trained model valid
-// across merges).
+// mutation — whether the write touched the question's entity, an
+// intermediate node of its winning path, or the winning value's name —
+// while (c) keeping every cached answer whose read set no write touched,
+// and (d) answer identically before and after the background merge folds
+// the overlay into a fresh frozen base (id stability makes the trained
+// model valid across merges).
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,66 @@ class LiveEngineTest : public ::testing::Test {
     EXPECT_EQ(got.sparql, want.sparql) << question;
     EXPECT_EQ(got.values, want.values) << question;
   }
+
+  static rdf::MutableKb::Options ManualMerge() {
+    rdf::MutableKb::Options options;
+    options.auto_merge = false;
+    return options;
+  }
+
+  /// An OnlineInference over `live` constructed directly, so — unlike a
+  /// LiveKbqaEngine, which rebuilds it per epoch — one instance and its
+  /// caches outlive every merge. `cached` turns both memo caches on or
+  /// off; an uncached engine computes every answer from its pin.
+  static std::unique_ptr<core::OnlineInference> MakeLiveOnline(
+      const rdf::MutableKb* live, bool cached) {
+    const core::KbqaSystem& kbqa = experiment().kbqa();
+    core::OnlineInference::Options options = kbqa.options().online;
+    options.enable_answer_cache = cached;
+    options.enable_value_cache = cached;
+    return std::make_unique<core::OnlineInference>(
+        &experiment().world().kb, &experiment().world().taxonomy, &kbqa.ner(),
+        &kbqa.template_store(), &kbqa.expanded_kb().paths(), options, live);
+  }
+
+  /// A question answered through a path of `hops` predicates with a
+  /// single winning value and no tie for first place — rewriting that
+  /// value's facts must change what the question answers.
+  struct Winner {
+    std::string question;
+    core::AnswerResult answer;
+    rdf::TermId entity = rdf::kInvalidTerm;
+    rdf::PredPath path;
+  };
+  static Winner FindStrictWinner(const core::OnlineInference& online,
+                                 size_t hops) {
+    const rdf::PathDictionary& paths = experiment().kbqa().expanded_kb().paths();
+    for (const std::string& q : BenchmarkQuestions(60, 2468)) {
+      const core::AnswerResult r = online.Answer(q);
+      if (!r.answered || r.values.size() != 1) continue;
+      if (r.ranked.size() > 1 && r.ranked[0].score <= r.ranked[1].score) {
+        continue;
+      }
+      const rdf::PredPath& path = paths.GetPath(r.ranked[0].best_path);
+      if (path.size() != hops) continue;
+      return Winner{q, r, r.ranked[0].best_entity, path};
+    }
+    return Winner{};
+  }
+
+  /// Replaces every object of (s, p) with one new object, in one batch.
+  static void ReplaceObjects(rdf::MutableKb* live, const std::string& s,
+                             const std::string& p, const std::string& object,
+                             bool object_is_literal) {
+    const auto snap = live->Pin();
+    std::vector<rdf::MutationOp> batch;
+    for (rdf::TermId o :
+         snap->Objects(*snap->LookupNode(s), *snap->LookupPredicate(p))) {
+      batch.push_back({true, s, p, snap->NodeString(o), snap->IsLiteral(o)});
+    }
+    batch.push_back({false, s, p, object, object_is_literal});
+    live->Apply(batch);
+  }
 };
 
 TEST_F(LiveEngineTest, UnmutatedLiveEngineMatchesFrozenEngineExactly) {
@@ -114,7 +176,7 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
   const auto engine = kbqa.MakeLiveEngine(&live);
   ASSERT_NE(engine, nullptr);
 
-  // Both cache tiers on: the whole point is that version-tagged keys keep
+  // Both cache tiers on: the whole point is that read-set validation keeps
   // a warm cache from replaying the pre-mutation world.
   core::AnswerOptions answer_options;
 
@@ -151,8 +213,7 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
   ASSERT_EQ(live.epoch(), 0u) << "mutation must not require a merge";
 
   // The pre-mutation answer must be gone immediately — before any merge —
-  // even though it is still sitting in the answer cache under the old
-  // version tag.
+  // even though it is still sitting in the answer cache.
   const core::AnswerResult after =
       engine->AnswerCached(question, answer_options);
   EXPECT_FALSE(after.answered == before.answered &&
@@ -162,17 +223,130 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
   if (after.answered && after.predicate == before.predicate) {
     EXPECT_EQ(after.values, std::vector<std::string>{sentinel});
   }
-  // Memoized at the new version: asking again replays the fresh answer.
+  // Memoized again: asking again replays the fresh answer.
   ExpectSameAnswer(engine->AnswerCached(question, answer_options), after,
                    question);
 
   // Merging folds the overlay into a new frozen base; the answer must not
-  // change, and the old version's cache entries must stay unreachable.
+  // change, and the old epoch's cache entries must stay unreachable.
   live.ForceMerge();
   EXPECT_GE(live.epoch(), 1u);
   ExpectSameAnswer(engine->AnswerCached(question, answer_options), after,
                    question);
   ExpectSameAnswer(engine->Answer(question), after, question);
+}
+
+TEST_F(LiveEngineTest, WarmAnswersSurviveAnApplyOutsideTheirReadSets) {
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto online = MakeLiveOnline(&live, /*cached=*/true);
+  const std::vector<std::string> questions = BenchmarkQuestions(20, 1357);
+  std::vector<core::AnswerResult> warm;
+  for (const std::string& q : questions) {
+    warm.push_back(online->AnswerCached(q, core::AnswerOptions{}));
+  }
+  const core::ValueCacheStats before = online->answer_cache_stats();
+
+  // A write whose subject no answer can have read.
+  live.AddTriple("live/unrelated entity", "live_fact", "unrelated value",
+                 /*object_is_literal=*/true);
+  ASSERT_EQ(live.epoch(), 0u);
+  for (size_t i = 0; i < questions.size(); ++i) {
+    ExpectSameAnswer(online->AnswerCached(questions[i], core::AnswerOptions{}),
+                     warm[i], questions[i]);
+  }
+  const core::ValueCacheStats after = online->answer_cache_stats();
+  EXPECT_EQ(after.hits, before.hits + questions.size());
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST_F(LiveEngineTest, RewritingAnIntermediateNodeChangesTheCachedAnswer) {
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto online = MakeLiveOnline(&live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const Winner winner = FindStrictWinner(*uncached, /*hops=*/2);
+  ASSERT_FALSE(winner.question.empty()) << "no strict two-hop winner";
+  const std::vector<rdf::TermId> mids =
+      base.Objects(winner.entity, winner.path[0]);
+  ASSERT_FALSE(mids.empty());
+
+  // Warm both caches, then rewrite the second hop of every node the first
+  // hop reached. The question's entity is untouched: only a read set that
+  // holds the intermediate nodes can notice.
+  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
+                   winner.answer, winner.question);
+  const std::string p2 = base.PredicateString(winner.path[1]);
+  for (rdf::TermId mid : mids) {
+    ReplaceObjects(&live, base.NodeString(mid), p2, "rewritten hop value",
+                   /*object_is_literal=*/true);
+  }
+  const core::AnswerResult after =
+      online->AnswerCached(winner.question, core::AnswerOptions{});
+  EXPECT_NE(after.value, winner.answer.value) << winner.question;
+  EXPECT_EQ(after.values, std::vector<std::string>{"rewritten hop value"});
+  ExpectSameAnswer(after, uncached->Answer(winner.question), winner.question);
+}
+
+TEST_F(LiveEngineTest, RenamingTheWinningValueChangesTheCachedAnswer) {
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto online = MakeLiveOnline(&live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
+  ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
+  const std::string s = base.NodeString(winner.entity);
+  const std::string p = base.PredicateString(winner.path[0]);
+  const std::string name = base.PredicateString(base.name_predicate());
+
+  // Make the winning value an entity, which materializes through its name.
+  // The walk reads only the question's entity; the value's name edges are
+  // read by materialization alone.
+  const std::string value_entity = "live/value entity";
+  live.AddTriple(value_entity, name, "first name", /*object_is_literal=*/true);
+  ReplaceObjects(&live, s, p, value_entity, /*object_is_literal=*/false);
+  const core::AnswerResult named =
+      online->AnswerCached(winner.question, core::AnswerOptions{});
+  ASSERT_EQ(named.value, "first name") << winner.question;
+  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
+                   named, winner.question);
+
+  ReplaceObjects(&live, value_entity, name, "second name",
+                 /*object_is_literal=*/true);
+  const core::AnswerResult renamed =
+      online->AnswerCached(winner.question, core::AnswerOptions{});
+  EXPECT_EQ(renamed.value, "second name") << winner.question;
+  EXPECT_EQ(renamed.values, std::vector<std::string>{"second name"});
+  ExpectSameAnswer(renamed, uncached->Answer(winner.question),
+                   winner.question);
+}
+
+TEST_F(LiveEngineTest, DirectLiveEngineServesNoPreMergeEntryAfterMerge) {
+  // A merge publish folds the overlay into the base and drops every
+  // subject stamp of the closed epoch, so a pre-merge entry re-validated
+  // against the new, empty overlay would look current. Only the epoch in
+  // the cache key keeps it out.
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto online = MakeLiveOnline(&live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
+  ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
+  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
+                   winner.answer, winner.question);
+
+  // Rewrite the winning fact without asking again, then merge.
+  ReplaceObjects(&live, base.NodeString(winner.entity),
+                 base.PredicateString(winner.path[0]), "post-merge value",
+                 /*object_is_literal=*/true);
+  live.ForceMerge();
+  ASSERT_EQ(live.epoch(), 1u);
+  ASSERT_TRUE(live.Pin()->overlay->empty());
+  ASSERT_TRUE(live.Pin()->overlay->subject_versions.empty());
+
+  const core::AnswerResult after =
+      online->AnswerCached(winner.question, core::AnswerOptions{});
+  EXPECT_EQ(after.value, "post-merge value") << winner.question;
+  ExpectSameAnswer(after, uncached->Answer(winner.question), winner.question);
 }
 
 TEST_F(LiveEngineTest, MakeLiveEngineAnswersBenchmarkAfterBackgroundMerges) {

@@ -62,6 +62,32 @@ TEST(ShardedLruCacheTest, EvictionFollowsLruOrder) {
   EXPECT_EQ(stats.bytes, 3 * charge);
 }
 
+TEST(ShardedLruCacheTest, VisitUpdatesInPlaceAndPromotesOnlyAcceptedEntries) {
+  const uint64_t charge = ChargeOf(4);
+  Cache cache(3 * charge, /*num_shards=*/1);
+  cache.Insert(1, PayloadFor(1, 4), 4 * sizeof(uint32_t));
+  cache.Insert(2, PayloadFor(2, 4), 4 * sizeof(uint32_t));
+  cache.Insert(3, PayloadFor(3, 4), 4 * sizeof(uint32_t));
+
+  // An accepted visit may rewrite the value in place (same byte charge)
+  // and promotes the entry; a rejected one reports a miss and leaves the
+  // entry where it was.
+  EXPECT_TRUE(cache.Visit(1, [](std::vector<uint32_t>& value) {
+    value[0] = 42;
+    return true;
+  }));
+  EXPECT_FALSE(cache.Visit(2, [](std::vector<uint32_t>&) { return false; }));
+  EXPECT_FALSE(cache.Visit(9, [](std::vector<uint32_t>&) { return true; }));
+
+  // Recency is 1 > 3 > 2: the rejected visit did not save 2.
+  cache.Insert(4, PayloadFor(4, 4), 4 * sizeof(uint32_t));
+  std::vector<uint32_t> out;
+  EXPECT_FALSE(cache.Get(2, &out));
+  ASSERT_TRUE(cache.Get(1, &out));
+  EXPECT_EQ(out[0], 42u);
+  EXPECT_EQ(cache.GetStats().bytes, 3 * charge);
+}
+
 TEST(ShardedLruCacheTest, ByteAccountingNeverExceedsBudget) {
   const uint64_t budget = 4096;
   Cache cache(budget, /*num_shards=*/4);

@@ -486,6 +486,126 @@ TEST_F(RaceStressSystemTest, LiveEngineAnswerAllAcrossMutationsAndSwaps) {
   EXPECT_EQ(live.pending_ops(), 0u);
 }
 
+TEST_F(RaceStressSystemTest, LiveAnswerCachesMatchUncachedAfterRewritesAndMerges) {
+  // Readers hammer AnswerCached while a writer rewrites the very facts
+  // those answers read and forces merges, so every cache re-validation,
+  // re-stamp and insert races an Apply or a publish. Two cached engines
+  // read: a LiveKbqaEngine (fresh caches per epoch) and a directly built
+  // OnlineInference whose caches outlive every merge. Once the writer
+  // stops, each must answer exactly like an engine with no caches.
+  const std::string path = ::testing::TempDir() + "/race_live_cache_kb.bin";
+  ASSERT_TRUE(experiment().world().kb.Save(path).ok());
+  auto loaded = rdf::KnowledgeBase::Load(path);
+  ASSERT_TRUE(loaded.ok());
+  rdf::MutableKb::Options live_options;
+  live_options.auto_merge = false;  // the writer decides when to merge
+  rdf::MutableKb live(std::move(loaded).value(), live_options);
+
+  const core::KbqaSystem& kbqa = experiment().kbqa();
+  const rdf::KnowledgeBase& kb = experiment().world().kb;
+  const rdf::PathDictionary& paths = kbqa.expanded_kb().paths();
+  core::LiveKbqaEngine::Options engine_options;
+  engine_options.alias_predicates = experiment().world().alias_predicates;
+  engine_options.online = kbqa.options().online;
+  engine_options.online.enable_answer_cache = true;
+  engine_options.online.enable_value_cache = true;
+  core::LiveKbqaEngine engine(&live, &experiment().world().taxonomy,
+                              &kbqa.template_store(), &paths, engine_options);
+  core::OnlineInference persistent(
+      &kb, &experiment().world().taxonomy, &kbqa.ner(), &kbqa.template_store(),
+      &paths, engine_options.online, &live);
+  core::OnlineInference::Options uncached_options = engine_options.online;
+  uncached_options.enable_answer_cache = false;
+  uncached_options.enable_value_cache = false;
+  core::OnlineInference uncached(
+      &kb, &experiment().world().taxonomy, &kbqa.ner(), &kbqa.template_store(),
+      &paths, uncached_options, &live);
+
+  // The answered questions, and for each the last hop of its winning path
+  // out of the first node the walk reaches before that hop — the
+  // question's entity on a one-hop path, an intermediate node on longer
+  // ones. Rewriting a last hop changes the answer and keeps it answerable.
+  std::vector<std::string> questions;
+  std::vector<std::pair<std::string, std::string>> facts;
+  for (const std::string& q : BenchmarkQuestions(60, 5151)) {
+    const core::AnswerResult r = uncached.Answer(q);
+    if (!r.answered) continue;
+    const rdf::PredPath& hops = paths.GetPath(r.ranked[0].best_path);
+    const std::vector<rdf::TermId> subjects = rdf::ObjectsViaPath(
+        kb, r.ranked[0].best_entity,
+        rdf::PredPath(hops.begin(), hops.end() - 1));
+    questions.push_back(q);
+    facts.emplace_back(kb.NodeString(subjects.front()),
+                       kb.PredicateString(hops.back()));
+    if (questions.size() == 12) break;
+  }
+  ASSERT_GE(questions.size(), 4u);
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> passes{0};  // reader passes over the pool
+  std::thread writer([&] {
+    // A merge after every sixth round; the last two rounds stay in the
+    // overlay, so the final comparison covers both kinds of state.
+    for (int round = 0; round < 32; ++round) {
+      const auto& [s, p] = facts[static_cast<size_t>(round) % facts.size()];
+      const auto snap = live.Pin();
+      std::vector<rdf::MutationOp> batch;
+      for (const rdf::TermId o :
+           snap->Objects(*snap->LookupNode(s), *snap->LookupPredicate(p))) {
+        batch.push_back({true, s, p, snap->NodeString(o), snap->IsLiteral(o)});
+      }
+      batch.push_back({false, s, p, "race value " + std::to_string(round),
+                       /*object_is_literal=*/true});
+      live.Apply(batch);
+      if (round % 6 == 5) live.ForceMerge();
+      // Let the readers cache answers over this write before the next one
+      // lands: kReaders + 1 more passes include one that began after it.
+      const uint64_t target =
+          passes.load(std::memory_order_acquire) + kReaders + 1;
+      while (passes.load(std::memory_order_acquire) < target) {
+        std::this_thread::yield();
+      }
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      do {
+        for (const std::string& q : questions) {
+          const bool ok =
+              engine.AnswerCached(q, core::AnswerOptions{}).status.ok() &&
+              persistent.AnswerCached(q, core::AnswerOptions{}).status.ok();
+          EXPECT_TRUE(ok) << q;
+        }
+        passes.fetch_add(1, std::memory_order_acq_rel);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& th : readers) th.join();
+  ASSERT_FALSE(live.Pin()->overlay->empty());
+
+  const auto expect_uncached = [&](const char* when) {
+    for (const std::string& q : questions) {
+      const core::AnswerResult want = uncached.Answer(q);
+      for (const core::AnswerResult& got :
+           {engine.AnswerCached(q, core::AnswerOptions{}),
+            persistent.AnswerCached(q, core::AnswerOptions{})}) {
+        EXPECT_EQ(got.answered, want.answered) << when << ": " << q;
+        EXPECT_EQ(got.value, want.value) << when << ": " << q;
+        EXPECT_EQ(got.score, want.score) << when << ": " << q;
+        EXPECT_EQ(got.predicate, want.predicate) << when << ": " << q;
+        EXPECT_EQ(got.values, want.values) << when << ": " << q;
+      }
+    }
+  };
+  expect_uncached("overlay pending");
+  live.ForceMerge();
+  expect_uncached("after the final merge");
+}
+
 TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
   // The wide-event exactly-once invariant must survive snapshot swaps:
   // submitters race the batcher and a mutator forcing merges underneath
