@@ -9,6 +9,7 @@
 //                     batches and drives continuous re-freeze/merge
 //                     cycles: read p99 must stay bounded (the RCU swap
 //                     never blocks readers)
+//   Both phases also report the answer-cache hit rate of their reads.
 //   3. equivalence  — after the final merge, the merged base must be
 //                     byte-identical to a from-scratch freeze of the
 //                     mutated world (independent op-log replay), and
@@ -16,8 +17,8 @@
 //                     reference at every thread count
 //
 // Emits BENCH_mutation.json (scripts/validate_bench.py checks the merge
-// count, the equivalence bits, and the p99 bound). --smoke runs the
-// Small experiment with short phases for CI.
+// count, the equivalence bits, the p99 bound, and that both hit rates are
+// present). --smoke runs the Small experiment with short phases for CI.
 
 #include <atomic>
 #include <array>
@@ -31,6 +32,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -40,6 +42,7 @@
 #include "corpus/qa_generator.h"
 #include "eval/experiment.h"
 #include "nlp/ner.h"
+#include "obs/metrics.h"
 #include "rdf/knowledge_base.h"
 #include "rdf/mutable_kb.h"
 #include "util/mutex.h"
@@ -208,13 +211,25 @@ std::string ReadFileBytes(const std::string& path) {
 struct PhaseResult {
   bench::LatencyReservoir latency;
   uint64_t answers = 0;
+  /// Share of the phase's AnswerCached calls served from the answer cache.
+  double answer_cache_hit_rate = 0;
 };
 
+/// The process-wide answer-cache hit and miss counts. The live engine
+/// rebuilds its OnlineInference (and its per-instance stats) on every
+/// merge, so a phase reads the registry counters around itself instead.
+std::pair<uint64_t, uint64_t> AnswerCacheHitsAndMisses() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  return {registry.GetCounter("online.answer_cache.hits")->Value(),
+          registry.GetCounter("online.answer_cache.misses")->Value()};
+}
+
 /// Drives `threads` readers round-robin over the pool until the deadline,
-/// recording per-answer latency.
+/// recording per-answer latency and the answer-cache hit rate.
 PhaseResult RunReaders(const core::LiveKbqaEngine& engine,
                        const std::vector<std::string>& pool,
                        double duration_s, int threads) {
+  const auto [hits_before, misses_before] = AnswerCacheHitsAndMisses();
   std::vector<bench::LatencyReservoir> reservoirs(
       static_cast<size_t>(threads));
   std::vector<std::thread> readers;
@@ -236,9 +251,16 @@ PhaseResult RunReaders(const core::LiveKbqaEngine& engine,
     });
   }
   for (auto& th : readers) th.join();
+  const auto [hits_after, misses_after] = AnswerCacheHitsAndMisses();
   PhaseResult result;
   for (const auto& r : reservoirs) result.latency.Merge(r);
   result.answers = result.latency.count();
+  const uint64_t hits = hits_after - hits_before;
+  const uint64_t lookups = hits + (misses_after - misses_before);
+  if (lookups != 0) {
+    result.answer_cache_hit_rate =
+        static_cast<double>(hits) / static_cast<double>(lookups);
+  }
   return result;
 }
 
@@ -297,10 +319,12 @@ int main(int argc, char** argv) {
   std::printf("[quiescent] readers only, %.1fs...\n", args.duration_s);
   const PhaseResult quiescent =
       RunReaders(engine, pool, args.duration_s, args.threads);
-  std::printf("[quiescent] %" PRIu64 " answers, p50 %.3fms p99 %.3fms\n",
+  std::printf("[quiescent] %" PRIu64
+              " answers, p50 %.3fms p99 %.3fms, answer-cache hit rate %.4f\n",
               quiescent.answers,
               quiescent.latency.ValueAtQuantile(0.5) / 1e6,
-              quiescent.latency.ValueAtQuantile(0.99) / 1e6);
+              quiescent.latency.ValueAtQuantile(0.99) / 1e6,
+              quiescent.answer_cache_hit_rate);
 
   // ---- Phase 2: reads during continuous mutation + merge ----
   std::printf("[during_merge] readers + writer forcing merges, %.1fs...\n",
@@ -328,10 +352,12 @@ int main(int argc, char** argv) {
   const uint64_t merges = live.merges_completed() - merges_before;
   Check(merges >= 1, "at least one merge during the load phase");
   Check(live.pending_ops() == 0, "overlay drained after final merge");
-  std::printf("[during_merge] %" PRIu64 " answers, p50 %.3fms p99 %.3fms; "
+  std::printf("[during_merge] %" PRIu64 " answers, p50 %.3fms p99 %.3fms, "
+              "answer-cache hit rate %.4f; "
               "%" PRIu64 " merges over %zu ops, merge p50 %.3fms p99 %.3fms\n",
               during.answers, during.latency.ValueAtQuantile(0.5) / 1e6,
-              during.latency.ValueAtQuantile(0.99) / 1e6, merges,
+              during.latency.ValueAtQuantile(0.99) / 1e6,
+              during.answer_cache_hit_rate, merges,
               ops.log().size(), merge_latency.ValueAtQuantile(0.5) / 1e6,
               merge_latency.ValueAtQuantile(0.99) / 1e6);
 
@@ -386,19 +412,21 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"quiescent\": {\"answers\": %" PRIu64
                ", \"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
-               ", \"mean_ns\": %.0f},\n",
+               ", \"mean_ns\": %.0f, \"answer_cache_hit_rate\": %.4f},\n",
                quiescent.answers, quiescent.latency.ValueAtQuantile(0.5),
                quiescent.latency.ValueAtQuantile(0.99),
-               quiescent.latency.MeanNanos());
+               quiescent.latency.MeanNanos(), quiescent.answer_cache_hit_rate);
   std::fprintf(out,
                "  \"during_merge\": {\"answers\": %" PRIu64
                ", \"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
-               ", \"mean_ns\": %.0f, \"merges\": %" PRIu64
+               ", \"mean_ns\": %.0f, \"answer_cache_hit_rate\": %.4f"
+               ", \"merges\": %" PRIu64
                ", \"ops_applied\": %zu, \"merge_p50_ns\": %" PRIu64
                ", \"merge_p99_ns\": %" PRIu64 "},\n",
                during.answers, during.latency.ValueAtQuantile(0.5),
                during.latency.ValueAtQuantile(0.99),
-               during.latency.MeanNanos(), merges, ops.log().size(),
+               during.latency.MeanNanos(), during.answer_cache_hit_rate,
+               merges, ops.log().size(),
                merge_latency.ValueAtQuantile(0.5),
                merge_latency.ValueAtQuantile(0.99));
   std::fprintf(out,

@@ -209,6 +209,13 @@ def validate_mutation(doc):
             phase["p50_ns"] <= phase["p99_ns"],
             f"{phase_name} percentiles not monotone",
         )
+        # Schema only, not a floor: the share of the phase's reads served
+        # from the answer cache.
+        rate = phase.get("answer_cache_hit_rate")
+        require(
+            is_number(rate) and 0 <= rate <= 1,
+            f"{phase_name}.answer_cache_hit_rate missing or outside [0, 1]",
+        )
 
     during = doc["during_merge"]
     require(during["merges"] >= 1, "no merge completed during the load phase")
