@@ -111,7 +111,8 @@ class LiveEngineTest : public ::testing::Test {
   };
   static Winner FindStrictWinner(const core::OnlineInference& online,
                                  size_t hops) {
-    const rdf::PathDictionary& paths = experiment().kbqa().expanded_kb().paths();
+    const rdf::PathDictionary& paths =
+        experiment().kbqa().expanded_kb().paths();
     for (const std::string& q : BenchmarkQuestions(60, 2468)) {
       const core::AnswerResult r = online.Answer(q);
       if (!r.answered || r.values.size() != 1) continue;

@@ -486,7 +486,7 @@ TEST_F(RaceStressSystemTest, LiveEngineAnswerAllAcrossMutationsAndSwaps) {
   EXPECT_EQ(live.pending_ops(), 0u);
 }
 
-TEST_F(RaceStressSystemTest, LiveAnswerCachesMatchUncachedAfterRewritesAndMerges) {
+TEST_F(RaceStressSystemTest, LiveCachesMatchUncachedAfterRewritesAndMerges) {
   // Readers hammer AnswerCached while a writer rewrites the very facts
   // those answers read and forces merges, so every cache re-validation,
   // re-stamp and insert races an Apply or a publish. Two cached engines
