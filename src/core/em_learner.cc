@@ -33,19 +33,26 @@ constexpr size_t kNumShards = 32;
 std::string MakeTemplateText(const std::vector<std::string>& tokens,
                              size_t mention_begin, size_t mention_end,
                              const std::string& category) {
-  assert(mention_begin < mention_end && mention_end <= tokens.size());
   std::string out;
-  for (size_t i = 0; i < mention_begin; ++i) {
-    if (!out.empty()) out += ' ';
-    out += tokens[i];
-  }
-  if (!out.empty()) out += ' ';
-  out += category;
-  for (size_t i = mention_end; i < tokens.size(); ++i) {
-    out += ' ';
-    out += tokens[i];
-  }
+  MakeTemplateText(tokens, mention_begin, mention_end, category, &out);
   return out;
+}
+
+void MakeTemplateText(const std::vector<std::string>& tokens,
+                      size_t mention_begin, size_t mention_end,
+                      const std::string& category, std::string* out) {
+  assert(mention_begin < mention_end && mention_end <= tokens.size());
+  out->clear();
+  for (size_t i = 0; i < mention_begin; ++i) {
+    if (!out->empty()) *out += ' ';
+    *out += tokens[i];
+  }
+  if (!out->empty()) *out += ' ';
+  *out += category;
+  for (size_t i = mention_end; i < tokens.size(); ++i) {
+    *out += ' ';
+    *out += tokens[i];
+  }
 }
 
 EmLearner::EmLearner(const rdf::KnowledgeBase* kb, const rdf::ExpandedKb* ekb,

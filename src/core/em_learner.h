@@ -101,6 +101,11 @@ class EmLearner {
 std::string MakeTemplateText(const std::vector<std::string>& tokens,
                              size_t mention_begin, size_t mention_end,
                              const std::string& category);
+/// The same template string written into `*out` (replacing its contents),
+/// so a probe loop can reuse one buffer.
+void MakeTemplateText(const std::vector<std::string>& tokens,
+                      size_t mention_begin, size_t mention_end,
+                      const std::string& category, std::string* out);
 
 }  // namespace kbqa::core
 

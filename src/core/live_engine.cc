@@ -7,14 +7,12 @@
 namespace kbqa::core {
 
 LiveKbqaEngine::EngineState::EngineState(
-    std::shared_ptr<const rdf::KbSnapshot> snapshot,
-    const rdf::MutableKb* live, const taxonomy::Taxonomy* taxonomy,
-    const TemplateStore* store, const rdf::PathDictionary* paths,
-    const Options& options)
-    : pinned(std::move(snapshot)),
-      ner(*pinned->base, options.alias_predicates),
-      online(pinned->base.get(), taxonomy, &ner, store, paths, options.online,
-             live) {}
+    std::shared_ptr<const rdf::KnowledgeBase> kb, const rdf::MutableKb* live,
+    const taxonomy::Taxonomy* taxonomy, const TemplateStore* store,
+    const rdf::PathDictionary* paths, const Options& options)
+    : base(std::move(kb)),
+      ner(*base, options.alias_predicates),
+      online(base.get(), taxonomy, &ner, store, paths, options.online, live) {}
 
 LiveKbqaEngine::LiveKbqaEngine(rdf::MutableKb* live,
                                const taxonomy::Taxonomy* taxonomy,
@@ -26,49 +24,40 @@ LiveKbqaEngine::LiveKbqaEngine(rdf::MutableKb* live,
       store_(store),
       paths_(paths),
       options_(options) {
-  {
-    MutexLock lock(state_mu_);
-    state_ = std::make_shared<const EngineState>(live_->Pin(), live_,
-                                                 taxonomy_, store_, paths_,
-                                                 options_);
-  }
-  // Epoch publishes rebuild the base-derived state on the merge thread;
-  // readers swap over via one locked shared_ptr copy, in-flight answers
-  // finish on the state they loaded.
-  live_->SetPublishHook(
-      [this](const std::shared_ptr<const rdf::KbSnapshot>& snapshot) {
-        auto next = std::make_shared<const EngineState>(
-            snapshot, live_, taxonomy_, store_, paths_, options_);
-        {
-          MutexLock lock(state_mu_);
-          state_ = std::move(next);
-        }
+  live_->SetStateFactory(
+      [this](const std::shared_ptr<const rdf::KnowledgeBase>& base) {
         KBQA_COUNTER_ADD("kb.live.engine_rebuilds", 1);
+        return std::make_shared<const EngineState>(base, live_, taxonomy_,
+                                                   store_, paths_, options_);
       });
 }
 
-LiveKbqaEngine::~LiveKbqaEngine() { live_->SetPublishHook(nullptr); }
+LiveKbqaEngine::~LiveKbqaEngine() { live_->SetStateFactory(nullptr); }
 
 AnswerResult LiveKbqaEngine::Answer(const std::string& question) const {
-  return State()->online.Answer(question);
+  return Answer(question, AnswerOptions{});
 }
 
 AnswerResult LiveKbqaEngine::Answer(
     const std::string& question, const AnswerOptions& answer_options) const {
-  return State()->online.Answer(question, answer_options);
+  const std::shared_ptr<const rdf::KbSnapshot> snapshot = live_->Pin();
+  return StateOf(*snapshot).online.Answer(question, answer_options, *snapshot);
 }
 
 AnswerResult LiveKbqaEngine::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options) const {
-  return State()->online.AnswerCached(question, answer_options);
+  const std::shared_ptr<const rdf::KbSnapshot> snapshot = live_->Pin();
+  return StateOf(*snapshot).online.AnswerCached(question, answer_options,
+                                                *snapshot);
 }
 
 std::vector<AnswerResult> LiveKbqaEngine::AnswerAll(
     const std::vector<std::string>& questions, int num_threads) const {
-  // One state for the whole batch: each question still pins its own
-  // snapshot inside OnlineInference, so mutations landing mid-batch are
-  // picked up per question, not per batch.
-  return State()->online.AnswerAll(questions, num_threads);
+  // Each question pins its own snapshot and state, so mutations and
+  // merges landing mid-batch are picked up per question, not per batch.
+  return AnswerEach(questions, num_threads, [this](const std::string& q) {
+    return AnswerCached(q, AnswerOptions{});
+  });
 }
 
 }  // namespace kbqa::core

@@ -12,21 +12,23 @@
 #include "rdf/expanded_predicate.h"
 #include "rdf/mutable_kb.h"
 #include "taxonomy/taxonomy.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace kbqa::core {
 
 /// Serves questions over a live rdf::MutableKb (DESIGN.md §10).
 ///
 /// Per-epoch state: the NER gazetteer is a base-derived index (entity
-/// names do not consult the overlay on the hot path), so on every merge
-/// publish the engine rebuilds {pinned snapshot, gazetteer, OnlineInference}
-/// on the merge thread and swaps it in RCU-style; in-flight answers keep
-/// the old state alive through their shared_ptr. Within an epoch, every
-/// Answer pins the newest snapshot, so overlay mutations on already-known
-/// entities (value adds/deletes, renames) are visible immediately —
-/// only *linkability of new entity names* waits for the next merge.
+/// names do not consult the overlay on the hot path), so the engine is
+/// `live`'s state factory: for every merged base the merge thread builds
+/// {gazetteer, OnlineInference} before publishing the base, and the
+/// snapshot carries it (KbSnapshot::state). A read pins one snapshot and
+/// answers with that snapshot's state against that same snapshot — one
+/// pin, and never a new base paired with an old epoch's engine; in-flight
+/// answers keep their state alive through their snapshot. Within an
+/// epoch, every Answer pins the newest snapshot, so overlay mutations on
+/// already-known entities (value adds/deletes, renames) are visible
+/// immediately — only *linkability of new entity names* waits for the
+/// next merge.
 ///
 /// Freshness contract: an answer computed after Apply(B) returns reflects
 /// B (a cache entry is served only if no subject it read changed after the
@@ -48,8 +50,11 @@ class LiveKbqaEngine {
   };
 
   /// All pointees must outlive the engine. Installs itself as `live`'s
-  /// publish hook (replacing any previous hook) and removes the hook on
-  /// destruction — one engine per MutableKb.
+  /// state factory (replacing any previous one — one engine per
+  /// MutableKb), which builds the current base's state before this
+  /// returns. Destruction clears the factory, which waits out a merge's
+  /// call in flight; states still pinned elsewhere read nothing of the
+  /// engine.
   LiveKbqaEngine(rdf::MutableKb* live, const taxonomy::Taxonomy* taxonomy,
                  const TemplateStore* store, const rdf::PathDictionary* paths,
                  const Options& options);
@@ -70,25 +75,27 @@ class LiveKbqaEngine {
   const rdf::MutableKb& kb() const { return *live_; }
 
  private:
-  /// One epoch's answering machinery. Heap-allocated and immutable after
-  /// construction; the OnlineInference points at the sibling gazetteer, so
-  /// the struct must never move.
+  /// One epoch's answering machinery, the state `live` carries in every
+  /// snapshot of `base`. Heap-allocated and immutable after construction;
+  /// the OnlineInference points at the sibling gazetteer, so the struct
+  /// must never move. It points at nothing the engine owns, so it may
+  /// outlive the engine in a snapshot someone still pins.
   struct EngineState {
-    EngineState(std::shared_ptr<const rdf::KbSnapshot> snapshot,
+    EngineState(std::shared_ptr<const rdf::KnowledgeBase> kb,
                 const rdf::MutableKb* live, const taxonomy::Taxonomy* taxonomy,
                 const TemplateStore* store, const rdf::PathDictionary* paths,
                 const Options& options);
 
-    /// Pins this epoch's publish snapshot, keeping its base alive for the
-    /// gazetteer and for ids minted against it.
-    std::shared_ptr<const rdf::KbSnapshot> pinned;
+    /// Keeps the base alive for the gazetteer and for ids minted against
+    /// it.
+    std::shared_ptr<const rdf::KnowledgeBase> base;
     nlp::GazetteerNer ner;
     OnlineInference online;
   };
 
-  std::shared_ptr<const EngineState> State() const {
-    MutexLock lock(state_mu_);
-    return state_;
+  /// The state this engine's factory attached to `snapshot`.
+  static const EngineState& StateOf(const rdf::KbSnapshot& snapshot) {
+    return *static_cast<const EngineState*>(snapshot.state.get());
   }
 
   rdf::MutableKb* live_;
@@ -96,12 +103,6 @@ class LiveKbqaEngine {
   const TemplateStore* store_;
   const rdf::PathDictionary* paths_;
   Options options_;
-
-  /// RCU swap point for the per-epoch state — a leaf lock held only for
-  /// the shared_ptr copy (same rationale as MutableKb::snapshot_mu_:
-  /// libstdc++'s atomic<shared_ptr> internals are opaque to TSan).
-  mutable Mutex state_mu_;
-  std::shared_ptr<const EngineState> state_ GUARDED_BY(state_mu_);
 };
 
 }  // namespace kbqa::core

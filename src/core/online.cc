@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/em_learner.h"
@@ -64,6 +65,7 @@ void VisitTemplateCandidates(const taxonomy::Taxonomy& taxonomy,
                              const std::vector<std::string>& tokens,
                              const std::vector<nlp::Mention>& mentions,
                              obs::RequestContext* ctx, Visitor&& visit) {
+  std::string template_text;  // one buffer for every template probe
   for (const nlp::Mention& mention : mentions) {
     std::vector<std::string> context;
     context.reserve(tokens.size());
@@ -94,9 +96,9 @@ void VisitTemplateCandidates(const taxonomy::Taxonomy& taxonomy,
 
       for (const auto& sc : categories) {
         if (sc.probability < options.min_category_prob) continue;
-        auto t = store.Lookup(
-            MakeTemplateText(tokens, mention.begin, mention.end,
-                             taxonomy.CategoryName(sc.category)));
+        MakeTemplateText(tokens, mention.begin, mention.end,
+                         taxonomy.CategoryName(sc.category), &template_text);
+        auto t = store.Lookup(template_text);
         if (!t) continue;
         const double p_t = sc.probability / cat_mass;
         if (!visit(mention, entity, p_t, *t)) return;
@@ -165,9 +167,10 @@ OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
       answer_cache_(options.answer_cache_budget_bytes) {}
 
 OnlineInference::PinnedKb OnlineInference::PinKb() const {
-  if (live_ == nullptr) return PinnedKb{kb_, nullptr};
+  if (live_ == nullptr) return PinnedKb{kb_, nullptr, nullptr};
   PinnedKb view;
-  view.snap = live_->Pin();
+  view.owner = live_->Pin();
+  view.snap = view.owner.get();
   view.kb = view.snap->base.get();
   return view;
 }
@@ -306,8 +309,16 @@ AnswerResult OnlineInference::Answer(
   return AnswerTokens(nlp::TokenizeQuestion(question), answer_options);
 }
 
-std::vector<AnswerResult> OnlineInference::AnswerAll(
-    const std::vector<std::string>& questions, int num_threads) const {
+AnswerResult OnlineInference::Answer(const std::string& question,
+                                     const AnswerOptions& answer_options,
+                                     const rdf::KbSnapshot& snapshot) const {
+  return AnswerTokensPinned(nlp::TokenizeQuestion(question), answer_options,
+                            ViewOf(snapshot), /*reads=*/nullptr);
+}
+
+std::vector<AnswerResult> AnswerEach(
+    const std::vector<std::string>& questions, int num_threads,
+    const std::function<AnswerResult(const std::string&)>& answer) {
   std::vector<AnswerResult> results(questions.size());
   ThreadPool pool(num_threads);
   // Over-shard relative to the pool for load balancing; each question is
@@ -319,18 +330,33 @@ std::vector<AnswerResult> OnlineInference::AnswerAll(
               [&](size_t shard, size_t begin, size_t end) {
                 (void)shard;
                 for (size_t i = begin; i < end; ++i) {
-                  results[i] = AnswerCached(questions[i], AnswerOptions{});
+                  results[i] = answer(questions[i]);
                 }
               });
   return results;
 }
 
+std::vector<AnswerResult> OnlineInference::AnswerAll(
+    const std::vector<std::string>& questions, int num_threads) const {
+  return AnswerEach(questions, num_threads, [this](const std::string& q) {
+    return AnswerCached(q, AnswerOptions{});
+  });
+}
+
 AnswerResult OnlineInference::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options) const {
-  // One pin for key and computation: the memoized entry's epoch and
-  // version can never disagree with the world that computed it, even if
-  // an Apply or a merge lands between the two.
-  const PinnedKb view = PinKb();
+  return AnswerCachedPinned(question, answer_options, PinKb());
+}
+
+AnswerResult OnlineInference::AnswerCached(
+    const std::string& question, const AnswerOptions& answer_options,
+    const rdf::KbSnapshot& snapshot) const {
+  return AnswerCachedPinned(question, answer_options, ViewOf(snapshot));
+}
+
+AnswerResult OnlineInference::AnswerCachedPinned(
+    const std::string& question, const AnswerOptions& answer_options,
+    const PinnedKb& view) const {
   if (!options_.enable_answer_cache) {
     return AnswerTokensPinned(nlp::TokenizeQuestion(question), answer_options,
                               view, /*reads=*/nullptr);
@@ -340,11 +366,16 @@ AnswerResult OnlineInference::AnswerCached(
   // must be the same entry to the memo. Live mode prefixes the pinned
   // epoch ("e<epoch>\n" cannot collide with normalized text, which never
   // contains a newline): a merge publish drops the subject stamps entries
-  // are validated against, so no entry may outlive its epoch.
-  std::string key = nlp::NormalizeText(question);
+  // are validated against, so no entry may outlive its epoch. The
+  // canonical text is written once, in place after the prefix.
+  std::string key;
   if (view.snap != nullptr) {
-    key = "e" + std::to_string(view.snap->epoch) + "\n" + key;
+    key += 'e';
+    key += std::to_string(view.snap->epoch);
+    key += '\n';
   }
+  const size_t text_begin = key.size();
+  nlp::AppendNormalizedText(question, &key);
   AnswerResult result;
   if (answer_cache_.Visit(key, [&](Validated<AnswerResult>& entry) {
         if (!Revalidate(view, &entry)) return false;
@@ -362,8 +393,11 @@ AnswerResult OnlineInference::AnswerCached(
   if (view.snap != nullptr) {
     entry.reads = std::make_unique<ReadSet>(ReadSet{view.snap->version, {}});
   }
+  // The tokens are the canonical text's pieces: TokenizeQuestion would
+  // scan the question a second time for the same sequence.
   result = AnswerTokensPinned(
-      nlp::TokenizeQuestion(question), answer_options, view,
+      nlp::SplitTokens(std::string_view(key).substr(text_begin)),
+      answer_options, view,
       entry.reads != nullptr ? &entry.reads->subjects : nullptr);
   answer_cache_misses_.Add(1);
   KBQA_COUNTER_ADD("online.answer_cache.misses", 1);

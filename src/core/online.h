@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -172,7 +173,8 @@ class OnlineInference {
   /// KB the request pinned.
   ///
   /// `live` (optional) switches the engine to live-mutation mode: every
-  /// Answer pins one KbSnapshot for its whole duration (RCU read-side),
+  /// Answer pins one KbSnapshot for its whole duration (RCU read-side) or
+  /// answers against one the caller pinned,
   /// value lookups and winner materialization route through the pinned
   /// merged view, and cache entries key on the snapshot epoch and carry
   /// the sorted subjects their computation read. A hit is served only if
@@ -190,6 +192,13 @@ class OnlineInference {
   AnswerResult Answer(const std::string& question) const;
   AnswerResult Answer(const std::string& question,
                       const AnswerOptions& answer_options) const;
+  /// Answer against `snapshot`, a view of this engine's live KB that the
+  /// caller pinned and keeps alive for the call, instead of a pin of its
+  /// own: a caller that found this engine in the snapshot's state
+  /// (LiveKbqaEngine) pins once per read.
+  AnswerResult Answer(const std::string& question,
+                      const AnswerOptions& answer_options,
+                      const rdf::KbSnapshot& snapshot) const;
 
   /// Token-level variant (reused by the decomposer on question spans).
   AnswerResult AnswerTokens(const std::vector<std::string>& tokens) const;
@@ -207,11 +216,17 @@ class OnlineInference {
   /// the per-request unit AnswerAll shards and the serving batcher both
   /// route through. The cache key is NormalizeText(question), so casing /
   /// whitespace / punctuation paraphrases of one canonical question share
-  /// an entry (they tokenize identically, hence answer identically). Only
-  /// complete results are memoized: a deadline-clipped partial answer
-  /// (status kDeadlineExceeded) is returned but never cached.
+  /// an entry (they tokenize identically, hence answer identically). The
+  /// question is normalized once: on a miss its tokens are the pieces of
+  /// the key's canonical text. Only complete results are memoized: a
+  /// deadline-clipped partial answer (status kDeadlineExceeded) is
+  /// returned but never cached.
   AnswerResult AnswerCached(const std::string& question,
                             const AnswerOptions& answer_options) const;
+  /// AnswerCached against a caller-pinned `snapshot` (see Answer above).
+  AnswerResult AnswerCached(const std::string& question,
+                            const AnswerOptions& answer_options,
+                            const rdf::KbSnapshot& snapshot) const;
 
   /// Cheap answerability probe: true when some entity+template resolves to
   /// a learned predicate with at least one value — the δ(q) primitive-BFQ
@@ -262,13 +277,15 @@ class OnlineInference {
   };
 
   /// The KB world one Answer reads from start to finish. Frozen mode:
-  /// `kb` is the engine's kb_ and `snap` is null. Live mode: `snap` pins
-  /// one RCU snapshot (kept alive for the whole request) and `kb` is its
-  /// base — id-stable across merges, so ids from the engine's trained
-  /// structures remain valid.
+  /// `kb` is the engine's kb_ and `snap` is null. Live mode: `snap` is one
+  /// RCU snapshot, kept alive for the whole request — by `owner` when the
+  /// engine pinned it, by the caller when it passed the snapshot in — and
+  /// `kb` is its base — id-stable across merges, so ids from the engine's
+  /// trained structures remain valid.
   struct PinnedKb {
     const rdf::KnowledgeBase* kb = nullptr;
-    std::shared_ptr<const rdf::KbSnapshot> snap;
+    const rdf::KbSnapshot* snap = nullptr;
+    std::shared_ptr<const rdf::KbSnapshot> owner;
 
     uint64_t epoch() const { return snap != nullptr ? snap->epoch : 0; }
   };
@@ -276,6 +293,10 @@ class OnlineInference {
   /// Pins the current world: in live mode one leaf-mutex shared_ptr copy
   /// (MutableKb::Pin), free in frozen mode.
   PinnedKb PinKb() const;
+  /// A view of a caller-pinned snapshot; the caller keeps it alive.
+  static PinnedKb ViewOf(const rdf::KbSnapshot& snapshot) {
+    return PinnedKb{snapshot.base.get(), &snapshot, nullptr};
+  }
 
   /// The live-mode hit rule, run under the cache shard lock: `entry` is
   /// current for a reader pinned at `view` if it was last validated at
@@ -301,11 +322,16 @@ class OnlineInference {
       std::vector<rdf::TermId>* scratch, CacheTally* tally,
       obs::RequestContext* ctx) const;
 
+  /// AnswerCached against an already-pinned world: the view serves both
+  /// the cache key and the computation, so the entry's epoch and version
+  /// always match the world that computed it.
+  AnswerResult AnswerCachedPinned(const std::string& question,
+                                  const AnswerOptions& answer_options,
+                                  const PinnedKb& view) const;
+
   /// AnswerTokens against an already-pinned world — the body behind every
-  /// public answering entry point (AnswerCached pins once and reuses the
-  /// view for its cache key and the computation, so the entry's epoch and
-  /// version always match the world that computed it). `reads` (nullable)
-  /// receives the answer's read set, unsorted.
+  /// public answering entry point. `reads` (nullable) receives the
+  /// answer's read set, unsorted.
   AnswerResult AnswerTokensPinned(const std::vector<std::string>& tokens,
                                   const AnswerOptions& answer_options,
                                   const PinnedKb& view,
@@ -353,6 +379,14 @@ class OnlineInference {
   mutable obs::ShardedCounter answer_cache_hits_;
   mutable obs::ShardedCounter answer_cache_misses_;
 };
+
+/// Answers every question with `answer`, sharded over `num_threads`
+/// workers: results[i] = answer(questions[i]) for any thread count
+/// (questions are independent, each answered into its own slot). The
+/// batch body of OnlineInference::AnswerAll and LiveKbqaEngine::AnswerAll.
+std::vector<AnswerResult> AnswerEach(
+    const std::vector<std::string>& questions, int num_threads,
+    const std::function<AnswerResult(const std::string&)>& answer);
 
 }  // namespace kbqa::core
 

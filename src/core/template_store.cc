@@ -7,7 +7,7 @@
 namespace kbqa::core {
 
 TemplateId TemplateStore::Intern(std::string_view template_text) {
-  auto it = index_.find(std::string(template_text));
+  auto it = index_.find(template_text);
   if (it != index_.end()) return it->second;
   TemplateId id = static_cast<TemplateId>(texts_.size());
   texts_.emplace_back(template_text);
@@ -19,7 +19,7 @@ TemplateId TemplateStore::Intern(std::string_view template_text) {
 
 std::optional<TemplateId> TemplateStore::Lookup(
     std::string_view template_text) const {
-  auto it = index_.find(std::string(template_text));
+  auto it = index_.find(template_text);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

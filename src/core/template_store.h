@@ -2,6 +2,7 @@
 #define KBQA_CORE_TEMPLATE_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -10,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rdf/dictionary.h"
 #include "rdf/expanded_predicate.h"
 
 namespace kbqa::core {
@@ -40,7 +42,7 @@ class TemplateStore {
 
   /// Interns a template string (training-time use).
   TemplateId Intern(std::string_view template_text);
-  /// Looks a template up without interning (online use).
+  /// Looks a template up without interning or allocating (online use).
   std::optional<TemplateId> Lookup(std::string_view template_text) const;
 
   const std::string& TemplateText(TemplateId id) const { return texts_[id]; }
@@ -68,7 +70,9 @@ class TemplateStore {
   std::vector<TemplateId> TemplatesByFrequency() const;
 
  private:
-  std::unordered_map<std::string, TemplateId> index_;
+  std::unordered_map<std::string, TemplateId, rdf::StringHash,
+                     std::equal_to<>>
+      index_;
   std::vector<std::string> texts_;
   std::vector<std::vector<PredicateProb>> distributions_;
   std::vector<uint64_t> frequency_;

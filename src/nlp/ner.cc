@@ -1,6 +1,7 @@
 #include "nlp/ner.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "nlp/tokenizer.h"
 
@@ -36,22 +37,31 @@ void GazetteerNer::AddName(const std::string& surface, rdf::TermId entity) {
 std::vector<Mention> GazetteerNer::FindMentions(
     const std::vector<std::string>& tokens) const {
   std::vector<Mention> mentions;
+  // One key buffer for every probe: at each start position it holds the
+  // longest candidate span joined by spaces, and each shorter candidate
+  // is a prefix of it.
+  std::string key;
   size_t i = 0;
   while (i < tokens.size()) {
+    const size_t max_len = std::min(max_name_tokens_, tokens.size() - i);
+    key.clear();
+    for (size_t k = i; k < i + max_len; ++k) {
+      if (k > i) key += ' ';
+      key += tokens[k];
+    }
     size_t longest = 0;
     const std::vector<rdf::TermId>* hit = nullptr;
-    size_t max_len = std::min(max_name_tokens_, tokens.size() - i);
     // Longest-match-first: a mention of "new york city" must not be split
     // into "new york" + "city".
+    size_t prefix = key.size();
     for (size_t len = max_len; len >= 1; --len) {
-      std::string key = JoinTokens(
-          std::vector<std::string>(tokens.begin() + i, tokens.begin() + i + len));
-      auto it = names_.find(key);
+      auto it = names_.find(std::string_view(key.data(), prefix));
       if (it != names_.end()) {
         longest = len;
         hit = &it->second;
         break;
       }
+      if (len > 1) prefix -= tokens[i + len - 1].size() + 1;
     }
     if (hit != nullptr) {
       mentions.push_back({i, i + longest, *hit});
@@ -66,8 +76,11 @@ std::vector<Mention> GazetteerNer::FindMentions(
 std::vector<rdf::TermId> GazetteerNer::EntitiesForSpan(
     const std::vector<std::string>& tokens, size_t begin, size_t end) const {
   if (begin >= end || end > tokens.size()) return {};
-  std::string key = JoinTokens(
-      std::vector<std::string>(tokens.begin() + begin, tokens.begin() + end));
+  std::string key;
+  for (size_t i = begin; i < end; ++i) {
+    if (i > begin) key += ' ';
+    key += tokens[i];
+  }
   auto it = names_.find(key);
   if (it == names_.end()) return {};
   return it->second;

@@ -1,10 +1,12 @@
 #ifndef KBQA_NLP_NER_H_
 #define KBQA_NLP_NER_H_
 
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "rdf/dictionary.h"
 #include "rdf/knowledge_base.h"
 
 namespace kbqa::nlp {
@@ -54,8 +56,11 @@ class GazetteerNer {
  private:
   void AddName(const std::string& surface, rdf::TermId entity);
 
-  // Key: lowercase space-joined token form of the name.
-  std::unordered_map<std::string, std::vector<rdf::TermId>> names_;
+  // Key: lowercase space-joined token form of the name. Heterogeneous, so
+  // a probe looks up a prefix of one joined buffer without copying it.
+  std::unordered_map<std::string, std::vector<rdf::TermId>, rdf::StringHash,
+                     std::equal_to<>>
+      names_;
   size_t max_name_tokens_ = 1;
 };
 

@@ -1,19 +1,40 @@
 #include "nlp/tokenizer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cstdint>
 
 namespace kbqa::nlp {
 
 namespace {
 
-bool IsWordChar(char c) {
-  unsigned char u = static_cast<unsigned char>(c);
-  // Bytes >= 0x80 are UTF-8 continuation/lead bytes: part of a multi-byte
-  // character, always word content (isalnum on them is locale-dependent
-  // and would split "josé" after the 's").
-  if (u >= 0x80) return true;
-  return std::isalnum(u) != 0 || c == '\'' || c == '-';
+enum ByteClass : uint8_t {
+  kSeparator = 0,
+  kWord = 1,
+  /// Apostrophe and hyphen: word content inside a word ("obama's",
+  /// "twenty-one"), stripped at its edges ("'hello'", "-foo-").
+  kEdge = 2,
+};
+
+/// ASCII letters and digits are word content, classified without the
+/// locale (isalnum/tolower answer per locale). Bytes >= 0x80 are UTF-8
+/// lead/continuation bytes: part of a multi-byte character, always word
+/// content (a locale-dependent isalnum would split "josé" after the 's').
+constexpr std::array<ByteClass, 256> kByteClasses = [] {
+  std::array<ByteClass, 256> classes{};
+  for (int c = 0; c < 256; ++c) {
+    if (c >= 0x80 || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+        (c >= 'A' && c <= 'Z')) {
+      classes[c] = kWord;
+    } else if (c == '\'' || c == '-') {
+      classes[c] = kEdge;
+    }
+  }
+  return classes;
+}();
+
+ByteClass ClassOf(char c) {
+  return kByteClasses[static_cast<unsigned char>(c)];
 }
 
 /// Simple case folding for the scripts representable in the KB via
@@ -55,43 +76,59 @@ void AppendUtf8(uint32_t cp, std::string* out) {
   }
 }
 
-/// Lowercases `text` into `*out`: one branch per byte on pure-ASCII input
-/// (the overwhelmingly common case); multi-byte UTF-8 sequences are
-/// decoded, folded via FoldCodepoint, and re-encoded. Malformed sequences
-/// are copied through byte-for-byte so tokenization never mangles input
-/// it doesn't understand.
-void AppendLoweredUtf8(std::string_view text, std::string* out) {
+/// Decodes the well-formed UTF-8 sequence starting at text[0] (a byte >=
+/// 0x80) into `*cp` and returns its length, or returns 0 when it is
+/// malformed: a stray continuation byte, a truncated sequence, an
+/// overlong form (C0 A0 would otherwise decode to a space inside a word,
+/// C1 81 to an uppercase 'A'), a surrogate, or a code point above
+/// U+10FFFF.
+size_t DecodeUtf8(std::string_view text, uint32_t* cp) {
+  const unsigned char b0 = static_cast<unsigned char>(text[0]);
+  size_t len = 0;
+  uint32_t min_cp = 0;
+  if ((b0 & 0xE0) == 0xC0) {
+    len = 2;
+    min_cp = 0x80;
+    *cp = b0 & 0x1F;
+  } else if ((b0 & 0xF0) == 0xE0) {
+    len = 3;
+    min_cp = 0x800;
+    *cp = b0 & 0x0F;
+  } else if ((b0 & 0xF8) == 0xF0) {
+    len = 4;
+    min_cp = 0x10000;
+    *cp = b0 & 0x07;
+  }
+  if (len == 0 || len > text.size()) return 0;
+  for (size_t k = 1; k < len; ++k) {
+    const unsigned char bk = static_cast<unsigned char>(text[k]);
+    if ((bk & 0xC0) != 0x80) return 0;
+    *cp = (*cp << 6) | (bk & 0x3F);
+  }
+  if (*cp < min_cp || *cp > 0x10FFFF || (*cp >= 0xD800 && *cp <= 0xDFFF)) {
+    return 0;
+  }
+  return len;
+}
+
+/// Appends `word` lowercased: one branch per byte on ASCII (the
+/// overwhelmingly common case); multi-byte UTF-8 sequences are decoded,
+/// folded via FoldCodepoint, and re-encoded. Malformed sequences are
+/// copied through byte-for-byte so tokenization never mangles input it
+/// doesn't understand.
+void AppendLowered(std::string_view word, std::string* out) {
   size_t i = 0;
-  while (i < text.size()) {
-    const unsigned char b0 = static_cast<unsigned char>(text[i]);
-    if (b0 < 0x80) {  // ASCII fast path
-      out->push_back(static_cast<char>(std::tolower(b0)));
+  while (i < word.size()) {
+    const unsigned char b0 = static_cast<unsigned char>(word[i]);
+    if (b0 < 0x80) {
+      out->push_back(static_cast<char>(
+          b0 >= 'A' && b0 <= 'Z' ? b0 + ('a' - 'A') : b0));
       ++i;
       continue;
     }
-    // Decode one multi-byte sequence (length from the lead byte).
-    size_t len = 0;
     uint32_t cp = 0;
-    if ((b0 & 0xE0) == 0xC0) {
-      len = 2;
-      cp = b0 & 0x1F;
-    } else if ((b0 & 0xF0) == 0xE0) {
-      len = 3;
-      cp = b0 & 0x0F;
-    } else if ((b0 & 0xF8) == 0xF0) {
-      len = 4;
-      cp = b0 & 0x07;
-    }
-    bool valid = len != 0 && i + len <= text.size();
-    for (size_t k = 1; valid && k < len; ++k) {
-      const unsigned char bk = static_cast<unsigned char>(text[i + k]);
-      if ((bk & 0xC0) != 0x80) {
-        valid = false;
-      } else {
-        cp = (cp << 6) | (bk & 0x3F);
-      }
-    }
-    if (!valid) {  // stray continuation / truncated sequence: pass through
+    const size_t len = DecodeUtf8(word.substr(i), &cp);
+    if (len == 0) {
       out->push_back(static_cast<char>(b0));
       ++i;
       continue;
@@ -101,47 +138,58 @@ void AppendLoweredUtf8(std::string_view text, std::string* out) {
   }
 }
 
+/// Splits possessives off the word that starts at out[word]: "obama's"
+/// becomes "obama s". The canonical possessive is a bare "s" token —
+/// identical to what Tokenize produces for a detached " 's " written in a
+/// pattern. Each split strips the stem's trailing apostrophes and hyphens
+/// and looks again, so "x's's" becomes "x s s" and "a-'s" becomes "a s":
+/// every piece tokenizes to itself, which keeps NormalizeText idempotent.
+void SplitPossessives(size_t word, std::string* out) {
+  size_t splits = 0;
+  while (out->size() - word > 2 && out->ends_with("'s")) {
+    out->resize(out->size() - 2);
+    // A word never starts with an edge byte, so the stem never empties.
+    while (ClassOf(out->back()) == kEdge) out->pop_back();
+    ++splits;
+  }
+  for (; splits > 0; --splits) out->append(" s");
+}
+
+/// The one word scanner behind every entry point: appends the words of
+/// `text` to `*out`, lowercased and separated by single spaces (the first
+/// word gets no space). A word is a maximal run of word and edge bytes
+/// with its edge bytes stripped from both ends; punctuation-only runs are
+/// dropped.
+void AppendWords(std::string_view text, bool split_possessives,
+                 std::string* out) {
+  const size_t begin = out->size();
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && ClassOf(text[i]) == kSeparator) ++i;
+    size_t b = i;
+    while (i < text.size() && ClassOf(text[i]) != kSeparator) ++i;
+    size_t e = i;
+    while (b < e && ClassOf(text[b]) == kEdge) ++b;
+    while (e > b && ClassOf(text[e - 1]) == kEdge) --e;
+    if (b == e) continue;
+    if (out->size() > begin) out->push_back(' ');
+    const size_t word = out->size();
+    AppendLowered(text.substr(b, e - b), out);
+    if (split_possessives) SplitPossessives(word, out);
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> Tokenize(std::string_view text) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsWordChar(text[i])) ++i;
-    size_t start = i;
-    while (i < text.size() && IsWordChar(text[i])) ++i;
-    if (i > start) {
-      // Strip leading/trailing apostrophes and hyphens so "'hello'" and
-      // "-foo-" normalize, while "obama's" and "twenty-one" survive.
-      size_t b = start, e = i;
-      while (b < e && (text[b] == '\'' || text[b] == '-')) ++b;
-      while (e > b && (text[e - 1] == '\'' || text[e - 1] == '-')) --e;
-      if (e > b) {
-        std::string tok;
-        tok.reserve(e - b);
-        AppendLoweredUtf8(text.substr(b, e - b), &tok);
-        tokens.push_back(std::move(tok));
-      }
-    }
-  }
-  return tokens;
+  std::string words;
+  words.reserve(text.size());
+  AppendWords(text, /*split_possessives=*/false, &words);
+  return SplitTokens(words);
 }
 
 std::vector<std::string> TokenizeQuestion(std::string_view text) {
-  std::vector<std::string> raw = Tokenize(text);
-  std::vector<std::string> out;
-  out.reserve(raw.size());
-  for (std::string& tok : raw) {
-    if (tok.size() > 2 && tok.ends_with("'s")) {
-      // Canonical possessive form is a bare "s" token — identical to what
-      // Tokenize produces for a detached " 's " written in a pattern.
-      out.push_back(tok.substr(0, tok.size() - 2));
-      out.push_back("s");
-    } else {
-      out.push_back(std::move(tok));
-    }
-  }
-  return out;
+  return SplitTokens(NormalizeText(text));
 }
 
 std::string JoinTokens(const std::vector<std::string>& tokens) {
@@ -153,8 +201,36 @@ std::string JoinTokens(const std::vector<std::string>& tokens) {
   return out;
 }
 
+std::vector<std::string> SplitTokens(std::string_view canonical) {
+  std::vector<std::string> tokens;
+  if (canonical.empty()) return tokens;
+  tokens.reserve(
+      static_cast<size_t>(std::count(canonical.begin(), canonical.end(), ' ')) +
+      1);
+  size_t start = 0;
+  while (true) {
+    const size_t end = canonical.find(' ', start);
+    if (end == std::string_view::npos) {
+      tokens.emplace_back(canonical.substr(start));
+      return tokens;
+    }
+    tokens.emplace_back(canonical.substr(start, end - start));
+    start = end + 1;
+  }
+}
+
 std::string NormalizeText(std::string_view text) {
-  return JoinTokens(TokenizeQuestion(text));
+  std::string out;
+  AppendNormalizedText(text, &out);
+  return out;
+}
+
+void AppendNormalizedText(std::string_view text, std::string* out) {
+  // Canonical text is never longer than its input: lowercasing never
+  // lengthens a character, every separating space replaces at least one
+  // separator byte, and a split possessive "'s" becomes " s".
+  out->reserve(out->size() + text.size());
+  AppendWords(text, /*split_possessives=*/true, out);
 }
 
 }  // namespace kbqa::nlp

@@ -344,6 +344,7 @@ void MutableKb::Apply(std::span<const MutationOp> batch) {
     auto next = std::make_shared<KbSnapshot>();
     next->base = current->base;
     next->overlay = std::make_shared<const DeltaOverlay>(builder_);
+    next->state = current->state;
     next->epoch = epoch_;
     next->version = version_;
     overlay_adds = builder_.num_adds;
@@ -401,9 +402,18 @@ void MutableKb::WaitForMergeIdle() {
   while (merge_in_progress_ || merge_requested_) idle_cv_.Wait(mu_);
 }
 
-void MutableKb::SetPublishHook(PublishHook hook) {
+void MutableKb::SetStateFactory(StateFactory factory) {
+  MutexLock factory_lock(factory_mu_);
+  factory_ = std::move(factory);
+  // Merges publish under factory_mu_, so the base cannot change before
+  // the republish below.
+  std::shared_ptr<const void> state;
+  if (factory_) state = factory_(Pin()->base);
   MutexLock lock(mu_);
-  publish_hook_ = std::move(hook);
+  auto next = std::make_shared<KbSnapshot>(*Pin());
+  next->state = std::move(state);
+  MutexLock snapshot_lock(snapshot_mu_);
+  snapshot_ = std::move(next);
 }
 
 size_t MutableKb::pending_ops() const {
@@ -441,9 +451,14 @@ void MutableKb::MergeLoop() {
         *base, CompileOverlay(*base, batch, /*version=*/0),
         options_.merge_threads));
 
-    PublishHook hook;
-    std::shared_ptr<const KbSnapshot> published;
+    uint64_t published_epoch = 0;
     {
+      // The new base's state is built before its publish, so no reader
+      // ever pins the base without it; factory_mu_ keeps the factory from
+      // being replaced in between.
+      MutexLock factory_lock(factory_mu_);
+      std::shared_ptr<const void> state;
+      if (factory_) state = factory_(next_base);
       MutexLock lock(mu_);
       // Publish: drop the consumed prefix, re-compile the residual ops
       // (arrived during the rebuild) against the new base, swap. The
@@ -459,22 +474,16 @@ void MutableKb::MergeLoop() {
       auto next = std::make_shared<KbSnapshot>();
       next->base = next_base;
       next->overlay = std::make_shared<const DeltaOverlay>(builder_);
+      next->state = std::move(state);
       next->epoch = epoch_;
       next->version = version_;
-      published = std::move(next);
-      {
-        MutexLock snapshot_lock(snapshot_mu_);
-        snapshot_ = published;
-      }
-      hook = publish_hook_;
+      published_epoch = epoch_;
+      MutexLock snapshot_lock(snapshot_mu_);
+      snapshot_ = std::move(next);
     }
     KBQA_COUNTER_ADD("kb.live.merges", 1);
     KBQA_HISTOGRAM_RECORD("kb.live.merge_ns", ElapsedNs(merge_begin));
-    KBQA_GAUGE_SET("kb.live.epoch", published->epoch);
-    // The hook runs before the merge is reported complete, so ForceMerge
-    // returns only after epoch-derived state (live engines) has been
-    // rebuilt. Hooks must not call ForceMerge/WaitForMergeIdle.
-    if (hook) hook(published);
+    KBQA_GAUGE_SET("kb.live.epoch", published_epoch);
     {
       MutexLock lock(mu_);
       merge_in_progress_ = false;

@@ -104,8 +104,8 @@ struct DeltaOverlay {
 /// `version` increments on every Apply and every merge publish; the
 /// overlay stamps each subject it touched with one (ChangedSince).
 /// `epoch` increments only when a merge publishes a new base — it is the
-/// signal to rebuild base-derived read structures (NER gazetteer,
-/// per-epoch engines) and the scope of every live cache entry.
+/// scope of every live cache entry. Base-derived read structures (NER
+/// gazetteer, per-epoch engines) travel with the snapshot as `state`.
 ///
 /// The read API mirrors the KnowledgeBase calls the online pipeline uses,
 /// with identical result ordering: merged object lists are sorted unique,
@@ -114,6 +114,11 @@ class KbSnapshot {
  public:
   std::shared_ptr<const KnowledgeBase> base;
   std::shared_ptr<const DeltaOverlay> overlay;
+  /// What the installed state factory built from `base`
+  /// (MutableKb::SetStateFactory), opaque to the KB; null while no factory
+  /// is installed. Apply carries it forward; a merge publish or an install
+  /// replaces it. Declared after `base`, so it is destroyed first.
+  std::shared_ptr<const void> state;
   uint64_t epoch = 0;
   uint64_t version = 0;
 
@@ -166,21 +171,21 @@ KnowledgeBase RebuildKb(const KnowledgeBase& base, const DeltaOverlay& overlay,
 /// Live-mutation shell over a frozen KnowledgeBase (DESIGN.md §10).
 ///
 /// Writers call Apply/AddTriple/DeleteTriple; each Apply publishes a new
-/// KbSnapshot (same base, copy-on-write overlay, version+1) via an
-/// RCU-style shared_ptr swap, so readers never block on writers' work
+/// KbSnapshot (same base and state, copy-on-write overlay, version+1) via
+/// an RCU-style shared_ptr swap, so readers never block on writers' work
 /// and never observe a half-applied batch. When the pending op count
 /// reaches `merge_trigger_ops` (and auto_merge is on), a background
-/// thread rebuilds a fresh CSR base off-lock via RebuildKb, then
-/// publishes it — epoch+1 — with the residual overlay compiled from ops
-/// that arrived during the rebuild, their subjects stamped with the
-/// publish version. Readers pin via Pin() and keep their
-/// snapshot alive for one request; old snapshots die when the last reader
-/// drops them.
+/// thread rebuilds a fresh CSR base off-lock via RebuildKb, builds the
+/// installed factory's state for it, then publishes both — epoch+1 — with
+/// the residual overlay compiled from ops that arrived during the
+/// rebuild, their subjects stamped with the publish version. Readers pin
+/// via Pin() and keep their snapshot alive for one request; old snapshots
+/// die when the last reader drops them.
 ///
 /// Thread safety: all methods are safe to call concurrently. `Pin` takes
 /// a leaf mutex for one shared_ptr copy and never waits on a writer's
-/// work; writers serialize on one mutex; the merge rebuild itself runs
-/// outside the lock.
+/// work; writers serialize on one mutex; the merge rebuild and the state
+/// factory run outside it.
 class MutableKb {
  public:
   struct Options {
@@ -193,8 +198,11 @@ class MutableKb {
     bool auto_merge = true;
   };
 
-  using PublishHook =
-      std::function<void(const std::shared_ptr<const KbSnapshot>&)>;
+  /// Builds the reader state that travels with every snapshot of `base`
+  /// (KbSnapshot::state) — the live engine's gazetteer and inference
+  /// engine for one epoch.
+  using StateFactory = std::function<std::shared_ptr<const void>(
+      const std::shared_ptr<const KnowledgeBase>& base)>;
 
   /// Takes ownership of the frozen base (epoch 0, version 0, empty
   /// overlay).
@@ -230,10 +238,17 @@ class MutableKb {
   /// remain if they are below the trigger).
   void WaitForMergeIdle();
 
-  /// Called (on the merge thread) after every epoch publish, with the
-  /// just-published snapshot. Used by the live engine to rebuild
-  /// base-derived state. Pass nullptr to clear.
-  void SetPublishHook(PublishHook hook);
+  /// Installs `factory`, or clears it when null, and republishes the
+  /// current snapshot with the new factory's state for the current base
+  /// (null when cleared); epoch and version stay. From then on every merge
+  /// calls it on the rebuilt base, on the merge thread, before that epoch
+  /// is published, so no snapshot ever pairs a base with another base's
+  /// state. Waits for a factory call in flight, so once this returns the
+  /// replaced factory is never called again and no later publish carries
+  /// its state: an owner may clear its factory and then destroy what the
+  /// factory reads. The factory must not call SetStateFactory, ForceMerge
+  /// or WaitForMergeIdle.
+  void SetStateFactory(StateFactory factory);
 
   uint64_t epoch() const { return epoch_atomic_.load(std::memory_order_acquire); }
   uint64_t version() const {
@@ -248,6 +263,12 @@ class MutableKb {
 
   Options options_;
 
+  /// Held across every factory call and the publish that carries its
+  /// result, so an install never interleaves with a merge's. Taken before
+  /// mu_, never while holding it.
+  Mutex factory_mu_;
+  StateFactory factory_ GUARDED_BY(factory_mu_);
+
   mutable Mutex mu_;
   /// Source of truth for un-merged state: the ops since the last epoch
   /// publish, in order, plus the overlay they compile to against the
@@ -260,7 +281,6 @@ class MutableKb {
   bool merge_requested_ GUARDED_BY(mu_) = false;
   bool merge_in_progress_ GUARDED_BY(mu_) = false;
   bool shutdown_ GUARDED_BY(mu_) = false;
-  PublishHook publish_hook_ GUARDED_BY(mu_);
   CondVar work_cv_;
   CondVar idle_cv_;
 

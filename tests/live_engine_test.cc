@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -376,6 +378,29 @@ TEST_F(LiveEngineTest, MakeLiveEngineAnswersBenchmarkAfterBackgroundMerges) {
   for (size_t i = 0; i < got.size(); ++i) {
     ExpectSameAnswer(got[i], want[i], questions[i]);
   }
+}
+
+TEST_F(LiveEngineTest, DestroyingTheEngineDuringAMergeIsSafe) {
+  // Every Apply requests a merge, and each engine dies 0-5 ms after its
+  // write: some teardowns land while the merge thread is building that
+  // engine's state for the rebuilt base. Clearing the factory must wait
+  // that call out, or it reads the destroyed engine (a heap-use-after-free
+  // under ASan).
+  const core::KbqaSystem& kbqa = experiment().kbqa();
+  rdf::MutableKb::Options live_options;
+  live_options.merge_trigger_ops = 1;
+  rdf::MutableKb live(CopyBaseKb(), live_options);
+  for (int round = 0; round < 200; ++round) {
+    auto engine = kbqa.MakeLiveEngine(&live);
+    ASSERT_NE(engine, nullptr);
+    live.AddTriple("teardown/entity" + std::to_string(round), "likes",
+                   "value", /*object_is_literal=*/true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(round % 6));
+    engine.reset();
+  }
+  live.WaitForMergeIdle();
+  EXPECT_GE(live.merges_completed(), 1u);
+  EXPECT_EQ(live.Pin()->state, nullptr);
 }
 
 }  // namespace

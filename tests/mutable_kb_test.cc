@@ -6,11 +6,15 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rdf/knowledge_base.h"
@@ -259,55 +263,73 @@ TEST(MutableKbTest, DeleteOfUnknownStringsInternsAndStampsNothing) {
 }
 
 TEST(MutableKbTest, ResidualOpsRecompiledAtPublishCarryThePublishVersion) {
-  // A base large enough that each rebuild takes a while, so writes keep
-  // landing while the merge thread freezes, and every Apply requests a
-  // merge: some publishes must carry a residual overlay.
-  KnowledgeBase base = BuildToyKb();
-  KnowledgeBase big;
-  for (TermId id = 0; id < base.num_nodes(); ++id) {
-    if (base.IsLiteral(id)) {
-      big.AddLiteral(base.NodeString(id));
-    } else {
-      big.AddEntity(base.NodeString(id));
-    }
-  }
-  for (PredId p = 0; p < base.num_predicates(); ++p) {
-    big.AddPredicate(base.PredicateString(p));
-  }
-  big.SetNamePredicate(base.name_predicate());
-  for (TermId s = 0; s < base.num_nodes(); ++s) {
-    for (const PredicateObject& po : base.Out(s)) big.AddTriple(s, po.p, po.o);
-  }
-  for (int i = 0; i < 20000; ++i) {
-    big.AddTriple("bulk/" + std::to_string(i), "dob", std::to_string(i),
-                  true);
-  }
-  big.Freeze();
-
+  // Every Apply requests a merge, and the state factory — called between
+  // a merge's rebuild and its publish — parks each merge until the test
+  // has written more ops, so every publish carries a residual overlay.
   MutableKb::Options options;
   options.merge_trigger_ops = 1;
-  MutableKb live(std::move(big), options);
-  std::atomic<int> residual_publishes{0};
-  std::atomic<int> misstamped{0};
-  live.SetPublishHook([&](const std::shared_ptr<const KbSnapshot>& snap) {
-    const auto& stamps = snap->overlay->subject_versions;
-    if (!stamps.empty()) residual_publishes.fetch_add(1);
-    for (const auto& [subject, version] : stamps) {
-      if (version != snap->version) misstamped.fetch_add(1);
+  MutableKb live(BuildToyKb(), options);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gating = false;
+  int parked = 0;    // merges that reached the factory
+  int released = 0;  // merges the test let publish
+  live.SetStateFactory([&](const std::shared_ptr<const KnowledgeBase>&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (gating) {
+      const int me = ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return !gating || released >= me; });
     }
+    return std::shared_ptr<const void>();
   });
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(60);
-  for (int i = 0; residual_publishes.load() < 3 &&
-                  std::chrono::steady_clock::now() < give_up;
-       ++i) {
-    live.AddTriple("person/a", "visited", "place_" + std::to_string(i),
-                   false);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    gating = true;
   }
+
+  int residual_publishes = 0;
+  int op = 0;
+  const auto add = [&] {
+    live.AddTriple("person/a", "visited", "place_" + std::to_string(op++),
+                   false);
+  };
+  add();  // requests the first merge
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked == static_cast<int>(epoch); });
+    }
+    // The merge has consumed its batch: these two ops are its residual.
+    add();
+    add();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = static_cast<int>(epoch);
+    }
+    cv.notify_all();
+    // The next merge (requested by the residual) parks before it can
+    // publish, so the first snapshot seen at this epoch is the publish.
+    std::shared_ptr<const KbSnapshot> snap = live.Pin();
+    while (snap->epoch < epoch) {
+      std::this_thread::yield();
+      snap = live.Pin();
+    }
+    ASSERT_EQ(snap->epoch, epoch);
+    const auto& stamps = snap->overlay->subject_versions;
+    if (!stamps.empty()) ++residual_publishes;
+    for (const auto& [subject, version] : stamps) {
+      EXPECT_EQ(version, snap->version) << "epoch " << epoch;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    gating = false;
+  }
+  cv.notify_all();
   live.ForceMerge();
-  live.SetPublishHook(nullptr);
-  EXPECT_GE(residual_publishes.load(), 3);
-  EXPECT_EQ(misstamped.load(), 0);
+  live.SetStateFactory(nullptr);
+  EXPECT_EQ(residual_publishes, 3);
 }
 
 TEST(MutableKbTest, PathWalkReportsTheSameReadSetOverEmptyAndLiveOverlay) {
@@ -457,32 +479,110 @@ TEST(MutableKbTest, VersionEpochAccountingAndPublishHook) {
   EXPECT_EQ(live.version(), 0u);
   EXPECT_EQ(live.epoch(), 0u);
 
-  std::atomic<uint64_t> hook_epoch{0};
-  std::atomic<int> hook_calls{0};
-  live.SetPublishHook([&](const std::shared_ptr<const KbSnapshot>& snap) {
-    hook_epoch.store(snap->epoch);
-    hook_calls.fetch_add(1);
+  // The state factory is the publish hook: called once per epoch on the
+  // rebuilt base, its result travels with that epoch's snapshots. Each
+  // state records the number of its call.
+  std::atomic<int> factory_calls{0};
+  std::atomic<const KnowledgeBase*> factory_base{nullptr};
+  live.SetStateFactory([&](const std::shared_ptr<const KnowledgeBase>& base) {
+    factory_base.store(base.get());
+    return std::make_shared<const int>(factory_calls.fetch_add(1) + 1);
   });
+  const auto call_of = [](const KbSnapshot& snap) {
+    return *static_cast<const int*>(snap.state.get());
+  };
+  // Installing builds the current base's state and republishes it.
+  EXPECT_EQ(factory_calls.load(), 1);
+  EXPECT_EQ(factory_base.load(), live.Pin()->base.get());
+  EXPECT_EQ(call_of(*live.Pin()), 1);
+  EXPECT_EQ(live.version(), 0u);
 
   live.AddTriple("person/a", "dob", "1962", true);
   live.AddTriple("person/a", "dob", "1963", true);
   EXPECT_EQ(live.version(), 2u);
   EXPECT_EQ(live.epoch(), 0u);
   EXPECT_EQ(live.pending_ops(), 2u);
-  EXPECT_EQ(hook_calls.load(), 0);  // Apply publishes no epoch
+  EXPECT_EQ(factory_calls.load(), 1);  // Apply publishes no epoch
+  EXPECT_EQ(call_of(*live.Pin()), 1);  // and carries the state forward
 
   live.ForceMerge();
   EXPECT_EQ(live.version(), 3u);  // merge publish bumps version too
   EXPECT_EQ(live.epoch(), 1u);
   EXPECT_EQ(live.merges_completed(), 1u);
-  EXPECT_EQ(hook_calls.load(), 1);
-  EXPECT_EQ(hook_epoch.load(), 1u);
-  EXPECT_EQ(live.Pin()->version, live.version());
+  EXPECT_EQ(factory_calls.load(), 2);
+  const auto merged = live.Pin();
+  EXPECT_EQ(merged->epoch, 1u);
+  EXPECT_EQ(call_of(*merged), 2);
+  EXPECT_EQ(factory_base.load(), merged->base.get());
+  EXPECT_EQ(merged->version, live.version());
 
   // ForceMerge with nothing pending is a no-op (no epoch churn).
   live.ForceMerge();
   EXPECT_EQ(live.epoch(), 1u);
-  EXPECT_EQ(hook_calls.load(), 1);
+  EXPECT_EQ(factory_calls.load(), 2);
+
+  live.SetStateFactory(nullptr);
+  EXPECT_EQ(live.Pin()->state, nullptr);
+  EXPECT_EQ(live.version(), 3u);
+}
+
+TEST(MutableKbTest, ReplacingTheStateFactoryWaitsForItsCallInFlight) {
+  MutableKb live(BuildToyKb(), ManualMerge());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool release = false;
+  std::atomic<int> old_calls{0};
+  std::atomic<int> new_calls{0};
+  const int kOld = 1;
+  const int kNew = 2;
+  live.SetStateFactory([&](const std::shared_ptr<const KnowledgeBase>&) {
+    if (old_calls.fetch_add(1) == 1) {  // the merge's call, not the install
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    return std::shared_ptr<const void>(&kOld, [](const void*) {});
+  });
+  std::thread merger([&] {
+    live.AddTriple("person/a", "dob", "1962", true);
+    live.ForceMerge();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  std::atomic<bool> replaced{false};
+  std::thread installer([&] {
+    live.SetStateFactory([&](const std::shared_ptr<const KnowledgeBase>&) {
+      new_calls.fetch_add(1);
+      return std::shared_ptr<const void>(&kNew, [](const void*) {});
+    });
+    replaced.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(replaced.load()) << "install returned during a call in flight";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  installer.join();
+  merger.join();
+
+  // The replaced factory is never called again, and the current snapshot
+  // — like every later publish — carries the new factory's state.
+  EXPECT_EQ(live.epoch(), 1u);
+  EXPECT_EQ(live.Pin()->state.get(), &kNew);
+  EXPECT_EQ(new_calls.load(), 1);
+  live.AddTriple("person/a", "dob", "1963", true);
+  EXPECT_EQ(live.Pin()->state.get(), &kNew);
+  live.ForceMerge();
+  EXPECT_EQ(live.Pin()->state.get(), &kNew);
+  EXPECT_EQ(old_calls.load(), 2);
+  EXPECT_EQ(new_calls.load(), 2);
+  live.SetStateFactory(nullptr);
 }
 
 TEST(MutableKbTest, AutoMergeTriggersInBackground) {

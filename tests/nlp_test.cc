@@ -51,12 +51,31 @@ TEST(TokenizerTest, NormalizeTextIsCanonical) {
   EXPECT_EQ(NormalizeText("  Who IS Barack Obama's wife? "),
             "who is barack obama s wife");
   EXPECT_EQ(NormalizeText("390,000"), "390 000");
+  EXPECT_EQ(SplitTokens(NormalizeText("  Who IS Barack Obama's wife? ")),
+            TokenizeQuestion("  Who IS Barack Obama's wife? "));
+  // Appending builds a key around the canonical text in one buffer.
+  std::string key = "e3\n";
+  AppendNormalizedText("Who IS it?", &key);
+  EXPECT_EQ(key, "e3\nwho is it");
+}
+
+TEST(TokenizerTest, StackedPossessivesNormalizeIdempotently) {
+  // Each split possessive re-strips its stem and looks again, so the
+  // canonical text tokenizes to itself.
+  EXPECT_EQ(NormalizeText("x's's"), "x s s");
+  EXPECT_EQ(NormalizeText("a-'s b''s"), "a s b s");
+  for (const char* q : {"x's's", "a-'s", "b''s", "Obama's wife's AGE"}) {
+    const std::string once = NormalizeText(q);
+    EXPECT_EQ(NormalizeText(once), once) << q;
+  }
 }
 
 TEST(TokenizerTest, JoinTokensRoundTrip) {
   std::vector<std::string> tokens = {"a", "b", "c"};
   EXPECT_EQ(JoinTokens(tokens), "a b c");
+  EXPECT_EQ(SplitTokens(JoinTokens(tokens)), tokens);
   EXPECT_EQ(JoinTokens({}), "");
+  EXPECT_TRUE(SplitTokens("").empty());
 }
 
 // ---------- UTF-8 aware lowercasing ----------
@@ -99,6 +118,25 @@ TEST(TokenizerUtf8Test, MalformedUtf8PassesThroughBytewise) {
   const std::string truncated = std::string("x") + '\xC3';
   ASSERT_EQ(Tokenize(truncated).size(), 1u);
   EXPECT_EQ(Tokenize(truncated)[0], truncated);
+}
+
+TEST(TokenizerUtf8Test, OverlongFormsAreMalformedNotAscii) {
+  // C0 A0 is an overlong U+0020 and C1 81 an overlong 'A'. Decoded, they
+  // would put a space or an uppercase letter inside a token, and two
+  // questions that tokenize differently would share an answer-cache key.
+  const std::string overlong_space = "who founded\xC0\xA0google";
+  EXPECT_NE(NormalizeText(overlong_space), NormalizeText("who founded google"));
+  EXPECT_EQ(TokenizeQuestion(overlong_space),
+            (std::vector<std::string>{"who", "founded\xC0\xA0google"}));
+  EXPECT_EQ(SplitTokens(NormalizeText(overlong_space)),
+            TokenizeQuestion(overlong_space));
+  EXPECT_EQ(TokenizeQuestion("WHO\xC1\x81"),
+            (std::vector<std::string>{"who\xC1\x81"}));
+  // So are surrogates and code points above U+10FFFF.
+  for (const std::string bad :
+       {"\xE0\x80\xAF", "\xED\xA0\x80", "\xF4\x90\x80\x80"}) {
+    EXPECT_EQ(Tokenize("X" + bad), (std::vector<std::string>{"x" + bad}));
+  }
 }
 
 /// \uXXXX escape of `cp` as written in an N-Triples literal.

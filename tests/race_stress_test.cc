@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -632,14 +633,22 @@ TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
     serving.max_batch_wait = std::chrono::microseconds(50);
     const auto server = serve::Server::ForLiveEngine(engine.get(), serving);
     std::atomic<bool> stop{false};
+    std::promise<void> first_write;
+    const std::future<void> first_write_done = first_write.get_future();
     std::thread mutator([&] {
-      for (int round = 0; !stop.load(std::memory_order_acquire); ++round) {
+      // The first round runs whatever `stop` says, so at least one merge
+      // lands; the submitters start once its write is in, so the swap
+      // races requests that are still queued.
+      for (int round = 0; round == 0 || !stop.load(std::memory_order_acquire);
+           ++round) {
         live.AddTriple("serve/entity" + std::to_string(round), "likes",
                        "value" + std::to_string(round),
                        /*object_is_literal=*/true);
+        if (round == 0) first_write.set_value();
         live.ForceMerge();
       }
     });
+    first_write_done.wait();
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {
       submitters.emplace_back([&] {
