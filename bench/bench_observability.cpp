@@ -13,7 +13,6 @@
 // -out, while keeping the A/B inside one binary (no cross-build noise).
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -185,9 +184,8 @@ int main() {
     serve_options.num_workers = 2;
     serve_options.max_queue_depth = 256;
     serve_options.max_batch_size = 8;
-    serve_options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, serve_options);
-    // Warm both the answer cache and the batcher before timing.
+    // Warm both the answer cache and the serving workers before timing.
     obs::WideEvents::SetSamplePeriod(1);
     size_t completed = 0;
     (void)TimeServerPass(*server, questions, &completed);

@@ -3,7 +3,9 @@
 // (Poisson or fixed-gap) decoupled from completions, the question mix is
 // Zipfian-skewed over a benchmark pool, and latency is measured from each
 // request's *scheduled* arrival time so queueing delay is never hidden by
-// a slow submitter (no coordinated omission). Four phases:
+// a slow submitter (no coordinated omission); how late the submitters ran
+// behind that schedule is reported per phase as generator lag. Four
+// phases:
 //
 //   1. capacity  — closed-loop single-thread run to estimate saturation
 //   2. steady    — open loop below saturation: throughput must track the
@@ -59,6 +61,15 @@ struct Args {
   int obs_sample = 1;      // wide-event sample period (0 = off, k = 1-in-k)
   std::string obs_events;  // drain wide events to this JSONL path at exit
 };
+
+/// Nanoseconds from `from` to `to`; 0 if `to` is not later.
+uint64_t NanosBetween(Clock::time_point from, Clock::time_point to) {
+  return to > from ? static_cast<uint64_t>(
+                         std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             to - from)
+                             .count())
+                   : 0;
+}
 
 void Check(bool ok, const char* what) {
   if (!ok) {
@@ -117,6 +128,7 @@ struct RunResult {
   bench::LatencyReservoir total;    // scheduled arrival -> callback
   bench::LatencyReservoir queue;    // ServeResponse::queue_ns
   bench::LatencyReservoir service;  // ServeResponse::service_ns
+  bench::LatencyReservoir lag;      // actual - scheduled send, per Submit
   double mean_batch = 0;
 };
 
@@ -124,6 +136,8 @@ struct RunResult {
 /// at rate qps/threads (exponential or fixed gaps), sleep until each
 /// scheduled instant, and fire an async Submit. Completion callbacks (on
 /// server worker threads) record latencies into mutex-guarded reservoirs.
+/// Each submitter also records how late it sent each request: a submitter
+/// that falls behind the offered rate shows up there, not only in `total`.
 RunResult RunOpenLoop(serve::Server& server,
                       const std::vector<std::string>& pool, double qps,
                       double duration_s, double zipf_s, int threads,
@@ -145,6 +159,7 @@ RunResult RunOpenLoop(serve::Server& server,
     submitters.emplace_back([&, t] {
       Rng rng(seed + static_cast<uint64_t>(t) * 7919);
       ZipfianGenerator zipf(pool.size(), zipf_s);
+      bench::LatencyReservoir lag;
       auto next_arrival = run_start;
       while (next_arrival < run_end) {
         const double gap_s =
@@ -158,13 +173,11 @@ RunResult RunOpenLoop(serve::Server& server,
         offered.fetch_add(1, std::memory_order_relaxed);
         outstanding.fetch_add(1, std::memory_order_relaxed);
         const auto scheduled = next_arrival;
+        lag.Record(NanosBetween(scheduled, Clock::now()));
         Status admitted = server.Submit(
             question, core::AnswerOptions{},
             [&, scheduled](serve::ServeResponse response) {
-              const uint64_t total_ns = static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - scheduled)
-                      .count());
+              const uint64_t total_ns = NanosBetween(scheduled, Clock::now());
               {
                 MutexLock lock(record_mu);
                 result.total.Record(total_ns);
@@ -178,6 +191,8 @@ RunResult RunOpenLoop(serve::Server& server,
           outstanding.fetch_sub(1, std::memory_order_relaxed);
         }
       }
+      MutexLock lock(record_mu);
+      result.lag.Merge(lag);
     });
   }
   for (std::thread& thread : submitters) thread.join();
@@ -234,6 +249,7 @@ void PrintRun(const char* name, const RunResult& r) {
       " (%.0f qps), rejected %" PRIu64 ", shed %" PRIu64
       "+%" PRIu64 ", mean batch %.1f\n"
       "[%s]   total  p50 %.2fms  p99 %.2fms  p999 %.2fms\n"
+      "[%s]   lag    p50 %.2fms  p99 %.2fms  max %.2fms (generator)\n"
       "[%s]   queue  p50 %.2fms  p99 %.2fms  p999 %.2fms\n"
       "[%s]   service p50 %.2fms  p99 %.2fms  p999 %.2fms\n",
       name, r.offered, r.wall_s, r.stats.completed, r.throughput_qps,
@@ -241,6 +257,8 @@ void PrintRun(const char* name, const RunResult& r) {
       r.mean_batch, name, r.total.ValueAtQuantile(0.5) / 1e6,
       r.total.ValueAtQuantile(0.99) / 1e6,
       r.total.ValueAtQuantile(0.999) / 1e6, name,
+      r.lag.ValueAtQuantile(0.5) / 1e6, r.lag.ValueAtQuantile(0.99) / 1e6,
+      r.lag.ValueAtQuantile(1.0) / 1e6, name,
       r.queue.ValueAtQuantile(0.5) / 1e6, r.queue.ValueAtQuantile(0.99) / 1e6,
       r.queue.ValueAtQuantile(0.999) / 1e6, name,
       r.service.ValueAtQuantile(0.5) / 1e6,
@@ -268,10 +286,15 @@ void EmitRun(std::FILE* out, const char* name, double target_qps,
                ", \"shed_expired\": %" PRIu64 ", \"shed_shutdown\": %" PRIu64
                ",\n"
                "    \"throughput_qps\": %.1f, \"mean_batch_size\": %.2f,\n"
+               "    \"generator_lag\": {\"p50_ns\": %" PRIu64
+               ", \"p99_ns\": %" PRIu64 ", \"max_ns\": %" PRIu64
+               ", \"count\": %zu},\n"
                "    \"latency\": {\n",
                name, target_qps, r.offered, r.wall_s, r.stats.completed,
                r.stats.rejected, r.stats.shed_expired, r.stats.shed_shutdown,
-               r.throughput_qps, r.mean_batch);
+               r.throughput_qps, r.mean_batch, r.lag.ValueAtQuantile(0.5),
+               r.lag.ValueAtQuantile(0.99), r.lag.ValueAtQuantile(1.0),
+               r.lag.count());
   EmitLatency(out, "total", r.total, ",");
   EmitLatency(out, "queue_wait", r.queue, ",");
   EmitLatency(out, "service", r.service, "");
@@ -359,10 +382,10 @@ int main(int argc, char** argv) {
   Check(!pool.empty(), "question pool non-empty");
 
   // ---- Phase 1: closed-loop capacity. The bare-engine number (answer
-  // cache warm, no queue, no batcher) is an upper bound only; the number
+  // cache warm, no queue, no workers) is an upper bound only; the number
   // that matters for picking an open-loop rate is saturation throughput
-  // *through the server*, which pays queueing, coalescing, dispatch, and
-  // callback overhead per request. Doubles as the batching A/B. ----
+  // *through the server*, which pays queueing, wake-ups, and callback
+  // overhead per request. Doubles as the batching A/B. ----
   double engine_serial_qps;
   {
     Rng rng(7);
@@ -386,10 +409,10 @@ int main(int argc, char** argv) {
                 engine_serial_qps);
   }
 
-  // Enough concurrent blocking callers that a 32-batch can actually fill
-  // at saturation — with fewer outstanding requests than the batch size,
-  // the batcher would spend every batch waiting out max_batch_wait and
-  // the A/B would measure the timer, not the coalescing.
+  // Enough concurrent blocking callers that a worker's take of up to 32
+  // can actually fill at saturation: a worker takes only what is already
+  // queued, so with fewer outstanding requests than the batch size both
+  // arms would take the same small batches.
   const int ab_threads = std::max(64, 8 * args.workers);
   const double ab_duration_s = args.smoke ? 0.5 : 3.0;
   double batch1_qps, batch32_qps;
@@ -399,7 +422,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 1;
-    options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, options);
     batch1_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
                                ab_threads, 42);
@@ -410,7 +432,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 32;
-    options.max_batch_wait = std::chrono::microseconds(100);
     auto server = serve::Server::ForEngine(&engine, options);
     batch32_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
                                 ab_threads, 42);
@@ -420,16 +441,6 @@ int main(int argc, char** argv) {
   std::printf("[batch A/B] batch=1: %.0f qps, batch=32: %.0f qps (%.2fx); "
               "serving capacity ~%.0f qps\n",
               batch1_qps, batch32_qps, batch_speedup, server_capacity_qps);
-  if (hardware_threads <= 1) {
-    // One hardware thread serializes the batch's shards: batching can only
-    // save per-dispatch overhead, not buy parallel execution, so the
-    // >=1.5x saturation-speedup criterion is structurally out of reach
-    // here (see DESIGN.md's serving section for the analysis).
-    std::printf(
-        "[batch A/B] NOTE: 1 hardware thread — shards of a batch run "
-        "sequentially, so the speedup above measures dispatch-overhead "
-        "amortization only, not parallel batch execution\n");
-  }
 
   // ---- Phase 2: steady state, open loop below saturation. ----
   const double steady_qps =
@@ -441,7 +452,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 4096;
     options.max_batch_size = 32;
-    options.max_batch_wait = std::chrono::microseconds(200);
     auto server = serve::Server::ForEngine(&engine, options);
     steady = RunOpenLoop(*server, pool, steady_qps, args.duration_s,
                          args.zipf_s, args.threads, args.poisson, 1234);
@@ -466,7 +476,6 @@ int main(int argc, char** argv) {
     options.slo = &slo;
     options.max_queue_depth = 16;
     options.max_batch_size = 8;
-    options.max_batch_wait = std::chrono::microseconds(200);
     options.default_timeout = std::chrono::milliseconds(20);
     auto server = serve::Server::ForEngine(&engine, options);
     overload = RunOpenLoop(*server, pool, overload_qps,

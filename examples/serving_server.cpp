@@ -1,5 +1,5 @@
 // A complete serving process with the observability stack wired in: the
-// batched serve::Server front door, a request-scoped wide event per
+// serve::Server front door, a request-scoped wide event per
 // terminal outcome, the SLO burn-rate monitor, and the pull exposition
 // endpoints (/metricsz /statusz /eventz /slo) on a local port.
 //
@@ -7,8 +7,8 @@
 //       echo "who is the wife of barack obama" | ./build/examples/serving_server
 //
 // Questions arrive on stdin, one per line; each is answered through the
-// server (so it pays admission, batching, and dispatch like production
-// traffic) and emits one wide event. While the process is alive:
+// server (so it pays admission, queueing, and the worker hand-off like
+// production traffic) and emits one wide event. While the process is alive:
 //
 //       curl 127.0.0.1:$PORT/statusz        # build, uptime, RSS, sink totals
 //       curl 127.0.0.1:$PORT/metricsz       # registry tables (?format=json)

@@ -5,8 +5,9 @@ One validator per artifact family, dispatched on file name:
 
   BENCH_serving.json  — the serving load harness: a steady run below
       saturation that kept up with its offered load, an overload run that
-      actually exercised admission control, and p50/p99/p999 latency split
-      into queue-wait vs service for both.
+      actually exercised admission control, p50/p99/p999 latency split
+      into queue-wait vs service for both, and how late each run's
+      generator sent its requests.
   BENCH_observability.json — the obs bench: paired A/B overhead of the
       metrics registry AND of wide-event telemetry through the serving
       front door, both gated under their 2% budgets, plus the bare-engine
@@ -30,8 +31,10 @@ RUN_KEYS = (
     "shed_shutdown",
     "throughput_qps",
     "mean_batch_size",
+    "generator_lag",
     "latency",
 )
+LAG_KEYS = ("p50_ns", "p99_ns", "max_ns", "count")
 
 
 class SchemaError(Exception):
@@ -67,9 +70,24 @@ def check_latency(run_name, latency):
         )
 
 
+def check_generator_lag(run_name, lag):
+    # Schema only, not a floor: actual minus scheduled send per request.
+    for key in LAG_KEYS:
+        value = lag.get(key)
+        require(
+            is_number(value) and value >= 0,
+            f"{run_name}.generator_lag.{key} missing or negative",
+        )
+    require(
+        lag["p50_ns"] <= lag["p99_ns"] <= lag["max_ns"],
+        f"{run_name}.generator_lag percentiles not monotone",
+    )
+
+
 def check_run(name, run):
     for key in RUN_KEYS:
         require(key in run, f"{name}.{key} missing")
+    check_generator_lag(name, run["generator_lag"])
     require(run["completed"] > 0, f"{name} completed no requests")
     require(run["throughput_qps"] > 0, f"{name} throughput is zero")
     accounted = (

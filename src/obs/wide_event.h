@@ -4,8 +4,8 @@
 /// Request-scoped wide-event telemetry (DESIGN.md §8).
 ///
 /// A `RequestContext` is created at serve::Server admission and travels by
-/// value inside the request through the batcher and into the engine
-/// (`AnswerOptions::request_context`); each layer stamps disjoint stage
+/// value inside the request through the queue, to a worker, and into the
+/// engine (`AnswerOptions::request_context`); each layer stamps disjoint stage
 /// durations and per-tier cache counters into it. When the request reaches
 /// a terminal outcome (answered, rejected, shed, deadline-exceeded) the
 /// server flattens the context into one `WideEvent` and appends it to a
@@ -76,8 +76,8 @@ inline uint64_t NowSteadyNs() {
 /// Per-request telemetry context. Created at admission, carried by value
 /// with the request, stamped by each layer it passes through. Not
 /// thread-safe: exactly one thread touches it at a time (submitter, then
-/// batcher, then the worker running the handler), with handoffs ordered
-/// by the queue/pool synchronization.
+/// the worker running the handler), with the handoff ordered by the
+/// queue's mutex.
 struct RequestContext {
   uint64_t trace_id = 0;
   uint64_t admit_ns = 0;   // NowSteadyNs() at admission
@@ -136,15 +136,15 @@ struct WideEvent {
   uint64_t admit_ns = 0;
   WideOutcome outcome = WideOutcome::kAnswered;
   bool has_deadline = false;
-  uint32_t batch_size = 0;
+  uint32_t batch_size = 0;     // requests served from the worker's take
   uint32_t question_bytes = 0;
-  uint64_t queue_wait_ns = 0;  // admission -> batch dispatch
-  uint64_t batch_wait_ns = 0;  // batch dispatch -> handler start
+  uint64_t queue_wait_ns = 0;  // admission -> worker take
+  uint64_t batch_wait_ns = 0;  // worker take -> handler start
   uint64_t service_ns = 0;     // handler start -> handler return
   uint64_t total_ns = 0;       // admission -> terminal resolution
-  /// Deadline budget remaining at the decision point (dispatch for served
-  /// requests, shed time for sheds); negative when already expired. 0 when
-  /// `has_deadline` is false.
+  /// Deadline budget remaining at the decision point (the worker's take
+  /// for served requests, shed time for sheds); negative when already
+  /// expired. 0 when `has_deadline` is false.
   int64_t deadline_budget_ns = 0;
 
   StageRecord stages[kWideStageCount] = {};

@@ -54,22 +54,18 @@ ServingOptions Sanitize(ServingOptions options) {
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.max_queue_depth < 1) options.max_queue_depth = 1;
   if (options.max_batch_size < 1) options.max_batch_size = 1;
-  if (options.max_inflight_batches == 0) {
-    options.max_inflight_batches = static_cast<size_t>(options.num_workers);
-  }
   return options;
 }
 
 }  // namespace
 
 Server::Server(Handler handler, const ServingOptions& options)
-    : handler_(std::move(handler)),
-      options_(Sanitize(options)),
-      // num_workers dedicated workers: the +1 "caller" slot of the pool
-      // belongs to the batcher, which only ever uses the async Submit path
-      // and never drains shards itself.
-      pool_(options_.num_workers + 1),
-      batcher_([this] { BatcherLoop(); }) {}
+    : handler_(std::move(handler)), options_(Sanitize(options)) {
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
 
 std::unique_ptr<Server> Server::ForEngine(const core::OnlineInference* engine,
                                           const ServingOptions& options) {
@@ -92,14 +88,27 @@ std::unique_ptr<Server> Server::ForLiveEngine(
 }
 
 Server::~Server() {
+  // Stop admission and take the whole queue in one step, so a worker that
+  // wakes after this sees stopping_ with nothing left to take.
+  std::deque<Request> leftover;
   {
     MutexLock lock(mu_);
     stopping_ = true;
+    leftover.swap(queue_);
+    queue_bytes_ = 0;
+    KBQA_GAUGE_SET("online.serve.queue_depth", 0);
   }
   queue_cv_.NotifyAll();
-  // The batcher sheds whatever is still queued, then exits; ~pool_ waits
-  // for every dispatched batch (and its completion callbacks) to retire.
-  batcher_.join();
+  // Shed outside mu_: a shed callback may re-enter Submit (and be
+  // rejected). Every accepted callback still fires exactly once.
+  for (Request& request : leftover) {
+    shed_shutdown_.Add(1);
+    KBQA_COUNTER_ADD("online.serve.shed_shutdown", 1);
+    CompleteShed(&request, Status::Unavailable("server shutting down"),
+                 obs::WideOutcome::kShedShutdown);
+  }
+  // Workers finish the requests they already took, then exit.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Status Server::Submit(std::string question, const core::AnswerOptions& options,
@@ -125,6 +134,7 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     request.ctx.trace_id = obs::WideEvents::NextTraceId();
     request.ctx.admit_ns = ToNs(request.enqueue_time);
   }
+  bool wake = false;
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -144,8 +154,10 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     queue_bytes_ += request.charge_bytes;
     queue_.push_back(std::move(request));
     KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
+    wake = sleeping_workers_ > pending_wakeups_;
+    if (wake) ++pending_wakeups_;
   }
-  queue_cv_.NotifyOne();
+  if (wake) queue_cv_.NotifyOne();
   return Status::Ok();
 }
 
@@ -228,198 +240,112 @@ void Server::CompleteShed(Request* request, Status status,
   request->done(std::move(response));
 }
 
-void Server::BatcherLoop() {
+void Server::WorkerLoop() {
+  std::vector<Request> take;
   for (;;) {
-    std::vector<Request> batch;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(mu_);
-      if (stopping_) break;
-      // Coalesce: close the batch at max_batch_size requests, or when the
-      // oldest has waited max_batch_wait — the classic size-or-time pair.
-      const auto close_at =
-          queue_.front().enqueue_time + options_.max_batch_wait;
-      while (!stopping_ && queue_.size() < options_.max_batch_size &&
-             std::chrono::steady_clock::now() < close_at) {
-        queue_cv_.WaitUntil(mu_, close_at);
+      while (!stopping_ && queue_.empty()) {
+        ++sleeping_workers_;
+        queue_cv_.Wait(mu_);
+        --sleeping_workers_;
+        if (pending_wakeups_ > 0) --pending_wakeups_;
       }
-      const size_t take = std::min(queue_.size(), options_.max_batch_size);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
+      // The destructor empties the queue when it sets stopping_.
+      if (stopping_) return;
+      // Take what is queued now, up to max_batch_size; never wait for more.
+      const size_t n = std::min(queue_.size(), options_.max_batch_size);
+      for (size_t i = 0; i < n; ++i) {
         queue_bytes_ -= queue_.front().charge_bytes;
-        batch.push_back(std::move(queue_.front()));
+        take.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
       KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
     }
-    Dispatch(std::move(batch));
-  }
-  // Shutdown: complete whatever is still queued without serving it, so
-  // every accepted callback fires exactly once.
-  std::deque<Request> leftover;
-  {
-    MutexLock lock(mu_);
-    leftover.swap(queue_);
-    queue_bytes_ = 0;
-    KBQA_GAUGE_SET("online.serve.queue_depth", 0);
-  }
-  for (Request& request : leftover) {
-    shed_shutdown_.Add(1);
-    KBQA_COUNTER_ADD("online.serve.shed_shutdown", 1);
-    CompleteShed(&request, Status::Unavailable("server shutting down"),
-                 obs::WideOutcome::kShedShutdown);
+    ServeTake(&take);
+    take.clear();
   }
 }
 
-void Server::Dispatch(std::vector<Request> batch) {
-  // Acquire an in-flight slot, shedding along the way: a request whose
-  // deadline lapses — whether it already lapsed in the queue or lapses
-  // while this batch stalls behind a saturated pool — never reaches the
-  // handler and never enters template matching. The slot wait is bounded
-  // by the earliest pending deadline so sheds happen when the deadline
-  // passes, not when the stall ends.
-  for (;;) {
-    // Shed pass. Outside mu_: the batch is private to the batcher thread
-    // here, and shed callbacks may re-enter Submit.
-    const auto now = std::chrono::steady_clock::now();
-    size_t kept = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Request& request = batch[i];
-      if (request.options.deadline && *request.options.deadline <= now) {
-        shed_expired_.Add(1);
-        KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
-        CompleteShed(&request,
-                     Status::DeadlineExceeded("deadline expired in queue"),
-                     obs::WideOutcome::kShedExpired);
-      } else {
-        if (kept != i) batch[kept] = std::move(request);
-        ++kept;
-      }
+void Server::ServeTake(std::vector<Request>* take) {
+  // Shed pass, before any handler call: a request whose deadline lapsed
+  // while queued never reaches the handler and never enters template
+  // matching. Outside mu_, since shed callbacks may re-enter Submit.
+  const auto take_time = std::chrono::steady_clock::now();
+  size_t kept = 0;
+  for (size_t i = 0; i < take->size(); ++i) {
+    Request& request = (*take)[i];
+    if (request.options.deadline && *request.options.deadline <= take_time) {
+      shed_expired_.Add(1);
+      KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
+      CompleteShed(&request,
+                   Status::DeadlineExceeded("deadline expired in queue"),
+                   obs::WideOutcome::kShedExpired);
+    } else {
+      if (kept != i) (*take)[kept] = std::move(request);
+      ++kept;
     }
-    batch.resize(kept);
-    if (batch.empty()) return;
-
-    std::optional<std::chrono::steady_clock::time_point> earliest;
-    for (const Request& request : batch) {
-      if (request.options.deadline &&
-          (!earliest || *request.options.deadline < *earliest)) {
-        earliest = request.options.deadline;
-      }
-    }
-
-    // Bound the number of unfinished batches in the pool: past the cap,
-    // requests wait in the admission-controlled queue (visible to
-    // backpressure) instead of in an invisible pool backlog.
-    bool acquired = false;
-    {
-      MutexLock lock(mu_);
-      while (inflight_batches_ >= options_.max_inflight_batches) {
-        if (earliest.has_value()) {
-          // Timeout: a deadline lapsed while stalled — rerun the shed
-          // pass.
-          if (!inflight_cv_.WaitUntil(mu_, *earliest)) break;
-        } else {
-          inflight_cv_.Wait(mu_);
-        }
-      }
-      if (inflight_batches_ < options_.max_inflight_batches) {
-        ++inflight_batches_;
-        acquired = true;
-      }
-    }
-    if (acquired) break;
   }
+  take->resize(kept);
+  if (take->empty()) return;
 
   batches_.Add(1);
   KBQA_COUNTER_ADD("online.serve.batches", 1);
-  KBQA_HISTOGRAM_RECORD("online.serve.batch_size", batch.size());
-
-  struct BatchState {
-    std::vector<Request> requests;
-    std::chrono::steady_clock::time_point dispatch_time;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->requests = std::move(batch);
-  state->dispatch_time = std::chrono::steady_clock::now();
-
-  const size_t num_shards =
-      std::min(state->requests.size(),
-               static_cast<size_t>(options_.num_workers));
-  pool_.Submit(
-      num_shards,
-      [this, state, num_shards](size_t shard) {
-        const ShardRange range =
-            ShardOf(state->requests.size(), shard, num_shards);
-        for (size_t i = range.begin; i < range.end; ++i) {
-          Request& request = state->requests[i];
-          const auto start = std::chrono::steady_clock::now();
-          if (request.ctx.sampled) {
-            // Anchor the stage clock at the service-start reading the
-            // server already took: stage intervals then live strictly
-            // inside [start, end), so their sum can never exceed the
-            // service_ns measured from the same readings.
-            request.ctx.StartClockAt(ToNs(start));
-            request.options.request_context = &request.ctx;
-          }
-          ServeResponse response;
-          response.queue_ns =
-              NanosBetween(request.enqueue_time, state->dispatch_time);
-          response.batch_size = state->requests.size();
-          response.result = handler_(request.question, request.options);
-          const auto end = std::chrono::steady_clock::now();
-          response.service_ns = NanosBetween(start, end);
-          completed_.Add(1);
-          KBQA_COUNTER_ADD("online.serve.completed", 1);
-          KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns",
-                                response.queue_ns);
-          KBQA_HISTOGRAM_RECORD("online.serve.service_ns",
-                                response.service_ns);
-          KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
-                                response.queue_ns + response.service_ns);
-          const Status& st = response.result.status;
-          if (options_.slo != nullptr) {
-            options_.slo->RecordRequest(
-                st.ok(), NanosBetween(request.enqueue_time, end), ToNs(end));
-          }
-          if (request.ctx.sampled) {
-            obs::WideOutcome outcome;
-            if (st.ok()) {
-              outcome = response.result.answered
-                            ? obs::WideOutcome::kAnswered
-                            : obs::WideOutcome::kUnanswered;
-            } else if (st.code() == StatusCode::kDeadlineExceeded) {
-              outcome = obs::WideOutcome::kDeadlineExceeded;
-            } else {
-              outcome = obs::WideOutcome::kError;
-            }
-            obs::WideEvent event =
-                BaseEvent(request.ctx, outcome,
-                          request.options.deadline.has_value(),
-                          request.question.size());
-            event.batch_size =
-                static_cast<uint32_t>(state->requests.size());
-            event.queue_wait_ns = response.queue_ns;
-            event.batch_wait_ns =
-                NanosBetween(state->dispatch_time, start);
-            event.service_ns = response.service_ns;
-            event.total_ns = NanosBetween(request.enqueue_time, end);
-            // Budget at the decision point: what remained when the batch
-            // was handed to the pool (the moment shedding last looked).
-            event.deadline_budget_ns = BudgetNsAt(
-                request.options.deadline, ToNs(state->dispatch_time));
-            event.StampFrom(request.ctx);
-            obs::WideEvents::Record(event);
-          }
-          request.done(std::move(response));
-        }
-      },
-      [this] {
-        {
-          MutexLock lock(mu_);
-          --inflight_batches_;
-        }
-        inflight_cv_.NotifyOne();
-      });
+  KBQA_HISTOGRAM_RECORD("online.serve.batch_size", take->size());
+  for (Request& request : *take) {
+    const auto start = std::chrono::steady_clock::now();
+    if (request.ctx.sampled) {
+      // Anchor the stage clock at the service-start reading the server
+      // already took: stage intervals then live strictly inside
+      // [start, end), so their sum can never exceed the service_ns
+      // measured from the same readings.
+      request.ctx.StartClockAt(ToNs(start));
+      request.options.request_context = &request.ctx;
+    }
+    ServeResponse response;
+    response.queue_ns = NanosBetween(request.enqueue_time, take_time);
+    response.batch_size = take->size();
+    response.result = handler_(request.question, request.options);
+    const auto end = std::chrono::steady_clock::now();
+    response.service_ns = NanosBetween(start, end);
+    completed_.Add(1);
+    KBQA_COUNTER_ADD("online.serve.completed", 1);
+    KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns", response.queue_ns);
+    KBQA_HISTOGRAM_RECORD("online.serve.service_ns", response.service_ns);
+    KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
+                          response.queue_ns + response.service_ns);
+    const Status& st = response.result.status;
+    if (options_.slo != nullptr) {
+      options_.slo->RecordRequest(
+          st.ok(), NanosBetween(request.enqueue_time, end), ToNs(end));
+    }
+    if (request.ctx.sampled) {
+      obs::WideOutcome outcome;
+      if (st.ok()) {
+        outcome = response.result.answered ? obs::WideOutcome::kAnswered
+                                           : obs::WideOutcome::kUnanswered;
+      } else if (st.code() == StatusCode::kDeadlineExceeded) {
+        outcome = obs::WideOutcome::kDeadlineExceeded;
+      } else {
+        outcome = obs::WideOutcome::kError;
+      }
+      obs::WideEvent event =
+          BaseEvent(request.ctx, outcome, request.options.deadline.has_value(),
+                    request.question.size());
+      event.batch_size = static_cast<uint32_t>(take->size());
+      event.queue_wait_ns = response.queue_ns;
+      event.batch_wait_ns = NanosBetween(take_time, start);
+      event.service_ns = response.service_ns;
+      event.total_ns = NanosBetween(request.enqueue_time, end);
+      // Budget at the decision point: what remained when the shed pass
+      // last looked.
+      event.deadline_budget_ns =
+          BudgetNsAt(request.options.deadline, ToNs(take_time));
+      event.StampFrom(request.ctx);
+      obs::WideEvents::Record(event);
+    }
+    request.done(std::move(response));
+  }
 }
 
 }  // namespace kbqa::serve

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/live_engine.h"
 #include "core/online.h"
@@ -19,15 +20,14 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace kbqa::serve {
 
 /// Knobs of the in-process serving front door. Defaults are a sane
 /// low-latency configuration; the load harness sweeps them.
 struct ServingOptions {
-  /// Answering worker threads (the batch-execution parallelism). The
-  /// batcher thread is separate and never answers questions itself.
+  /// Answering worker threads. Each pulls requests straight from the
+  /// bounded queue and runs the handler itself.
   int num_workers = 1;
   /// Admission control: a Submit that would make the queue deeper than
   /// this is rejected with kUnavailable (backpressure to the caller
@@ -36,22 +36,16 @@ struct ServingOptions {
   /// Admission control on queued request payload bytes (question text +
   /// per-request overhead). 0 = no byte limit.
   uint64_t max_queue_bytes = 0;
-  /// The batcher closes a batch at this many requests...
+  /// Each time a worker goes to the queue it takes whatever is queued, up
+  /// to this many requests, and answers them in order. It never waits for
+  /// more to arrive.
   size_t max_batch_size = 32;
-  /// ...or once the oldest queued request has waited this long, whichever
-  /// comes first. 0 means "never wait": every wakeup takes whatever is
-  /// queued right now.
-  std::chrono::microseconds max_batch_wait{200};
   /// Applied at admission to requests that carry no deadline of their own:
   /// deadline = arrival + default_timeout. Queue wait therefore counts
   /// against the budget — a request that expires while queued is shed
   /// without ever entering the answer pipeline. nullopt = no implicit
   /// deadline.
   std::optional<std::chrono::nanoseconds> default_timeout;
-  /// Batches allowed in flight in the worker pool at once; the batcher
-  /// stalls (leaving requests queued, where admission control sees them)
-  /// once this many are unfinished. 0 = num_workers.
-  size_t max_inflight_batches = 0;
   /// Optional SLO burn-rate monitor (must outlive the server). Every
   /// terminal outcome — answered, error, rejected, shed — is recorded as
   /// good/bad against its spec, independent of wide-event sampling.
@@ -61,11 +55,12 @@ struct ServingOptions {
 /// The outcome of one served request, delivered to its callback.
 struct ServeResponse {
   core::AnswerResult result;
-  /// Admission to batch dispatch (for shed requests: admission to shed).
+  /// Admission to the worker's take (for shed requests: admission to
+  /// shed).
   uint64_t queue_ns = 0;
-  /// Dispatch to completion inside the worker (0 for shed requests).
+  /// Handler start to completion inside the worker (0 for shed requests).
   uint64_t service_ns = 0;
-  /// Size of the coalesced batch this request rode in (0 if shed).
+  /// Requests served from the take this request rode in (0 if shed).
   size_t batch_size = 0;
 };
 
@@ -77,31 +72,31 @@ struct ServingStats {
   uint64_t completed = 0;      // went through the answer pipeline
   uint64_t shed_expired = 0;   // deadline passed while queued
   uint64_t shed_shutdown = 0;  // queued at destruction (kUnavailable)
-  uint64_t batches = 0;        // batches dispatched to the pool
+  uint64_t batches = 0;        // worker takes that served a request
   uint64_t queue_depth = 0;    // current
 };
 
 /// In-process async serving front door over the KBQA online engine: a
-/// bounded MPMC request queue with admission control, a batcher that
-/// coalesces queued requests under (max_batch_size, max_batch_wait), and
-/// worker threads (util/thread_pool) that execute batches concurrently —
-/// the batcher dispatches batch k+1 while k is still running, via the
-/// pool's async Submit + completion notification.
+/// bounded MPMC request queue with admission control, and num_workers
+/// threads that pull from it. Each time a worker goes to the queue it takes
+/// whatever is queued, up to max_batch_size, sheds the expired requests of
+/// that take, and answers the rest in order.
 ///
 /// Request lifecycle:
-///   Submit -> [bounded queue] -> batcher -> {shed if expired}
-///          -> worker pool -> handler(question, options) -> callback
+///   Submit -> [bounded queue] -> worker take -> {shed if expired}
+///          -> handler(question, options) -> callback
 ///
 /// The callback of every *accepted* request is invoked exactly once, on a
-/// worker thread (or on the batcher/destructor thread for shed requests).
-/// A rejected Submit returns kUnavailable and never invokes the callback.
+/// worker thread (or on the destructor thread for shutdown sheds). A
+/// rejected Submit returns kUnavailable and never invokes the callback.
+/// A queued request whose deadline lapses is shed when a worker takes it.
 /// Destruction stops admission, sheds still-queued requests with
-/// kUnavailable, waits for in-flight batches, then joins all threads.
+/// kUnavailable, then joins the workers, which finish what they took.
 ///
 /// Thread safety: Submit/Answer/stats are safe from any thread.
 class Server {
  public:
-  /// The unit of work a batch is made of. The engine adapter is
+  /// The unit of work a worker runs per request. The engine adapter is
   /// OnlineInference::AnswerCached; tests substitute instrumented or
   /// deliberately slow handlers to pin down queueing behavior.
   using Handler =
@@ -161,12 +156,14 @@ class Server {
     obs::RequestContext ctx;
   };
 
-  void BatcherLoop();
+  void WorkerLoop();
+  /// Sheds the expired requests of one take, then answers the rest in
+  /// order on the calling worker.
+  void ServeTake(std::vector<Request>* take);
   /// Completes a request without entering the pipeline (expired in queue
   /// or shutdown shed), emitting its terminal wide event and SLO record.
   void CompleteShed(Request* request, Status status,
                     obs::WideOutcome outcome);
-  void Dispatch(std::vector<Request> batch);
   /// Terminal accounting for an admission-rejected request (never queued,
   /// callback never invoked — but still exactly one wide event).
   void RecordRejected(const Request& request);
@@ -175,11 +172,15 @@ class Server {
   const ServingOptions options_;
 
   mutable Mutex mu_;
-  CondVar queue_cv_;     // batcher waits for arrivals / stop
-  CondVar inflight_cv_;  // batcher waits for an in-flight batch slot
+  CondVar queue_cv_;  // workers wait for arrivals / stop
   std::deque<Request> queue_ GUARDED_BY(mu_);
   uint64_t queue_bytes_ GUARDED_BY(mu_) = 0;
-  size_t inflight_batches_ GUARDED_BY(mu_) = 0;
+  /// Workers asleep on queue_cv_, and wake-ups Submit issued that no
+  /// worker has woken from yet. Submit notifies only while the first
+  /// exceeds the second: a wake-up per Submit would cost a futex call on
+  /// every arrival, even when a woken worker will take it anyway.
+  int sleeping_workers_ GUARDED_BY(mu_) = 0;
+  int pending_wakeups_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
 
   // Per-instance accounting (sharded relaxed atomics; the global
@@ -191,11 +192,9 @@ class Server {
   obs::ShardedCounter shed_shutdown_;
   obs::ShardedCounter batches_;
 
-  // Declared after every member its jobs and completion callbacks touch
-  // (handler_, mu_, inflight_cv_, the counters): ~pool_ drains in-flight
-  // batches, so it must run before those members are destroyed.
-  ThreadPool pool_;
-  std::thread batcher_;
+  // Declared after every member the workers touch: ~Server joins them
+  // before those members are destroyed.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace kbqa::serve

@@ -1,7 +1,6 @@
 #ifndef KBQA_UTIL_MUTEX_H_
 #define KBQA_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -58,16 +57,6 @@ class CondVar {
   /// Atomically releases `mu` and blocks; reacquires `mu` before
   /// returning. Spurious wakeups happen — always loop on the predicate.
   void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
-
-  /// As Wait, but gives up once `deadline` passes. Returns false on
-  /// timeout, true on a notification (or spurious wakeup) — either way the
-  /// caller re-checks its predicate, so the return value only distinguishes
-  /// "the clock ran out" for callers pacing work (e.g. a batcher's
-  /// max-wait window).
-  bool WaitUntil(Mutex& mu,
-                 std::chrono::steady_clock::time_point deadline) REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline) != std::cv_status::timeout;
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -337,8 +336,8 @@ TEST_F(RaceStressSystemTest, EngineShutdownImmediatelyAfterInFlightWork) {
 // ---------- Serving front door ----------
 
 TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
-  // Many submitter threads race the batcher, the worker pool, and an
-  // immediate teardown; the small queue forces the admission-control path
+  // Many submitter threads race the pulling workers and an immediate
+  // teardown; the small queue forces the admission-control path
   // concurrently with accepts. The invariant under all interleavings:
   // every *accepted* request's callback runs exactly once (completed or
   // shed at shutdown), every rejected one's never runs — and every
@@ -353,7 +352,6 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
       options.num_workers = 3;
       options.max_queue_depth = 64;
       options.max_batch_size = 4;
-      options.max_batch_wait = std::chrono::microseconds(50);
       serve::Server server(
           [](const std::string& question, const core::AnswerOptions&) {
             core::AnswerResult result;
@@ -373,7 +371,7 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
         });
       }
       for (auto& th : submitters) th.join();
-      // ~Server tears down with batches still in flight and (likely)
+      // ~Server tears down with takes still being answered and (likely)
       // requests still queued.
     }
     ASSERT_EQ(callbacks.load(), accepted.load());
@@ -401,7 +399,7 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
 
 TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
   // Engine-backed serve loop: concurrent blocking callers through the
-  // batcher into a shared engine (answer cache on), with the server torn
+  // workers into a shared engine (answer cache on), with the server torn
   // down and rebuilt every round so TSan sees the full construct/serve/
   // destruct edge set against live engine state.
   core::OnlineInference::Options options =
@@ -415,7 +413,6 @@ TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
     serving.max_batch_size = 4;
-    serving.max_batch_wait = std::chrono::microseconds(100);
     const auto server = serve::Server::ForEngine(engine.get(), serving);
     std::vector<std::thread> callers;
     for (int t = 0; t < 3; ++t) {
@@ -609,7 +606,7 @@ TEST_F(RaceStressSystemTest, LiveCachesMatchUncachedAfterRewritesAndMerges) {
 
 TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
   // The wide-event exactly-once invariant must survive snapshot swaps:
-  // submitters race the batcher and a mutator forcing merges underneath
+  // submitters race the workers and a mutator forcing merges underneath
   // the serving engine, and every submission still resolves to exactly
   // one wide event, each stamped with a kb_epoch the KB actually reached.
   const std::string path = ::testing::TempDir() + "/race_serve_kb.bin";
@@ -630,7 +627,6 @@ TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
     serving.max_batch_size = 4;
-    serving.max_batch_wait = std::chrono::microseconds(50);
     const auto server = serve::Server::ForLiveEngine(engine.get(), serving);
     std::atomic<bool> stop{false};
     std::promise<void> first_write;

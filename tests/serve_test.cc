@@ -1,9 +1,10 @@
 // Tests for the serving front door (serve::Server): admission control
 // rejects a saturated queue *at Submit* (never enqueue-then-expire),
-// queue-expired requests are shed with kDeadlineExceeded before the
-// handler — and, engine-backed, before template matching (online.answers
-// stays flat) — batches coalesce, and teardown resolves every accepted
-// callback exactly once.
+// requests that expire while queued are shed with kDeadlineExceeded when a
+// worker takes them, before the handler — and, engine-backed, before
+// template matching (online.answers stays flat) — a worker's take
+// coalesces what is queued, and teardown resolves every accepted callback
+// exactly once.
 
 #include <gtest/gtest.h>
 
@@ -99,19 +100,14 @@ struct Collector {
     return responses.size();
   }
 
-  void WaitForCount(size_t n) {
+  /// Polls for up to 10 s; returns whether `n` responses arrived.
+  [[nodiscard]] bool WaitForCount(size_t n) {
     for (int spin = 0; spin < 10000 && Count() < n; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    return Count() >= n;
   }
 };
-
-void WaitForQueueDrained(Server& server) {
-  for (int spin = 0; spin < 10000 && server.stats().queue_depth > 0;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
 
 TEST(ServeTest, AnswerRoundTripsThroughHandler) {
   ServingOptions options;
@@ -136,9 +132,7 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 2;
-  options.max_batch_wait = std::chrono::microseconds(0);
   // A generous deadline: a wrongly-enqueued overflow request would sit in
   // the queue and eventually come back kDeadlineExceeded instead of the
   // immediate kUnavailable this test demands.
@@ -146,32 +140,28 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   Server server(gate.AsHandler(), options);
   Collector accepted;
 
-  // R0 occupies the worker (handler gated). The batcher pops it
-  // immediately, so wait until it is *out* of the queue.
+  // R0 occupies the only worker (handler gated); wait until the worker has
+  // taken it, so R1+R2 deterministically fill the queue.
   ASSERT_TRUE(server.Submit("r0", accepted.Add()).ok());
   while (gate.entered.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // R1 gets popped by the batcher too (it parks waiting for an in-flight
-  // slot); wait for the pop so R2+R3 deterministically fill the queue.
   ASSERT_TRUE(server.Submit("r1", accepted.Add()).ok());
-  WaitForQueueDrained(server);
   ASSERT_TRUE(server.Submit("r2", accepted.Add()).ok());
-  ASSERT_TRUE(server.Submit("r3", accepted.Add()).ok());
   ASSERT_EQ(server.stats().queue_depth, 2u);
 
-  // Queue full: R4 must be rejected *now*, with kUnavailable, and its
+  // Queue full: R3 must be rejected *now*, with kUnavailable, and its
   // callback must never run.
   std::atomic<bool> rejected_callback_ran{false};
   Status rejected = server.Submit(
-      "r4", [&](ServeResponse) { rejected_callback_ran = true; });
+      "r3", [&](ServeResponse) { rejected_callback_ran = true; });
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
   EXPECT_EQ(server.stats().rejected, 1u);
 
   gate.Open();
-  accepted.WaitForCount(4);
-  ASSERT_EQ(accepted.Count(), 4u);
+  ASSERT_TRUE(accepted.WaitForCount(3));
+  ASSERT_EQ(accepted.Count(), 3u);
   {
     MutexLock lock(accepted.mu);
     for (const ServeResponse& response : accepted.responses) {
@@ -183,7 +173,7 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   }
   EXPECT_FALSE(rejected_callback_ran.load());
   const ServingStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.shed_expired, 0u);
 }
 
@@ -193,8 +183,6 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
-  options.max_batch_wait = std::chrono::microseconds(0);
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -202,30 +190,35 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
   while (gate.entered.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // R1 and R2 with deadlines that lapse while they wait behind R0 (the
-  // dispatcher sheds expired requests even while stalled on an in-flight
-  // slot, so these resolve without the gate opening).
+  // R1 and R2 with deadlines that lapse while they wait behind R0. The
+  // worker sheds them when it takes them, once R0 is done.
   core::AnswerOptions expired;
   expired.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
   ASSERT_TRUE(server.Submit("r1", expired, collector.Add()).ok());
   ASSERT_TRUE(server.Submit("r2", expired, collector.Add()).ok());
-  collector.WaitForCount(2);  // the two shed requests, R0 still gated
-  ASSERT_EQ(collector.Count(), 2u);
+  std::this_thread::sleep_until(*expired.deadline);
+  gate.Open();
+  ASSERT_TRUE(collector.WaitForCount(3));
+  ASSERT_EQ(collector.Count(), 3u);
+  size_t shed = 0;
   {
     MutexLock lock(collector.mu);
     for (const ServeResponse& response : collector.responses) {
+      if (response.result.status.ok()) {
+        EXPECT_EQ(response.result.value, "r0");
+        continue;
+      }
+      ++shed;
       EXPECT_EQ(response.result.status.code(),
                 StatusCode::kDeadlineExceeded);
       EXPECT_FALSE(response.result.answered);
       EXPECT_EQ(response.service_ns, 0u);  // never entered the handler
     }
   }
+  EXPECT_EQ(shed, 2u);
   EXPECT_EQ(gate.entered.load(), 1);  // only R0
   EXPECT_EQ(server.stats().shed_expired, 2u);
-
-  gate.Open();
-  collector.WaitForCount(3);
   EXPECT_EQ(server.stats().completed, 1u);
   const obs::MetricsSnapshot after = GlobalSnapshot();
   EXPECT_EQ(CounterValue(after, "online.serve.shed_expired") -
@@ -238,8 +231,6 @@ TEST(ServeTest, BatcherCoalescesQueuedRequests) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 8;
-  options.max_inflight_batches = 1;
-  options.max_batch_wait = std::chrono::milliseconds(5);
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -253,7 +244,7 @@ TEST(ServeTest, BatcherCoalescesQueuedRequests) {
     ASSERT_TRUE(server.Submit("r" + std::to_string(i), collector.Add()).ok());
   }
   gate.Open();
-  collector.WaitForCount(6);
+  ASSERT_TRUE(collector.WaitForCount(6));
   ASSERT_EQ(collector.Count(), 6u);
   size_t coalesced = 0;
   {
@@ -285,12 +276,11 @@ TEST(ServeTest, DefaultTimeoutBecomesRequestDeadline) {
 TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
   GatedHandler gate;
   Collector collector;
+  std::thread opener;
   {
     ServingOptions options;
     options.num_workers = 1;
     options.max_batch_size = 1;
-    options.max_inflight_batches = 1;
-    options.max_batch_wait = std::chrono::microseconds(0);
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -301,14 +291,14 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
           server.Submit("r" + std::to_string(i), collector.Add()).ok());
     }
     // Tear down with the worker still gated; open the gate mid-teardown.
-    std::thread opener([&] {
+    opener = std::thread([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       gate.Open();
     });
-    // ~Server: stops admission, sheds what is still queued, drains the
-    // in-flight request.
-    opener.detach();
+    // ~Server: stops admission, sheds what is still queued, then joins
+    // the worker, which finishes the request it took.
   }
+  opener.join();
   ASSERT_EQ(collector.Count(), 4u);
   size_t ok = 0, unavailable = 0;
   {
@@ -323,8 +313,8 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
     }
   }
   EXPECT_EQ(ok + unavailable, 4u);
-  EXPECT_GE(ok, 1u);           // r0 was in the handler, it completes
-  EXPECT_GE(unavailable, 1u);  // the tail of the queue is shed
+  EXPECT_EQ(ok, 1u);           // r0 was in the handler, it completes
+  EXPECT_EQ(unavailable, 3u);  // the whole queue is shed
 }
 
 TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
@@ -336,9 +326,7 @@ TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 1;
-  options.max_batch_wait = std::chrono::microseconds(0);
   Server server(gate.AsHandler(), options);
   Collector collector;
   ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
@@ -346,15 +334,13 @@ TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
-  WaitForQueueDrained(server);
-  ASSERT_TRUE(server.Submit("r2", collector.Add()).ok());
-  // Queue (depth 1) holds r2: a blocking Answer must come back rejected,
+  // Queue (depth 1) holds r1: a blocking Answer must come back rejected,
   // not deadlock waiting behind a full queue.
-  ServeResponse rejected = server.Answer("r3");
+  ServeResponse rejected = server.Answer("r2");
   EXPECT_EQ(rejected.result.status.code(), StatusCode::kUnavailable);
   gate.Open();
-  collector.WaitForCount(3);
-  EXPECT_EQ(collector.Count(), 3u);
+  ASSERT_TRUE(collector.WaitForCount(2));
+  EXPECT_EQ(collector.Count(), 2u);
 }
 
 // ---------- Wide events (DESIGN.md §8) ----------
@@ -388,7 +374,7 @@ TEST(WideEventServeTest, EveryServedOutcomeEmitsExactlyOneEvent) {
     for (const char* q : {"ok", "none", "late", "boom"}) {
       ASSERT_TRUE(server.Submit(q, collector.Add()).ok());
     }
-    collector.WaitForCount(4);
+    ASSERT_TRUE(collector.WaitForCount(4));
   }
   const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
   ASSERT_EQ(events.size(), 4u);
@@ -422,8 +408,6 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
-  options.max_batch_wait = std::chrono::microseconds(0);
   Collector collector;
   {
     Server server(gate.AsHandler(), options);
@@ -435,10 +419,11 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
     expired.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
     ASSERT_TRUE(server.Submit("r1", expired, collector.Add()).ok());
-    collector.WaitForCount(2);
+    std::this_thread::sleep_until(*expired.deadline);
     gate.Open();
-    collector.WaitForCount(2);
+    ASSERT_TRUE(collector.WaitForCount(2));
   }
+  EXPECT_EQ(gate.entered.load(), 1);  // r1 never entered the handler
   const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
   ASSERT_EQ(events.size(), 2u);
   ASSERT_EQ(CountOutcome(events, obs::WideOutcome::kShedExpired), 1u);
@@ -465,9 +450,7 @@ TEST(WideEventServeTest, AdmissionRejectionEmitsRejectedEvent) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
   options.max_queue_depth = 1;
-  options.max_batch_wait = std::chrono::microseconds(0);
   Collector collector;
   std::atomic<bool> rejected_callback_ran{false};
   {
@@ -477,18 +460,16 @@ TEST(WideEventServeTest, AdmissionRejectionEmitsRejectedEvent) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_TRUE(server.Submit("r1", collector.Add()).ok());
-    WaitForQueueDrained(server);
-    ASSERT_TRUE(server.Submit("r2", collector.Add()).ok());
     const Status rejected = server.Submit(
         "overflow", [&](ServeResponse) { rejected_callback_ran = true; });
     ASSERT_EQ(rejected.code(), StatusCode::kUnavailable);
     gate.Open();
-    collector.WaitForCount(3);
+    ASSERT_TRUE(collector.WaitForCount(2));
   }
   EXPECT_FALSE(rejected_callback_ran.load());
   const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), 3u);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), 2u);
   ASSERT_EQ(CountOutcome(events, obs::WideOutcome::kRejected), 1u);
   for (const obs::WideEvent& e : events) {
     if (e.outcome != obs::WideOutcome::kRejected) continue;
@@ -502,12 +483,11 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
   obs::WideEvents::ResetForTest();
   GatedHandler gate;
   Collector collector;
+  std::thread opener;
   {
     ServingOptions options;
     options.num_workers = 1;
     options.max_batch_size = 1;
-    options.max_inflight_batches = 1;
-    options.max_batch_wait = std::chrono::microseconds(0);
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -517,12 +497,12 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
       ASSERT_TRUE(
           server.Submit("r" + std::to_string(i), collector.Add()).ok());
     }
-    std::thread opener([&] {
+    opener = std::thread([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       gate.Open();
     });
-    opener.detach();
   }
+  opener.join();
   ASSERT_EQ(collector.Count(), 4u);
   // Exactly one event per accepted request, split between served and
   // shutdown-shed exactly as the callbacks were.
@@ -533,10 +513,11 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
       ok += response.result.status.ok() ? 1 : 0;
     }
   }
+  EXPECT_EQ(ok, 1u);
   const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), ok);
-  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kShedShutdown), 4 - ok);
+  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kAnswered), 1u);
+  EXPECT_EQ(CountOutcome(events, obs::WideOutcome::kShedShutdown), 3u);
 }
 
 TEST(WideEventServeTest, SamplePeriodZeroSuppressesAllEvents) {
@@ -564,8 +545,6 @@ TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch_size = 1;
-  options.max_inflight_batches = 1;
-  options.max_batch_wait = std::chrono::microseconds(0);
   options.slo = &slo;
   Collector collector;
   {
@@ -578,9 +557,9 @@ TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
     expired.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
     ASSERT_TRUE(server.Submit("r1", expired, collector.Add()).ok());
-    collector.WaitForCount(2);  // r1 shed while r0 is still gated
+    std::this_thread::sleep_until(*expired.deadline);  // r1 expires queued
     gate.Open();
-    collector.WaitForCount(2);
+    ASSERT_TRUE(collector.WaitForCount(2));
   }
   obs::WideEvents::SetSamplePeriod(1);
   EXPECT_EQ(slo.TotalGood(), 1u);  // r0 served OK
