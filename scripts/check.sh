@@ -30,6 +30,14 @@
 #                             # input, run a bounded fuzz pass per target,
 #                             # and prove the planted canary bug is found
 #                             # within its budget (fuzz/ — DESIGN.md §11)
+#   scripts/check.sh --perf-smoke
+#                             # a 2 s traced perfbench run of answer_cold and
+#                             # of live_rw: each exits non-zero unless every
+#                             # perfbench check passes (Table 15 answers,
+#                             # server == direct answers, live freshness
+#                             # after an Apply and after a merge, the train
+#                             # replay's template count, precision/recall
+#                             # floors, zero failed operations)
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -146,6 +154,15 @@ run_fuzz_smoke() {
       -R '^fuzz_canary_finds_planted_bug$'
 }
 
+run_perf_smoke() {
+  local workload
+  for workload in answer_cold live_rw; do
+    echo "== perf smoke: $workload =="
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        --trace 1
+  done
+}
+
 case "${1:-}" in
   --lint)
     run_lint
@@ -167,6 +184,10 @@ case "${1:-}" in
     run_fuzz_smoke
     echo "== OK (fuzz smoke) =="
     ;;
+  --perf-smoke)
+    run_perf_smoke
+    echo "== OK (perf smoke) =="
+    ;;
   --tsan)
     run_tsan
     echo "== OK (tsan) =="
@@ -183,7 +204,7 @@ case "${1:-}" in
     echo "== OK =="
     ;;
   *)
-    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke]" >&2
+    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke|--perf-smoke]" >&2
     exit 2
     ;;
 esac

@@ -63,15 +63,10 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   em_stats_ = EmStats();
   KBQA_RETURN_IF_ERROR(learner.Train(corpus, &store_, &em_stats_));
 
-  // 4. Online inference engine (§3.3), over the expansion's PathIds.
+  // 4. Online inference engine (§3.3) and variant solver, over the
+  //    expansion's PathIds.
   loaded_paths_.reset();
-  online_ = std::make_unique<OnlineInference>(
-      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
-      options_.online);
-
-  variants_ = std::make_unique<VariantSolver>(
-      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &ekb_->paths(),
-      VariantSolver::Options());
+  BuildAnswering();
 
   // 5. Complex-question machinery (§5).
   if (options_.enable_complex_questions) {
@@ -87,11 +82,18 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   return Status::Ok();
 }
 
+void KbqaSystem::BuildAnswering() {
+  online_ = std::make_unique<OnlineInference>(
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &model_paths(),
+      options_.online);
+  variants_ = std::make_unique<VariantSolver>(
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &model_paths(),
+      VariantSolver::Options());
+}
+
 Status KbqaSystem::SaveModel(const std::string& path) const {
   if (!trained()) return Status::FailedPrecondition("train before SaveModel");
-  const rdf::PathDictionary& paths =
-      loaded_paths_ ? *loaded_paths_ : ekb_->paths();
-  return core::SaveModel(store_, paths, world_->kb, path);
+  return core::SaveModel(store_, model_paths(), world_->kb, path);
 }
 
 Status KbqaSystem::LoadModel(const std::string& path) {
@@ -100,10 +102,7 @@ Status KbqaSystem::LoadModel(const std::string& path) {
   store_ = std::move(loaded.value().store);
   loaded_paths_ = std::make_unique<rdf::PathDictionary>(
       std::move(loaded.value().paths));
-  online_ = std::make_unique<OnlineInference>(&world_->kb, &world_->taxonomy,
-                                              ner_.get(), &store_,
-                                              loaded_paths_.get(),
-                                              options_.online);
+  BuildAnswering();
   // The decomposer (if any) belongs to a previous training run whose path
   // ids no longer match; drop it.
   decomposer_.reset();
@@ -134,10 +133,8 @@ std::unique_ptr<LiveKbqaEngine> KbqaSystem::MakeLiveEngine(
   LiveKbqaEngine::Options options;
   options.alias_predicates = world_->alias_predicates;
   options.online = options_.online;
-  const rdf::PathDictionary* paths =
-      loaded_paths_ != nullptr ? loaded_paths_.get() : &ekb_->paths();
   return std::make_unique<LiveKbqaEngine>(live, &world_->taxonomy, &store_,
-                                          paths, options);
+                                          &model_paths(), options);
 }
 
 AnswerResult KbqaSystem::AnswerVariant(const std::string& question) const {

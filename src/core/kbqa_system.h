@@ -134,6 +134,15 @@ class KbqaSystem : public QaSystemInterface {
   }
 
  private:
+  /// The PathIds the template store speaks: a restored model's dictionary,
+  /// else the expansion's. Requires trained() or a Train in progress.
+  const rdf::PathDictionary& model_paths() const {
+    return loaded_paths_ != nullptr ? *loaded_paths_ : ekb_->paths();
+  }
+  /// Builds the online engine and the variant solver over the current
+  /// template store and model_paths(); Train and LoadModel both end here.
+  void BuildAnswering();
+
   const corpus::World* world_;
   KbqaOptions options_;
 

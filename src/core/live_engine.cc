@@ -7,12 +7,12 @@
 namespace kbqa::core {
 
 LiveKbqaEngine::EngineState::EngineState(
-    std::shared_ptr<const rdf::KnowledgeBase> kb, const rdf::MutableKb* live,
+    std::shared_ptr<const rdf::KnowledgeBase> kb,
     const taxonomy::Taxonomy* taxonomy, const TemplateStore* store,
     const rdf::PathDictionary* paths, const Options& options)
     : base(std::move(kb)),
       ner(*base, options.alias_predicates),
-      online(base.get(), taxonomy, &ner, store, paths, options.online, live) {}
+      online(base.get(), taxonomy, &ner, store, paths, options.online) {}
 
 LiveKbqaEngine::LiveKbqaEngine(rdf::MutableKb* live,
                                const taxonomy::Taxonomy* taxonomy,
@@ -27,8 +27,8 @@ LiveKbqaEngine::LiveKbqaEngine(rdf::MutableKb* live,
   live_->SetStateFactory(
       [this](const std::shared_ptr<const rdf::KnowledgeBase>& base) {
         KBQA_COUNTER_ADD("kb.live.engine_rebuilds", 1);
-        return std::make_shared<const EngineState>(base, live_, taxonomy_,
-                                                   store_, paths_, options_);
+        return std::make_shared<const EngineState>(base, taxonomy_, store_,
+                                                   paths_, options_);
       });
 }
 

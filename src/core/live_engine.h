@@ -17,18 +17,19 @@ namespace kbqa::core {
 
 /// Serves questions over a live rdf::MutableKb (DESIGN.md §10).
 ///
-/// Per-epoch state: the NER gazetteer is a base-derived index (entity
-/// names do not consult the overlay on the hot path), so the engine is
-/// `live`'s state factory: for every merged base the merge thread builds
-/// {gazetteer, OnlineInference} before publishing the base, and the
-/// snapshot carries it (KbSnapshot::state). A read pins one snapshot and
-/// answers with that snapshot's state against that same snapshot — one
-/// pin, and never a new base paired with an old epoch's engine; in-flight
-/// answers keep their state alive through their snapshot. Within an
-/// epoch, every Answer pins the newest snapshot, so overlay mutations on
-/// already-known entities (value adds/deletes, renames) are visible
-/// immediately — only *linkability of new entity names* waits for the
-/// next merge.
+/// Per-epoch state: an OnlineInference answers over one base, and the NER
+/// gazetteer is a base-derived index (entity names do not consult the
+/// overlay on the hot path), so the engine is `live`'s state factory: for
+/// every merged base the merge thread builds {gazetteer, OnlineInference}
+/// over that base before publishing it, and the snapshot carries them
+/// (KbSnapshot::state). A read pins one snapshot and answers with that
+/// snapshot's state against that same snapshot — one pin, and never a new
+/// base paired with an old epoch's engine, whose caches therefore never
+/// need to tell epochs apart; in-flight answers keep their state alive
+/// through their snapshot. Within an epoch, every Answer pins the newest
+/// snapshot, so overlay mutations on already-known entities (value
+/// adds/deletes, renames) are visible immediately — only *linkability of
+/// new entity names* waits for the next merge.
 ///
 /// Freshness contract: an answer computed after Apply(B) returns reflects
 /// B (a cache entry is served only if no subject it read changed after the
@@ -82,9 +83,8 @@ class LiveKbqaEngine {
   /// outlive the engine in a snapshot someone still pins.
   struct EngineState {
     EngineState(std::shared_ptr<const rdf::KnowledgeBase> kb,
-                const rdf::MutableKb* live, const taxonomy::Taxonomy* taxonomy,
-                const TemplateStore* store, const rdf::PathDictionary* paths,
-                const Options& options);
+                const taxonomy::Taxonomy* taxonomy, const TemplateStore* store,
+                const rdf::PathDictionary* paths, const Options& options);
 
     /// Keeps the base alive for the gazetteer and for ids minted against
     /// it.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 #include <unordered_map>
 
 #include "core/em_learner.h"
@@ -147,6 +146,23 @@ uint64_t AnswerResultPayloadBytes(const std::string& question,
   return bytes;
 }
 
+/// `kb` with an empty overlay, epoch 0 and version 0. The base pointer
+/// aliases an empty owner, so the snapshot never keeps `kb` alive.
+rdf::KbSnapshot BaseSnapshot(const rdf::KnowledgeBase* kb) {
+  rdf::KbSnapshot snapshot;
+  snapshot.base =
+      std::shared_ptr<const rdf::KnowledgeBase>(std::shared_ptr<void>(), kb);
+  snapshot.overlay = std::make_shared<const rdf::DeltaOverlay>();
+  return snapshot;
+}
+
+AnswerResult OtherBase() {
+  AnswerResult result;
+  result.status =
+      Status::FailedPrecondition("snapshot of another base than the engine's");
+  return result;
+}
+
 }  // namespace
 
 OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
@@ -154,69 +170,48 @@ OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
                                  const nlp::GazetteerNer* ner,
                                  const TemplateStore* store,
                                  const rdf::PathDictionary* paths,
-                                 const Options& options,
-                                 const rdf::MutableKb* live)
-    : kb_(kb),
-      taxonomy_(taxonomy),
+                                 const Options& options)
+    : taxonomy_(taxonomy),
       ner_(ner),
       store_(store),
       paths_(paths),
-      live_(live),
       options_(options),
+      snapshot_(BaseSnapshot(kb)),
       value_cache_(options.value_cache_budget_bytes),
       answer_cache_(options.answer_cache_budget_bytes) {}
 
-OnlineInference::PinnedKb OnlineInference::PinKb() const {
-  if (live_ == nullptr) return PinnedKb{kb_, nullptr, nullptr};
-  PinnedKb view;
-  view.owner = live_->Pin();
-  view.snap = view.owner.get();
-  view.kb = view.snap->base.get();
-  return view;
-}
-
 template <typename T>
-bool OnlineInference::Revalidate(const PinnedKb& view, Validated<T>* entry) {
-  if (view.snap == nullptr) return true;
+bool OnlineInference::Revalidate(const rdf::KbSnapshot& snapshot,
+                                 Validated<T>* entry) {
+  if (entry->reads == nullptr) return snapshot.overlay->empty();
   ReadSet& reads = *entry->reads;
-  if (reads.version == view.snap->version) return true;
+  if (reads.version == snapshot.version) return true;
   // An entry stamped after the reader's pin may hold values interned
   // after it, which the reader's snapshot cannot even name: a miss.
-  if (reads.version > view.snap->version ||
-      view.snap->ChangedSince(reads.subjects, reads.version)) {
+  if (reads.version > snapshot.version ||
+      snapshot.ChangedSince(reads.subjects, reads.version)) {
     return false;
   }
-  reads.version = view.snap->version;
+  reads.version = snapshot.version;
   return true;
 }
 
-void OnlineInference::LookupValues(const PinnedKb& view, rdf::TermId entity,
-                                   rdf::PathId path,
-                                   std::vector<rdf::TermId>* scratch,
-                                   std::vector<rdf::TermId>* reads) const {
-  // Live mode reads the pinned merged view (base minus tombstones plus
-  // overlay adds, identical ordering to a frozen walk — an empty overlay
-  // degenerates to the plain base walk bit-for-bit).
-  if (view.snap != nullptr) {
-    *scratch = view.snap->ObjectsViaPath(entity, paths_->GetPath(path), reads);
-    return;
-  }
-  *scratch = rdf::ObjectsViaPath(*view.kb, entity, paths_->GetPath(path));
-}
-
 const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
-    const PinnedKb& view, rdf::TermId entity, rdf::PathId path,
+    const rdf::KbSnapshot& snapshot, rdf::TermId entity, rdf::PathId path,
     std::vector<rdf::TermId>* scratch, CacheTally* tally,
     obs::RequestContext* ctx) const {
   KBQA_TRACE_SPAN_SAMPLED("answer.value_lookup");
   if (!options_.enable_value_cache) {
-    LookupValues(view, entity, path, scratch, tally->reads);
+    *scratch =
+        snapshot.ObjectsViaPath(entity, paths_->GetPath(path), tally->reads);
     return *scratch;
   }
   using Entry = Validated<std::vector<rdf::TermId>>;
-  const ValueCacheKey key{view.epoch(), EntityPathKey(entity, path)};
+  const uint64_t key = EntityPathKey(entity, path);
   if (value_cache_.Visit(key, [&](Entry& entry) {
-        if (!Revalidate(view, &entry)) return false;
+        // An entry without a read set cannot extend the answer's.
+        if (tally->reads != nullptr && entry.reads == nullptr) return false;
+        if (!Revalidate(snapshot, &entry)) return false;
         *scratch = entry.value;
         if (tally->reads != nullptr) {
           Append(entry.reads->subjects, tally->reads);
@@ -233,16 +228,17 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
   const uint64_t miss_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
   Entry entry;
   uint64_t charge = 0;
-  if (view.snap != nullptr) {
-    entry.reads = std::make_unique<ReadSet>(ReadSet{view.snap->version, {}});
-    LookupValues(view, entity, path, scratch, &entry.reads->subjects);
+  if (IsOwn(snapshot)) {
+    *scratch = snapshot.ObjectsViaPath(entity, paths_->GetPath(path));
+  } else {
+    entry.reads = std::make_unique<ReadSet>(ReadSet{snapshot.version, {}});
+    *scratch = snapshot.ObjectsViaPath(entity, paths_->GetPath(path),
+                                       &entry.reads->subjects);
     SortUnique(&entry.reads->subjects);
     charge = entry.reads->subjects.size() * sizeof(rdf::TermId);
     if (tally->reads != nullptr) {
       Append(entry.reads->subjects, tally->reads);
     }
-  } else {
-    LookupValues(view, entity, path, scratch, /*reads=*/nullptr);
   }
   entry.value = *scratch;
   charge += entry.value.size() * sizeof(rdf::TermId);
@@ -312,8 +308,9 @@ AnswerResult OnlineInference::Answer(
 AnswerResult OnlineInference::Answer(const std::string& question,
                                      const AnswerOptions& answer_options,
                                      const rdf::KbSnapshot& snapshot) const {
-  return AnswerTokensPinned(nlp::TokenizeQuestion(question), answer_options,
-                            ViewOf(snapshot), /*reads=*/nullptr);
+  if (snapshot.base != snapshot_.base) return OtherBase();
+  return AnswerTokensAt(nlp::TokenizeQuestion(question), answer_options,
+                        snapshot, /*reads=*/nullptr);
 }
 
 std::vector<AnswerResult> AnswerEach(
@@ -345,40 +342,30 @@ std::vector<AnswerResult> OnlineInference::AnswerAll(
 
 AnswerResult OnlineInference::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options) const {
-  return AnswerCachedPinned(question, answer_options, PinKb());
+  return AnswerCachedAt(question, answer_options, snapshot_);
 }
 
 AnswerResult OnlineInference::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options,
     const rdf::KbSnapshot& snapshot) const {
-  return AnswerCachedPinned(question, answer_options, ViewOf(snapshot));
+  if (snapshot.base != snapshot_.base) return OtherBase();
+  return AnswerCachedAt(question, answer_options, snapshot);
 }
 
-AnswerResult OnlineInference::AnswerCachedPinned(
+AnswerResult OnlineInference::AnswerCachedAt(
     const std::string& question, const AnswerOptions& answer_options,
-    const PinnedKb& view) const {
+    const rdf::KbSnapshot& snapshot) const {
   if (!options_.enable_answer_cache) {
-    return AnswerTokensPinned(nlp::TokenizeQuestion(question), answer_options,
-                              view, /*reads=*/nullptr);
+    return AnswerTokensAt(nlp::TokenizeQuestion(question), answer_options,
+                          snapshot, /*reads=*/nullptr);
   }
   // Normalized key: whitespace/case/punctuation paraphrases tokenize to
   // the same sequence, so they are the same question to the pipeline and
-  // must be the same entry to the memo. Live mode prefixes the pinned
-  // epoch ("e<epoch>\n" cannot collide with normalized text, which never
-  // contains a newline): a merge publish drops the subject stamps entries
-  // are validated against, so no entry may outlive its epoch. The
-  // canonical text is written once, in place after the prefix.
-  std::string key;
-  if (view.snap != nullptr) {
-    key += 'e';
-    key += std::to_string(view.snap->epoch);
-    key += '\n';
-  }
-  const size_t text_begin = key.size();
-  nlp::AppendNormalizedText(question, &key);
+  // must be the same entry to the memo.
+  const std::string key = nlp::NormalizeText(question);
   AnswerResult result;
   if (answer_cache_.Visit(key, [&](Validated<AnswerResult>& entry) {
-        if (!Revalidate(view, &entry)) return false;
+        if (!Revalidate(snapshot, &entry)) return false;
         result = entry.value;
         return true;
       })) {
@@ -390,14 +377,13 @@ AnswerResult OnlineInference::AnswerCachedPinned(
     return result;
   }
   Validated<AnswerResult> entry;
-  if (view.snap != nullptr) {
-    entry.reads = std::make_unique<ReadSet>(ReadSet{view.snap->version, {}});
+  if (!IsOwn(snapshot)) {
+    entry.reads = std::make_unique<ReadSet>(ReadSet{snapshot.version, {}});
   }
   // The tokens are the canonical text's pieces: TokenizeQuestion would
   // scan the question a second time for the same sequence.
-  result = AnswerTokensPinned(
-      nlp::SplitTokens(std::string_view(key).substr(text_begin)),
-      answer_options, view,
+  result = AnswerTokensAt(
+      nlp::SplitTokens(key), answer_options, snapshot,
       entry.reads != nullptr ? &entry.reads->subjects : nullptr);
   answer_cache_misses_.Add(1);
   KBQA_COUNTER_ADD("online.answer_cache.misses", 1);
@@ -431,13 +417,12 @@ AnswerResult OnlineInference::AnswerTokens(
 AnswerResult OnlineInference::AnswerTokens(
     const std::vector<std::string>& tokens,
     const AnswerOptions& answer_options) const {
-  return AnswerTokensPinned(tokens, answer_options, PinKb(),
-                            /*reads=*/nullptr);
+  return AnswerTokensAt(tokens, answer_options, snapshot_, /*reads=*/nullptr);
 }
 
-AnswerResult OnlineInference::AnswerTokensPinned(
+AnswerResult OnlineInference::AnswerTokensAt(
     const std::vector<std::string>& tokens,
-    const AnswerOptions& answer_options, const PinnedKb& view,
+    const AnswerOptions& answer_options, const rdf::KbSnapshot& snapshot,
     std::vector<rdf::TermId>* reads) const {
   // All answer spans — including the whole-answer one — record only inside
   // the 1-in-2^k detail windows opened here, keeping the steady-state cost
@@ -446,12 +431,11 @@ AnswerResult OnlineInference::AnswerTokensPinned(
   KBQA_TRACE_DETAIL_WINDOW();
   KBQA_TRACE_SPAN_SAMPLED("answer");
   obs::RequestContext* const ctx = answer_options.request_context;
-  if (ctx != nullptr && view.snap != nullptr) {
-    ctx->kb_epoch = view.snap->epoch;
-  }
+  if (ctx != nullptr) ctx->kb_epoch = snapshot.epoch;
   CacheTally tally;
   tally.reads = reads;
-  AnswerResult result = AnswerTokensImpl(tokens, answer_options, &tally, view);
+  AnswerResult result =
+      AnswerTokensImpl(tokens, answer_options, &tally, snapshot);
   FlushAnswerStats(&result, tally);
   if (ctx != nullptr) {
     ctx->value_cache_hits += static_cast<uint32_t>(tally.hits);
@@ -463,7 +447,7 @@ AnswerResult OnlineInference::AnswerTokensPinned(
 AnswerResult OnlineInference::AnswerTokensImpl(
     const std::vector<std::string>& tokens,
     const AnswerOptions& answer_options, CacheTally* tally,
-    const PinnedKb& view) const {
+    const rdf::KbSnapshot& snapshot) const {
   AnswerResult result;
   obs::RequestContext* const ctx = answer_options.request_context;
   if (ctx != nullptr && ctx->last_mark_ns == 0) {
@@ -521,7 +505,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
             if (gate.Hit()) return false;
             ++result.num_predicates;
             const std::vector<rdf::TermId>& values =
-                CachedObjects(view, entity, pp.path, &scratch, tally, ctx);
+                CachedObjects(snapshot, entity, pp.path, &scratch, tally, ctx);
             if (values.empty()) continue;
             const double p_v = 1.0 / static_cast<double>(values.size());
             ++result.num_grounded_predicates;
@@ -573,28 +557,23 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   }
   result.answered = true;
   result.score = best.score;
-  // Materialization routes through the pinned view in live mode: values
-  // may be overlay nodes the base has never interned, and an entity's
-  // display name may have mutated — so an entity value's name edges join
-  // the read set.
+  // Values may be overlay nodes the base has never interned, and an
+  // entity's display name may have mutated — so an entity value's name
+  // edges join the read set.
   const auto materialize = [&](rdf::TermId v) -> std::string {
-    if (view.snap != nullptr) {
-      if (view.snap->IsLiteral(v)) return view.snap->NodeString(v);
-      if (tally->reads != nullptr) tally->reads->push_back(v);
-      return view.snap->EntityName(v);
-    }
-    return view.kb->IsLiteral(v) ? view.kb->NodeString(v)
-                                 : view.kb->EntityName(v);
+    if (snapshot.IsLiteral(v)) return snapshot.NodeString(v);
+    if (tally->reads != nullptr) tally->reads->push_back(v);
+    return snapshot.EntityName(v);
   };
   result.value = materialize(best.value);
-  result.predicate = paths_->ToString(best.best_path, *view.kb);
+  result.predicate = paths_->ToString(best.best_path, *snapshot.base);
   // Emit the equivalent structured query. The winning entity was tracked
   // with best_term during scoring, so no re-query over the candidate
   // entities is needed; its value set comes straight from the cache.
   result.sparql = rdf::QueryToString(rdf::BuildPathQuery(
-      *view.kb, best.best_entity, paths_->GetPath(best.best_path)));
-  for (rdf::TermId v : CachedObjects(view, best.best_entity, best.best_path,
-                                     &scratch, tally, ctx)) {
+      *snapshot.base, best.best_entity, paths_->GetPath(best.best_path)));
+  for (rdf::TermId v : CachedObjects(snapshot, best.best_entity,
+                                     best.best_path, &scratch, tally, ctx)) {
     result.values.push_back(materialize(v));
   }
   // Rank covers sort + winner materialization (minus any timed value
@@ -606,7 +585,6 @@ AnswerResult OnlineInference::AnswerTokensImpl(
 bool OnlineInference::IsPrimitiveBfq(
     const std::vector<std::string>& tokens) const {
   KBQA_COUNTER_ADD("online.bfq_probes", 1);
-  const PinnedKb view = PinKb();
   std::vector<nlp::Mention> mentions = ner_->FindMentions(tokens);
   bool found = false;
   std::vector<rdf::TermId> scratch;
@@ -616,7 +594,7 @@ bool OnlineInference::IsPrimitiveBfq(
       [&](const nlp::Mention&, rdf::TermId entity, double, TemplateId t) {
         for (const PredicateProb& pp : store_->Distribution(t)) {
           if (pp.probability < options_.min_predicate_prob) continue;
-          if (!CachedObjects(view, entity, pp.path, &scratch, &tally,
+          if (!CachedObjects(snapshot_, entity, pp.path, &scratch, &tally,
                              /*ctx=*/nullptr)
                    .empty()) {
             found = true;

@@ -54,34 +54,6 @@ struct AnswerOptions {
   obs::RequestContext* request_context = nullptr;
 };
 
-/// Value-cache key: the (entity, path) pair tagged with the KB epoch it
-/// was computed in. A frozen KB is always epoch 0. In live mode a merge
-/// publish bumps the epoch, so no entry crosses a merge; within an epoch
-/// each entry is re-validated against the subjects its walk read
-/// (DESIGN.md §10). Entries of past epochs age out by LRU.
-struct ValueCacheKey {
-  uint64_t epoch = 0;
-  uint64_t entity_path = 0;  // entity in the high 32 bits, path in the low
-
-  friend bool operator==(const ValueCacheKey&, const ValueCacheKey&) =
-      default;
-};
-
-}  // namespace kbqa::core
-
-template <>
-struct std::hash<kbqa::core::ValueCacheKey> {
-  size_t operator()(const kbqa::core::ValueCacheKey& key) const noexcept {
-    uint64_t h = key.epoch * 0x9e3779b97f4a7c15ULL ^ key.entity_path;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return static_cast<size_t>(h);
-  }
-};
-
-namespace kbqa::core {
-
 /// One scored value in the online posterior.
 struct AnswerCandidate {
   rdf::TermId value = rdf::kInvalidTerm;
@@ -134,6 +106,11 @@ struct AnswerResult {
 /// and returns argmax_v. Complexity O(|P|) — entity/category/value
 /// fan-outs are bounded constants; only the predicate enumeration scales.
 ///
+/// One engine answers over one base KB, and reads it only through an
+/// rdf::KbSnapshot: its own (the base with an empty overlay, which never
+/// changes) unless the caller passes a snapshot of that base which it
+/// pinned from a MutableKb (DESIGN.md §10).
+///
 /// Thread safety: all answering methods are const and safe to call
 /// concurrently. The only mutable state is the two memo caches (V(e, p+)
 /// values and whole answers), per-instance memory-budgeted sharded LRUs
@@ -149,8 +126,9 @@ class OnlineInference {
     /// Minimum posterior score to consider the question answered.
     double min_answer_score = 1e-6;
     /// Memoize (entity, path) -> values lookups across questions. Results
-    /// are identical either way (the KB is immutable); disabling exists
-    /// for regression tests and cache-benefit measurements.
+    /// are identical either way (each hit is checked against the snapshot
+    /// the request reads; DESIGN.md §10); disabling exists for regression
+    /// tests and cache-benefit measurements.
     bool enable_value_cache = true;
     /// Upper bound on the value cache's byte accounting (key + payload per
     /// entry). 0 = unbounded (the pre-budget behavior, for benchmarks and
@@ -168,34 +146,30 @@ class OnlineInference {
     uint64_t answer_cache_budget_bytes = 0;
   };
 
-  /// All references must outlive the inference engine. V(e, p+) is
-  /// computed online (§6.1): a value-cache miss walks p+ from e over the
-  /// KB the request pinned.
+  /// All pointees must outlive the inference engine; `kb` is the base it
+  /// answers over. V(e, p+) is computed online (§6.1): a value-cache miss
+  /// walks p+ from e over the snapshot the request reads.
   ///
-  /// `live` (optional) switches the engine to live-mutation mode: every
-  /// Answer pins one KbSnapshot for its whole duration (RCU read-side) or
-  /// answers against one the caller pinned,
-  /// value lookups and winner materialization route through the pinned
-  /// merged view, and cache entries key on the snapshot epoch and carry
-  /// the sorted subjects their computation read. A hit is served only if
+  /// Entries computed against a caller's snapshot carry the sorted
+  /// subjects their computation read, and a hit there is served only if
   /// none of those subjects changed after the version the entry was last
-  /// validated at, so a post-mutation query can never see a pre-mutation
-  /// cache entry. `kb` must be the live KB's current base (or an
-  /// id-stable ancestor — see rdf::RebuildKb).
+  /// validated at, so a post-mutation query never sees a pre-mutation
+  /// entry. Entries computed against the engine's own snapshot carry none
+  /// and are served to a caller's snapshot only while its overlay is
+  /// empty.
   OnlineInference(const rdf::KnowledgeBase* kb,
                   const taxonomy::Taxonomy* taxonomy,
                   const nlp::GazetteerNer* ner, const TemplateStore* store,
-                  const rdf::PathDictionary* paths, const Options& options,
-                  const rdf::MutableKb* live = nullptr);
+                  const rdf::PathDictionary* paths, const Options& options);
 
   /// Answers a binary factoid question.
   AnswerResult Answer(const std::string& question) const;
   AnswerResult Answer(const std::string& question,
                       const AnswerOptions& answer_options) const;
-  /// Answer against `snapshot`, a view of this engine's live KB that the
-  /// caller pinned and keeps alive for the call, instead of a pin of its
-  /// own: a caller that found this engine in the snapshot's state
-  /// (LiveKbqaEngine) pins once per read.
+  /// Answer against `snapshot`, a snapshot of this engine's base that the
+  /// caller pinned and keeps alive for the call (LiveKbqaEngine pins once
+  /// per read). A snapshot of any other base answers nothing, with status
+  /// kFailedPrecondition.
   AnswerResult Answer(const std::string& question,
                       const AnswerOptions& answer_options,
                       const rdf::KbSnapshot& snapshot) const;
@@ -252,94 +226,76 @@ class OnlineInference {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    /// Live mode, when the answer will be memoized: collects every subject
-    /// whose out-edges the answer read — each value lookup's walk, whether
-    /// walked now or served from the value cache, plus every non-literal
-    /// value materialized through EntityName. Null otherwise.
+    /// When the answer will be memoized against a caller's snapshot:
+    /// collects every subject whose out-edges the answer read — each value
+    /// lookup's walk, whether walked now or served from the value cache,
+    /// plus every non-literal value materialized through EntityName. Null
+    /// otherwise.
     std::vector<rdf::TermId>* reads = nullptr;
   };
 
-  /// What a live-mode cache entry is re-validated by: the snapshot version
-  /// it was last validated at and the sorted subjects whose out-edges
-  /// computing it read.
+  /// What an entry computed against a caller's snapshot is re-validated
+  /// by: the snapshot version it was last validated at and the sorted
+  /// subjects whose out-edges computing it read.
   struct ReadSet {
     uint64_t version = 0;
     std::vector<rdf::TermId> subjects;
   };
 
-  /// A memoized result plus, in live mode, its read set. Frozen-mode
-  /// entries leave `reads` null and are never checked, so they cost what
-  /// a bare result costs.
+  /// A memoized result plus, when it was computed against a caller's
+  /// snapshot, its read set. Entries computed against the engine's own
+  /// snapshot leave `reads` null, so they cost what a bare result costs.
   template <typename T>
   struct Validated {
     T value;
     std::unique_ptr<ReadSet> reads;
   };
 
-  /// The KB world one Answer reads from start to finish. Frozen mode:
-  /// `kb` is the engine's kb_ and `snap` is null. Live mode: `snap` is one
-  /// RCU snapshot, kept alive for the whole request — by `owner` when the
-  /// engine pinned it, by the caller when it passed the snapshot in — and
-  /// `kb` is its base — id-stable across merges, so ids from the engine's
-  /// trained structures remain valid.
-  struct PinnedKb {
-    const rdf::KnowledgeBase* kb = nullptr;
-    const rdf::KbSnapshot* snap = nullptr;
-    std::shared_ptr<const rdf::KbSnapshot> owner;
-
-    uint64_t epoch() const { return snap != nullptr ? snap->epoch : 0; }
-  };
-
-  /// Pins the current world: in live mode one leaf-mutex shared_ptr copy
-  /// (MutableKb::Pin), free in frozen mode.
-  PinnedKb PinKb() const;
-  /// A view of a caller-pinned snapshot; the caller keeps it alive.
-  static PinnedKb ViewOf(const rdf::KbSnapshot& snapshot) {
-    return PinnedKb{snapshot.base.get(), &snapshot, nullptr};
-  }
-
-  /// The live-mode hit rule, run under the cache shard lock: `entry` is
-  /// current for a reader pinned at `view` if it was last validated at
-  /// the reader's version, or at an earlier one and no subject it read
-  /// changed since. A passing entry is re-stamped forward to the reader's
-  /// version, so later hits there skip the subject scan; an entry stamped
-  /// after the reader's pin is a miss. Frozen mode: always current.
+  /// The hit rule, run under the cache shard lock. An entry without a read
+  /// set is current for a reader whose overlay is empty: that reader sees
+  /// exactly the base the entry was computed over. An entry with one is
+  /// current for a reader at `snapshot` if it was last validated at the
+  /// reader's version, or at an earlier one and no subject it read changed
+  /// since. A passing entry is re-stamped forward to the reader's version,
+  /// so later hits there skip the subject scan; an entry stamped after the
+  /// reader's version is a miss.
   template <typename T>
-  static bool Revalidate(const PinnedKb& view, Validated<T>* entry);
+  static bool Revalidate(const rdf::KbSnapshot& snapshot, Validated<T>* entry);
 
   /// V(e, p+) through the memo cache. The result always lands in
   /// `*scratch` — copied out of the cache on a hit, computed by the path
   /// walk on a miss (then inserted, evicting LRU entries if over budget) —
   /// and the returned reference points there, valid until the next call
   /// with the same `scratch`. Copy-out is what makes eviction safe: no
-  /// caller ever holds a reference into the cache. The cache key carries
-  /// `view.epoch()` and live hits pass Revalidate, so entries never serve
-  /// a world their walk did not see. The walk's read set lands in
-  /// `tally->reads` when that is set. `ctx` (nullable) is charged the miss
-  /// walk as its value_lookup stage.
+  /// caller ever holds a reference into the cache. Hits pass Revalidate,
+  /// so entries never serve a world their walk did not see. The walk's
+  /// read set lands in `tally->reads` when that is set; an entry without a
+  /// read set cannot supply one, so it is a miss there. `ctx` (nullable)
+  /// is charged the miss walk as its value_lookup stage.
   const std::vector<rdf::TermId>& CachedObjects(
-      const PinnedKb& view, rdf::TermId entity, rdf::PathId path,
+      const rdf::KbSnapshot& snapshot, rdf::TermId entity, rdf::PathId path,
       std::vector<rdf::TermId>* scratch, CacheTally* tally,
       obs::RequestContext* ctx) const;
 
-  /// AnswerCached against an already-pinned world: the view serves both
-  /// the cache key and the computation, so the entry's epoch and version
-  /// always match the world that computed it.
-  AnswerResult AnswerCachedPinned(const std::string& question,
-                                  const AnswerOptions& answer_options,
-                                  const PinnedKb& view) const;
+  /// AnswerCached against `snapshot`, which serves both the cache lookup
+  /// and the computation, so an entry's version always matches the world
+  /// that computed it.
+  AnswerResult AnswerCachedAt(const std::string& question,
+                              const AnswerOptions& answer_options,
+                              const rdf::KbSnapshot& snapshot) const;
 
-  /// AnswerTokens against an already-pinned world — the body behind every
-  /// public answering entry point. `reads` (nullable) receives the
-  /// answer's read set, unsorted.
-  AnswerResult AnswerTokensPinned(const std::vector<std::string>& tokens,
-                                  const AnswerOptions& answer_options,
-                                  const PinnedKb& view,
-                                  std::vector<rdf::TermId>* reads) const;
+  /// AnswerTokens against `snapshot` — the body behind every public
+  /// answering entry point. `reads` (nullable) receives the answer's read
+  /// set, unsorted.
+  AnswerResult AnswerTokensAt(const std::vector<std::string>& tokens,
+                              const AnswerOptions& answer_options,
+                              const rdf::KbSnapshot& snapshot,
+                              std::vector<rdf::TermId>* reads) const;
 
   AnswerResult AnswerTokensImpl(const std::vector<std::string>& tokens,
                                 const AnswerOptions& answer_options,
-                                CacheTally* tally, const PinnedKb& view) const;
+                                CacheTally* tally,
+                                const rdf::KbSnapshot& snapshot) const;
 
   /// Folds one request's tally into the per-instance cache stats and, when
   /// instrumentation is on, mirrors it plus the per-answer stage counts
@@ -347,32 +303,33 @@ class OnlineInference {
   void FlushAnswerStats(const AnswerResult* result,
                         const CacheTally& tally) const;
 
-  /// V(e, p+) without the memo cache: walk p+ from `entity` over the
-  /// pinned merged view in live mode, over the frozen KB otherwise. Result
-  /// lands in `*scratch`; live mode appends the walk's read set to
-  /// `reads` (nullable).
-  void LookupValues(const PinnedKb& view, rdf::TermId entity,
-                    rdf::PathId path, std::vector<rdf::TermId>* scratch,
-                    std::vector<rdf::TermId>* reads) const;
+  /// Whether `snapshot` is the engine's own, whose entries carry no read
+  /// set.
+  bool IsOwn(const rdf::KbSnapshot& snapshot) const {
+    return &snapshot == &snapshot_;
+  }
 
-  const rdf::KnowledgeBase* kb_;
   const taxonomy::Taxonomy* taxonomy_;
   const nlp::GazetteerNer* ner_;
   const TemplateStore* store_;
   const rdf::PathDictionary* paths_;
-  const rdf::MutableKb* live_;
   Options options_;
+  /// The base with an empty overlay at epoch 0, version 0, read by every
+  /// call that passes no snapshot. It does not own the base, and calls
+  /// read it by reference, so they take no pin and touch no reference
+  /// count.
+  const rdf::KbSnapshot snapshot_;
 
-  /// Keyed by (KB epoch, entity « 32 | path) — see ValueCacheKey.
-  mutable ShardedLruCache<ValueCacheKey, Validated<std::vector<rdf::TermId>>>
+  /// Keyed by entity « 32 | path: an engine reads one base, so no key
+  /// needs an epoch.
+  mutable ShardedLruCache<uint64_t, Validated<std::vector<rdf::TermId>>>
       value_cache_;
   mutable obs::ShardedCounter cache_hits_;
   mutable obs::ShardedCounter cache_misses_;
 
   /// Whole-question memo for AnswerAll/AnswerCached: normalized question
-  /// text (NormalizeText; live mode prefixes "e<epoch>\n") → full
-  /// AnswerResult, so surface paraphrases that tokenize identically hit
-  /// one entry. Internally synchronized (sharded
+  /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
+  /// tokenize identically hit one entry. Internally synchronized (sharded
   /// LRU) like the value cache; results are copied out, so eviction never
   /// invalidates callers.
   mutable ShardedLruCache<std::string, Validated<AnswerResult>> answer_cache_;

@@ -155,6 +155,7 @@ const std::string& KbSnapshot::NodeString(TermId id) const {
 }
 
 std::string KbSnapshot::EntityName(TermId e) const {
+  if (overlay->empty() && e < base->num_nodes()) return base->EntityName(e);
   const PredId name = base->name_predicate();
   if (name != kInvalidPred) {
     const std::vector<TermId> names = Objects(e, name);

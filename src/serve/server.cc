@@ -67,26 +67,6 @@ Server::Server(Handler handler, const ServingOptions& options)
   }
 }
 
-std::unique_ptr<Server> Server::ForEngine(const core::OnlineInference* engine,
-                                          const ServingOptions& options) {
-  return std::make_unique<Server>(
-      [engine](const std::string& question,
-               const core::AnswerOptions& answer_options) {
-        return engine->AnswerCached(question, answer_options);
-      },
-      options);
-}
-
-std::unique_ptr<Server> Server::ForLiveEngine(
-    const core::LiveKbqaEngine* engine, const ServingOptions& options) {
-  return std::make_unique<Server>(
-      [engine](const std::string& question,
-               const core::AnswerOptions& answer_options) {
-        return engine->AnswerCached(question, answer_options);
-      },
-      options);
-}
-
 Server::~Server() {
   // Stop admission and take the whole queue in one step, so a worker that
   // wakes after this sees stopping_ with nothing left to take.

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/live_engine.h"
 #include "core/online.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -105,17 +104,22 @@ class Server {
   using Callback = std::function<void(ServeResponse)>;
 
   Server(Handler handler, const ServingOptions& options);
-  /// Fronts a trained online engine (which must outlive the server):
-  /// every request goes through AnswerCached, so the opt-in answer memo
-  /// and per-request deadlines compose with batching.
-  static std::unique_ptr<Server> ForEngine(
-      const core::OnlineInference* engine, const ServingOptions& options);
-  /// Fronts a live-mutation engine (DESIGN.md §10): identical serving
-  /// semantics, but every request routes through the engine's current
-  /// epoch state, so snapshot swaps land between requests without
-  /// draining the server.
-  static std::unique_ptr<Server> ForLiveEngine(
-      const core::LiveKbqaEngine* engine, const ServingOptions& options);
+  /// Fronts an engine with AnswerCached(question, options) — an
+  /// OnlineInference, or a LiveKbqaEngine (DESIGN.md §10), which pins the
+  /// newest snapshot per request, so merges land between requests without
+  /// draining the server. The engine must outlive the server. Every
+  /// request goes through AnswerCached, so the opt-in answer memo and
+  /// per-request deadlines compose with batching.
+  template <typename Engine>
+  static std::unique_ptr<Server> ForEngine(const Engine* engine,
+                                           const ServingOptions& options) {
+    return std::make_unique<Server>(
+        [engine](const std::string& question,
+                 const core::AnswerOptions& answer_options) {
+          return engine->AnswerCached(question, answer_options);
+        },
+        options);
+  }
   ~Server();
 
   Server(const Server&) = delete;

@@ -222,6 +222,16 @@ TEST_F(ExtensionsTest, ModelSaveLoadRoundTrip) {
     EXPECT_EQ(restored.Answer(q).value, experiment().kbqa().Answer(q).value)
         << q;
   }
+  // Variant questions resolve through the restored model's path ids too.
+  for (const char* q : {"which city has the largest population",
+                        "which has more people , honolulu or tokyo"}) {
+    const core::AnswerResult want = experiment().kbqa().AnswerVariant(q);
+    const core::AnswerResult got = restored.AnswerVariant(q);
+    ASSERT_TRUE(want.answered) << q;
+    EXPECT_TRUE(got.answered) << q;
+    EXPECT_EQ(got.value, want.value) << q;
+    EXPECT_EQ(got.predicate, want.predicate) << q;
+  }
   std::remove(path.c_str());
 }
 

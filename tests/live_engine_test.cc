@@ -6,7 +6,9 @@
 // while (c) keeping every cached answer whose read set no write touched,
 // and (d) answer identically before and after the background merge folds
 // the overlay into a fresh frozen base (id stability makes the trained
-// model valid across merges).
+// model valid across merges). An OnlineInference reads one base: it
+// refuses snapshots of any other, and entries computed against its own
+// snapshot serve a live snapshot only while that overlay is empty.
 
 #include <gtest/gtest.h>
 
@@ -87,19 +89,26 @@ class LiveEngineTest : public ::testing::Test {
     return options;
   }
 
-  /// An OnlineInference over `live` constructed directly, so — unlike a
-  /// LiveKbqaEngine, which rebuilds it per epoch — one instance and its
-  /// caches outlive every merge. `cached` turns both memo caches on or
-  /// off; an uncached engine computes every answer from its pin.
+  /// An OnlineInference over `live`'s current base, constructed directly
+  /// so a test can drive its caches with snapshots of its own choosing.
+  /// `cached` turns both memo caches on or off; an uncached engine
+  /// computes every answer from the snapshot it is given.
   static std::unique_ptr<core::OnlineInference> MakeLiveOnline(
-      const rdf::MutableKb* live, bool cached) {
+      const rdf::MutableKb& live, bool cached) {
     const core::KbqaSystem& kbqa = experiment().kbqa();
     core::OnlineInference::Options options = kbqa.options().online;
     options.enable_answer_cache = cached;
     options.enable_value_cache = cached;
     return std::make_unique<core::OnlineInference>(
-        &experiment().world().kb, &experiment().world().taxonomy, &kbqa.ner(),
-        &kbqa.template_store(), &kbqa.expanded_kb().paths(), options, live);
+        live.Pin()->base.get(), &experiment().world().taxonomy, &kbqa.ner(),
+        &kbqa.template_store(), &kbqa.expanded_kb().paths(), options);
+  }
+
+  /// `online`'s cached answer against the newest snapshot of `live`.
+  static core::AnswerResult AnswerLive(const core::OnlineInference& online,
+                                       const rdf::MutableKb& live,
+                                       const std::string& question) {
+    return online.AnswerCached(question, core::AnswerOptions{}, *live.Pin());
   }
 
   /// A question answered through a path of `hops` predicates with a
@@ -241,11 +250,11 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
 
 TEST_F(LiveEngineTest, WarmAnswersSurviveAnApplyOutsideTheirReadSets) {
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
-  const auto online = MakeLiveOnline(&live, /*cached=*/true);
+  const auto online = MakeLiveOnline(live, /*cached=*/true);
   const std::vector<std::string> questions = BenchmarkQuestions(20, 1357);
   std::vector<core::AnswerResult> warm;
   for (const std::string& q : questions) {
-    warm.push_back(online->AnswerCached(q, core::AnswerOptions{}));
+    warm.push_back(AnswerLive(*online, live, q));
   }
   const core::ValueCacheStats before = online->answer_cache_stats();
 
@@ -254,8 +263,8 @@ TEST_F(LiveEngineTest, WarmAnswersSurviveAnApplyOutsideTheirReadSets) {
                  /*object_is_literal=*/true);
   ASSERT_EQ(live.epoch(), 0u);
   for (size_t i = 0; i < questions.size(); ++i) {
-    ExpectSameAnswer(online->AnswerCached(questions[i], core::AnswerOptions{}),
-                     warm[i], questions[i]);
+    ExpectSameAnswer(AnswerLive(*online, live, questions[i]), warm[i],
+                     questions[i]);
   }
   const core::ValueCacheStats after = online->answer_cache_stats();
   EXPECT_EQ(after.hits, before.hits + questions.size());
@@ -265,8 +274,8 @@ TEST_F(LiveEngineTest, WarmAnswersSurviveAnApplyOutsideTheirReadSets) {
 TEST_F(LiveEngineTest, RewritingAnIntermediateNodeChangesTheCachedAnswer) {
   const rdf::KnowledgeBase& base = experiment().world().kb;
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
-  const auto online = MakeLiveOnline(&live, /*cached=*/true);
-  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const auto online = MakeLiveOnline(live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(live, /*cached=*/false);
   const Winner winner = FindStrictWinner(*uncached, /*hops=*/2);
   ASSERT_FALSE(winner.question.empty()) << "no strict two-hop winner";
   const std::vector<rdf::TermId> mids =
@@ -276,25 +285,25 @@ TEST_F(LiveEngineTest, RewritingAnIntermediateNodeChangesTheCachedAnswer) {
   // Warm both caches, then rewrite the second hop of every node the first
   // hop reached. The question's entity is untouched: only a read set that
   // holds the intermediate nodes can notice.
-  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
-                   winner.answer, winner.question);
+  ExpectSameAnswer(AnswerLive(*online, live, winner.question), winner.answer,
+                   winner.question);
   const std::string p2 = base.PredicateString(winner.path[1]);
   for (rdf::TermId mid : mids) {
     ReplaceObjects(&live, base.NodeString(mid), p2, "rewritten hop value",
                    /*object_is_literal=*/true);
   }
-  const core::AnswerResult after =
-      online->AnswerCached(winner.question, core::AnswerOptions{});
+  const core::AnswerResult after = AnswerLive(*online, live, winner.question);
   EXPECT_NE(after.value, winner.answer.value) << winner.question;
   EXPECT_EQ(after.values, std::vector<std::string>{"rewritten hop value"});
-  ExpectSameAnswer(after, uncached->Answer(winner.question), winner.question);
+  ExpectSameAnswer(after, AnswerLive(*uncached, live, winner.question),
+                   winner.question);
 }
 
 TEST_F(LiveEngineTest, RenamingTheWinningValueChangesTheCachedAnswer) {
   const rdf::KnowledgeBase& base = experiment().world().kb;
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
-  const auto online = MakeLiveOnline(&live, /*cached=*/true);
-  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const auto online = MakeLiveOnline(live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(live, /*cached=*/false);
   const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
   ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
   const std::string s = base.NodeString(winner.entity);
@@ -307,35 +316,76 @@ TEST_F(LiveEngineTest, RenamingTheWinningValueChangesTheCachedAnswer) {
   const std::string value_entity = "live/value entity";
   live.AddTriple(value_entity, name, "first name", /*object_is_literal=*/true);
   ReplaceObjects(&live, s, p, value_entity, /*object_is_literal=*/false);
-  const core::AnswerResult named =
-      online->AnswerCached(winner.question, core::AnswerOptions{});
+  const core::AnswerResult named = AnswerLive(*online, live, winner.question);
   ASSERT_EQ(named.value, "first name") << winner.question;
-  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
-                   named, winner.question);
+  ExpectSameAnswer(AnswerLive(*online, live, winner.question), named,
+                   winner.question);
 
   ReplaceObjects(&live, value_entity, name, "second name",
                  /*object_is_literal=*/true);
   const core::AnswerResult renamed =
-      online->AnswerCached(winner.question, core::AnswerOptions{});
+      AnswerLive(*online, live, winner.question);
   EXPECT_EQ(renamed.value, "second name") << winner.question;
   EXPECT_EQ(renamed.values, std::vector<std::string>{"second name"});
-  ExpectSameAnswer(renamed, uncached->Answer(winner.question),
+  ExpectSameAnswer(renamed, AnswerLive(*uncached, live, winner.question),
                    winner.question);
 }
 
-TEST_F(LiveEngineTest, DirectLiveEngineServesNoPreMergeEntryAfterMerge) {
-  // A merge publish folds the overlay into the base and drops every
-  // subject stamp of the closed epoch, so a pre-merge entry re-validated
-  // against the new, empty overlay would look current. Only the epoch in
-  // the cache key keeps it out.
+TEST_F(LiveEngineTest, OwnSnapshotEntriesServeOnlyAnEmptyOverlay) {
+  // Entries computed against the engine's own snapshot carry no read set,
+  // so no write can invalidate them: they may serve a live snapshot only
+  // while its overlay is empty, i.e. while it reads exactly the base, and
+  // a value entry may not feed an answer entry that needs a read set.
   const rdf::KnowledgeBase& base = experiment().world().kb;
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
-  const auto online = MakeLiveOnline(&live, /*cached=*/true);
-  const auto uncached = MakeLiveOnline(&live, /*cached=*/false);
+  const auto answers = MakeLiveOnline(live, /*cached=*/true);
+  const auto values = MakeLiveOnline(live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(live, /*cached=*/false);
   const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
   ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
-  ExpectSameAnswer(online->AnswerCached(winner.question, core::AnswerOptions{}),
-                   winner.answer, winner.question);
+  const std::string& q = winner.question;
+
+  // `answers` memoizes the answer on its own snapshot, and serves it to
+  // the live snapshot while nothing is written.
+  ExpectSameAnswer(answers->AnswerCached(q, core::AnswerOptions{}),
+                   winner.answer, q);
+  const uint64_t hits = answers->answer_cache_stats().hits;
+  ExpectSameAnswer(AnswerLive(*answers, live, q), winner.answer, q);
+  EXPECT_EQ(answers->answer_cache_stats().hits, hits + 1);
+  // `values` memoizes only V(e, p+) on its own snapshot, then the answer
+  // on the live snapshot.
+  ExpectSameAnswer(values->Answer(q), winner.answer, q);
+  ExpectSameAnswer(AnswerLive(*values, live, q), winner.answer, q);
+
+  ReplaceObjects(&live, base.NodeString(winner.entity),
+                 base.PredicateString(winner.path[0]), "rewritten value",
+                 /*object_is_literal=*/true);
+  const auto snapshot = live.Pin();
+  const core::AnswerResult want =
+      uncached->Answer(q, core::AnswerOptions{}, *snapshot);
+  EXPECT_EQ(want.value, "rewritten value") << q;
+  ExpectSameAnswer(answers->AnswerCached(q, core::AnswerOptions{}, *snapshot),
+                   want, q);
+  ExpectSameAnswer(values->AnswerCached(q, core::AnswerOptions{}, *snapshot),
+                   want, q);
+  // The engine's own snapshot still reads the unmutated base.
+  ExpectSameAnswer(answers->AnswerCached(q, core::AnswerOptions{}),
+                   winner.answer, q);
+}
+
+TEST_F(LiveEngineTest, EngineRefusesSnapshotsOfAMergedBase) {
+  // A merge publish folds the overlay into a new base and drops every
+  // subject stamp of the closed epoch, so a pre-merge entry re-validated
+  // against the new, empty overlay would look current. An engine answers
+  // only snapshots of the base it was built over, so it never gets there.
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto epoch0 = live.Pin();  // keeps the engine's base alive
+  const auto online = MakeLiveOnline(live, /*cached=*/true);
+  const Winner winner = FindStrictWinner(*online, /*hops=*/1);
+  ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
+  const std::string& q = winner.question;
+  ExpectSameAnswer(AnswerLive(*online, live, q), winner.answer, q);
 
   // Rewrite the winning fact without asking again, then merge.
   ReplaceObjects(&live, base.NodeString(winner.entity),
@@ -343,13 +393,21 @@ TEST_F(LiveEngineTest, DirectLiveEngineServesNoPreMergeEntryAfterMerge) {
                  /*object_is_literal=*/true);
   live.ForceMerge();
   ASSERT_EQ(live.epoch(), 1u);
-  ASSERT_TRUE(live.Pin()->overlay->empty());
-  ASSERT_TRUE(live.Pin()->overlay->subject_versions.empty());
+  const auto merged = live.Pin();
+  ASSERT_TRUE(merged->overlay->empty());
+  ASSERT_TRUE(merged->overlay->subject_versions.empty());
 
-  const core::AnswerResult after =
-      online->AnswerCached(winner.question, core::AnswerOptions{});
-  EXPECT_EQ(after.value, "post-merge value") << winner.question;
-  ExpectSameAnswer(after, uncached->Answer(winner.question), winner.question);
+  for (const core::AnswerResult& refused :
+       {online->AnswerCached(q, core::AnswerOptions{}, *merged),
+        online->Answer(q, core::AnswerOptions{}, *merged)}) {
+    EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition) << q;
+    EXPECT_FALSE(refused.answered) << q;
+    EXPECT_TRUE(refused.value.empty()) << q;
+    EXPECT_TRUE(refused.ranked.empty()) << q;
+  }
+  // An engine over the merged base answers it.
+  const auto fresh = MakeLiveOnline(live, /*cached=*/true);
+  EXPECT_EQ(AnswerLive(*fresh, live, q).value, "post-merge value") << q;
 }
 
 TEST_F(LiveEngineTest, MakeLiveEngineAnswersBenchmarkAfterBackgroundMerges) {
