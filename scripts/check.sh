@@ -22,8 +22,10 @@
 #                             # bench_serving --smoke with the exposition
 #                             # listener up, scrape /metricsz /statusz
 #                             # /slo /eventz live, schema-check a scraped
-#                             # wide event, then summarize the drained
-#                             # JSONL with scripts/trace_summarize.py
+#                             # wide event, require samples in the
+#                             # online.stage.ner_ns histogram, then
+#                             # summarize the drained JSONL with
+#                             # scripts/trace_summarize.py
 #   scripts/check.sh --fuzz-smoke
 #                             # deterministic fuzzing layer under ASan+UBSan:
 #                             # replay every committed corpus + regression

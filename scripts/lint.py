@@ -192,7 +192,7 @@ def check_cout(path, raw_lines, stripped_lines, findings):
 
 METRIC_CALL_RE = re.compile(
     r"(?:KBQA_COUNTER_ADD|KBQA_GAUGE_SET|KBQA_HISTOGRAM_RECORD"
-    r"|KBQA_TRACE_SPAN_SAMPLED|KBQA_TRACE_SPAN"
+    r"|KBQA_TRACE_SPAN"
     r"|GetCounter|GetGauge|GetHistogram)\s*\(\s*\"([^\"]*)\"\s*([+)re,])"
 )
 METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")

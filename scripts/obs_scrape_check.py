@@ -11,6 +11,10 @@ printed "exposition listening on 127.0.0.1:PORT". Verifies:
                load phases start shortly after the listener), then one
                event line is schema-checked against the DESIGN.md §8
                wide-event shape
+  stages     — /metricsz?format=json holds samples in the exact
+               online.stage.ner_ns histogram (bench_serving warms its
+               question pool through the server, so its answer-cache
+               misses run the stage clock)
 
 Usage: obs_scrape_check.py <port> [timeout_s]
 """
@@ -35,6 +39,14 @@ def fetch(port, path):
 def fail(msg):
     print(f"obs scrape: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def histogram_count(port, name):
+    metrics = json.loads(fetch(port, "/metricsz?format=json"))
+    for histogram in metrics.get("histograms", []):
+        if histogram["name"] == name:
+            return histogram["count"]
+    return 0
 
 
 def check_wide_event(line):
@@ -98,6 +110,14 @@ def main():
     print(f"obs scrape: /eventz OK ({len(lines)} events, last: trace "
           f"{event['trace_id']}, outcome {event['outcome']}, total "
           f"{event['total_ns']} ns)")
+
+    ner_samples = histogram_count(port, "online.stage.ner_ns")
+    while ner_samples <= 0 and time.monotonic() < deadline:
+        time.sleep(0.5)
+        ner_samples = histogram_count(port, "online.stage.ner_ns")
+    if ner_samples <= 0:
+        fail("/metricsz?format=json holds no online.stage.ner_ns samples")
+    print(f"obs scrape: online.stage.ner_ns OK ({ner_samples} samples)")
 
     # With load flowing, the serving metrics must be visible too.
     if "serve." not in fetch(port, "/metricsz"):

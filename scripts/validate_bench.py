@@ -176,7 +176,7 @@ def check_overhead(name, section):
 
 def validate_observability(doc):
     for key in ("hardware_threads", "answer_overhead", "wide_event_overhead",
-                "context_propagation", "coverage", "trace",
+                "context_propagation", "coverage",
                 "snapshot_json_round_trip", "batched_run"):
         require(key in doc, f"top-level {key} missing")
 
@@ -198,8 +198,8 @@ def validate_observability(doc):
             "context_propagation baseline is zero")
 
     coverage = doc["coverage"]
-    for key in ("span_answer_count", "value_cache_hits", "em_iterations",
-                "thread_pool_tasks"):
+    for key in ("stage_ner_count", "stage_ner_avg_us", "value_cache_hits",
+                "em_iterations", "thread_pool_tasks"):
         require(key in coverage, f"coverage.{key} missing")
         require(coverage[key] > 0, f"coverage.{key} is zero")
     require(doc["snapshot_json_round_trip"] is True,

@@ -293,7 +293,7 @@ Status EmLearner::Train(const corpus::QaCorpus& corpus, TemplateStore* store,
         ParallelFor(pool, m, num_shards,
                     [&](size_t shard, size_t begin, size_t end) {
                       const uint64_t t0 =
-                          obs::Enabled() ? obs::NowTicks() : 0;
+                          obs::Enabled() ? obs::NowSteadyNs() : 0;
                       std::vector<double>& local = shard_acc[shard];
                       local.assign(num_params, 0.0);
                       double ll = 0;
@@ -313,8 +313,7 @@ Status EmLearner::Train(const corpus::QaCorpus& corpus, TemplateStore* store,
                       }
                       shard_ll[shard] = ll;
                       if (obs::Enabled()) {
-                        shard_ns[shard] =
-                            obs::TicksToNanos(obs::NowTicks() - t0);
+                        shard_ns[shard] = obs::NowSteadyNs() - t0;
                         KBQA_HISTOGRAM_RECORD("em.e_step.shard_ns",
                                               shard_ns[shard]);
                       }

@@ -43,12 +43,9 @@ struct DeadlineGate {
   }
 };
 
-/// Stamps a deadline overrun on the result (idempotent) and drops a
-/// zero-length sampled span so collected traces show exactly where the
-/// request gave up.
+/// Stamps a deadline overrun on the result (idempotent).
 void MarkDeadlineExceeded(AnswerResult* result) {
   if (!result->status.ok()) return;
-  KBQA_TRACE_SPAN_SAMPLED("answer.deadline_exceeded");
   result->status = Status::DeadlineExceeded("answer deadline exceeded");
 }
 
@@ -72,16 +69,12 @@ void VisitTemplateCandidates(const taxonomy::Taxonomy& taxonomy,
       if (i < mention.begin || i >= mention.end) context.push_back(tokens[i]);
     }
     for (rdf::TermId entity : mention.entities) {
-      std::vector<taxonomy::ScoredCategory> categories;
-      {
-        KBQA_TRACE_SPAN_SAMPLED("answer.conceptualize");
-        // Chained marks: the walk fragment since the previous mark goes
-        // to template_match, the Conceptualize call itself to its own
-        // stage.
-        if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
-        categories = taxonomy.Conceptualize(entity, context);
-        if (ctx != nullptr) ctx->Mark(obs::WideStage::kConceptualize);
-      }
+      // Chained marks: the walk fragment since the previous mark goes to
+      // template_match, the Conceptualize call itself to its own stage.
+      if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
+      std::vector<taxonomy::ScoredCategory> categories =
+          taxonomy.Conceptualize(entity, context);
+      if (ctx != nullptr) ctx->Mark(obs::WideStage::kConceptualize);
       if (categories.size() > options.max_categories_per_entity) {
         categories.resize(options.max_categories_per_entity);
       }
@@ -200,7 +193,6 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
     const rdf::KbSnapshot& snapshot, rdf::TermId entity, rdf::PathId path,
     std::vector<rdf::TermId>* scratch, CacheTally* tally,
     obs::RequestContext* ctx) const {
-  KBQA_TRACE_SPAN_SAMPLED("answer.value_lookup");
   if (!options_.enable_value_cache) {
     *scratch =
         snapshot.ObjectsViaPath(entity, paths_->GetPath(path), tally->reads);
@@ -424,12 +416,6 @@ AnswerResult OnlineInference::AnswerTokensAt(
     const std::vector<std::string>& tokens,
     const AnswerOptions& answer_options, const rdf::KbSnapshot& snapshot,
     std::vector<rdf::TermId>* reads) const {
-  // All answer spans — including the whole-answer one — record only inside
-  // the 1-in-2^k detail windows opened here, keeping the steady-state cost
-  // to a few thread-local reads per question. The latency histograms are
-  // uniform samples; the counters flushed below stay exact.
-  KBQA_TRACE_DETAIL_WINDOW();
-  KBQA_TRACE_SPAN_SAMPLED("answer");
   obs::RequestContext* const ctx = answer_options.request_context;
   if (ctx != nullptr) ctx->kb_epoch = snapshot.epoch;
   CacheTally tally;
@@ -460,11 +446,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
     MarkDeadlineExceeded(&result);
     return result;
   }
-  std::vector<nlp::Mention> mentions;
-  {
-    KBQA_TRACE_SPAN_SAMPLED("answer.ner");
-    mentions = ner_->FindMentions(tokens);
-  }
+  std::vector<nlp::Mention> mentions = ner_->FindMentions(tokens);
   // Everything from the anchor through mention lookup — tokenization
   // happened upstream of AnswerTokens but after the anchor — is the NER
   // stage.
@@ -487,48 +469,44 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   std::unordered_map<rdf::TermId, ValueSupport> posterior;
   std::vector<rdf::TermId> scratch;
 
-  {
-    KBQA_TRACE_SPAN_SAMPLED("answer.template_match");
-    VisitTemplateCandidates(
-        *taxonomy_, *store_, options_, tokens, mentions, ctx,
-        [&](const nlp::Mention&, rdf::TermId entity, double p_t,
-            TemplateId t) {
+  VisitTemplateCandidates(
+      *taxonomy_, *store_, options_, tokens, mentions, ctx,
+      [&](const nlp::Mention&, rdf::TermId entity, double p_t,
+          TemplateId t) {
+        if (gate.Hit()) return false;
+        ++result.num_templates;
+        // Walk fragment since the last mark (store lookup, category
+        // iteration) belongs to template_match; the predicate loop
+        // below closes as the score stage.
+        if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
+        for (const PredicateProb& pp : store_->Distribution(t)) {
+          if (pp.probability < options_.min_predicate_prob) continue;
           if (gate.Hit()) return false;
-          ++result.num_templates;
-          KBQA_TRACE_SPAN_SAMPLED("answer.score");
-          // Walk fragment since the last mark (store lookup, category
-          // iteration) belongs to template_match; the predicate loop
-          // below closes as the score stage.
-          if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
-          for (const PredicateProb& pp : store_->Distribution(t)) {
-            if (pp.probability < options_.min_predicate_prob) continue;
-            if (gate.Hit()) return false;
-            ++result.num_predicates;
-            const std::vector<rdf::TermId>& values =
-                CachedObjects(snapshot, entity, pp.path, &scratch, tally, ctx);
-            if (values.empty()) continue;
-            const double p_v = 1.0 / static_cast<double>(values.size());
-            ++result.num_grounded_predicates;
-            result.num_values += values.size();
-            const double term = p_e * p_t * pp.probability * p_v;
-            for (rdf::TermId v : values) {
-              ValueSupport& support = posterior[v];
-              support.score += term;
-              if (term > support.best_term) {
-                support.best_term = term;
-                support.best_template = t;
-                support.best_path = pp.path;
-                support.best_entity = entity;
-              }
+          ++result.num_predicates;
+          const std::vector<rdf::TermId>& values =
+              CachedObjects(snapshot, entity, pp.path, &scratch, tally, ctx);
+          if (values.empty()) continue;
+          const double p_v = 1.0 / static_cast<double>(values.size());
+          ++result.num_grounded_predicates;
+          result.num_values += values.size();
+          const double term = p_e * p_t * pp.probability * p_v;
+          for (rdf::TermId v : values) {
+            ValueSupport& support = posterior[v];
+            support.score += term;
+            if (term > support.best_term) {
+              support.best_term = term;
+              support.best_template = t;
+              support.best_path = pp.path;
+              support.best_entity = entity;
             }
           }
-          if (ctx != nullptr) ctx->Mark(obs::WideStage::kScore);
-          return true;
-        });
-    // Close the candidate walk: whatever ran since the last inner mark
-    // (or a deadline-aborted score fragment) is template_match time.
-    if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
-  }
+        }
+        if (ctx != nullptr) ctx->Mark(obs::WideStage::kScore);
+        return true;
+      });
+  // Close the candidate walk: whatever ran since the last inner mark
+  // (or a deadline-aborted score fragment) is template_match time.
+  if (ctx != nullptr) ctx->Mark(obs::WideStage::kTemplateMatch);
   // A deadline hit stops candidate enumeration but still ranks whatever
   // the posterior accumulated: the caller gets the best partial answer
   // (or an empty one), flagged by `status`, instead of a stalled thread.
@@ -536,7 +514,6 @@ AnswerResult OnlineInference::AnswerTokensImpl(
 
   if (posterior.empty()) return result;
 
-  KBQA_TRACE_SPAN_SAMPLED("answer.rank");
   result.ranked.reserve(posterior.size());
   for (const auto& [v, support] : posterior) {
     result.ranked.push_back(AnswerCandidate{v, support.score,

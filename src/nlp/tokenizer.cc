@@ -220,17 +220,13 @@ std::vector<std::string> SplitTokens(std::string_view canonical) {
 }
 
 std::string NormalizeText(std::string_view text) {
-  std::string out;
-  AppendNormalizedText(text, &out);
-  return out;
-}
-
-void AppendNormalizedText(std::string_view text, std::string* out) {
   // Canonical text is never longer than its input: lowercasing never
   // lengthens a character, every separating space replaces at least one
   // separator byte, and a split possessive "'s" becomes " s".
-  out->reserve(out->size() + text.size());
-  AppendWords(text, /*split_possessives=*/true, out);
+  std::string out;
+  out.reserve(text.size());
+  AppendWords(text, /*split_possessives=*/true, &out);
+  return out;
 }
 
 }  // namespace kbqa::nlp

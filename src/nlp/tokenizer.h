@@ -40,10 +40,6 @@ std::vector<std::string> SplitTokens(std::string_view canonical);
 /// result. Idempotent: normalizing canonical text returns it unchanged.
 std::string NormalizeText(std::string_view text);
 
-/// NormalizeText(text) appended to `*out` — lets a caller build a cache
-/// key around the canonical text without a second buffer.
-void AppendNormalizedText(std::string_view text, std::string* out);
-
 }  // namespace kbqa::nlp
 
 #endif  // KBQA_NLP_TOKENIZER_H_

@@ -1,12 +1,10 @@
 #include "obs/metrics.h"
 
 #include <cctype>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 namespace kbqa::obs {
 
@@ -19,34 +17,6 @@ uint32_t AssignThreadShard() {
 }
 
 }  // namespace internal
-
-double NanosPerTick() {
-#ifndef KBQA_OBS_HAS_TSC
-  return 1.0;
-#else
-  // One-time calibration against steady_clock over a ~2ms window, which
-  // bounds the ratio error well under 1% on any invariant-TSC machine.
-  // Thread-safe via the static-init guard; concurrent first callers block
-  // behind the one doing the sleep.
-  static const double kNanosPerTick = [] {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
-    const uint64_t c0 = NowTicks();
-    Clock::time_point t1;
-    do {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      t1 = Clock::now();
-    } while (t1 - t0 < std::chrono::milliseconds(2));
-    const uint64_t c1 = NowTicks();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    const double ticks = static_cast<double>(c1 - c0);
-    return ticks > 0 ? ns / ticks : 1.0;
-  }();
-  return kNanosPerTick;
-#endif
-}
 
 uint64_t Histogram::Count() const {
   uint64_t total = 0;

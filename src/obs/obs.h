@@ -20,8 +20,6 @@
 #define KBQA_GAUGE_SET(name, v) static_cast<void>(0)
 #define KBQA_HISTOGRAM_RECORD(name, v) static_cast<void>(0)
 #define KBQA_TRACE_SPAN(name) static_cast<void>(0)
-#define KBQA_TRACE_SPAN_SAMPLED(name) static_cast<void>(0)
-#define KBQA_TRACE_DETAIL_WINDOW() static_cast<void>(0)
 
 #else
 
@@ -49,31 +47,16 @@
     kbqa_obs_histogram->Record(static_cast<uint64_t>(v));                \
   } while (0)
 
-#define KBQA_TRACE_SPAN_IMPL(name, sampled, guard, line)                 \
-  static const ::kbqa::obs::SpanSite KBQA_OBS_CONCAT(kbqa_obs_site_,     \
-                                                     line){name,         \
-                                                           sampled};     \
-  const ::kbqa::obs::guard KBQA_OBS_CONCAT(kbqa_obs_span_, line)(        \
-      &KBQA_OBS_CONCAT(kbqa_obs_site_, line))
-
-/// Scoped trace span: records elapsed ns into histogram "span.<name>" on
-/// scope exit and emits a trace event while Tracing is active. Use for
-/// coarse stages (whole Answer, EM iterations, BFS rounds).
-#define KBQA_TRACE_SPAN(name) \
-  KBQA_TRACE_SPAN_IMPL(name, false, SpanGuard, __LINE__)
-
-/// As KBQA_TRACE_SPAN but recorded only inside a firing detail window
-/// (KBQA_TRACE_DETAIL_WINDOW) — for stages entered many times per answer.
-/// Outside a firing window the cost is one thread-local load and branch.
-#define KBQA_TRACE_SPAN_SAMPLED(name) \
-  KBQA_TRACE_SPAN_IMPL(name, true, SampledSpanGuard, __LINE__)
-
-/// Opens a scoped sampling window for one request-shaped unit of work:
-/// 1 in 2^Tracing::sample_shift() windows fire, and sampled spans inside
-/// a firing window all record (coherent per-request stage breakdowns).
-#define KBQA_TRACE_DETAIL_WINDOW()                                       \
-  const ::kbqa::obs::DetailWindow KBQA_OBS_CONCAT(kbqa_obs_window_,      \
-                                                  __LINE__)
+/// Scoped span timer: records the scope's elapsed steady-clock ns into
+/// histogram "span.<name>" on exit (`name` is a string literal). Use for
+/// coarse offline phases (Train, EM iterations, BFS rounds, pool tasks);
+/// an answer's stages are timed by its RequestContext (obs/wide_event.h).
+#define KBQA_TRACE_SPAN(name)                                            \
+  static ::kbqa::obs::Histogram* const KBQA_OBS_CONCAT(                  \
+      kbqa_obs_span_histogram_, __LINE__) =                              \
+      ::kbqa::obs::MetricsRegistry::Global().GetHistogram("span." name); \
+  const ::kbqa::obs::SpanGuard KBQA_OBS_CONCAT(kbqa_obs_span_, __LINE__)( \
+      KBQA_OBS_CONCAT(kbqa_obs_span_histogram_, __LINE__))
 
 #endif  // KBQA_OBS_DISABLED
 

@@ -25,11 +25,10 @@ constexpr const char* kOutcomeNames[kWideOutcomeCount] = {
 // ---- ring slot packing -------------------------------------------------
 //
 // A WideEvent flattens into a fixed array of uint64 words so a ring slot
-// can be per-field atomic (the same torn-row-tolerant discipline as the
-// trace ring, see trace.cc). Word 0 is the slot's sequence tag: the
-// monotone event index + 1, written before the payload; a reader that
-// copies a slot and then sees a different tag knows the writer lapped it
-// mid-copy and skips the row.
+// can be per-field atomic: a read that overlaps a write reads defined
+// values. Word 0 is the slot's sequence tag: the monotone event index + 1,
+// written before the payload; a reader that copies a slot and then sees a
+// different tag knows the writer lapped it mid-copy and skips the row.
 
 constexpr size_t kSlotWords = 22;
 

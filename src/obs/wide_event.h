@@ -18,7 +18,6 @@
 /// steady_clock, the stage sum can never exceed the measured service time.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -63,16 +62,6 @@ struct StageRecord {
   uint32_t count = 0;
 };
 
-/// Steady-clock nanoseconds (the stage clock's time base — the same clock
-/// the server uses for queue/service accounting, so cross-layer sums and
-/// comparisons are exact rather than calibration-skewed).
-inline uint64_t NowSteadyNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Per-request telemetry context. Created at admission, carried by value
 /// with the request, stamped by each layer it passes through. Not
 /// thread-safe: exactly one thread touches it at a time (submitter, then
@@ -90,8 +79,8 @@ struct RequestContext {
   uint32_t answer_cache_hits = 0;
   uint32_t answer_cache_misses = 0;
 
-  /// KB epoch the answer was computed against (0 for a frozen KB; the
-  /// pinned snapshot's epoch in live-mutation mode — see DESIGN.md §10).
+  /// Epoch of the KB snapshot the answer read (DESIGN.md §10): 0 for an
+  /// engine's own base, one more per merge a live engine has published.
   uint64_t kb_epoch = 0;
 
   uint64_t last_mark_ns = 0;  // chained stage-clock anchor
@@ -154,7 +143,7 @@ struct WideEvent {
   uint32_t answer_cache_hits = 0;
   uint32_t answer_cache_misses = 0;
 
-  /// KB epoch the answer was computed against (0 = frozen KB).
+  /// Epoch of the KB snapshot the answer read (see RequestContext).
   uint64_t kb_epoch = 0;
 
   uint64_t StageNsSum() const {
@@ -172,9 +161,9 @@ struct WideEvent {
 };
 
 /// Process-wide wide-event sink: per-thread rings of per-field-atomic
-/// slots (same discipline as the trace ring — owning thread writes fields
-/// relaxed then release-publishes a monotone count; readers acquire the
-/// count and skip rows whose sequence tag shows the writer lapped them).
+/// slots (the owning thread writes fields relaxed then release-publishes a
+/// monotone count; readers acquire the count and skip rows whose sequence
+/// tag shows the writer lapped them).
 /// All methods are static; state is a leaked singleton.
 class WideEvents {
  public:

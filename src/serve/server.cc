@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,6 +50,28 @@ obs::WideEvent BaseEvent(const obs::RequestContext& ctx,
   event.has_deadline = has_deadline;
   event.question_bytes = static_cast<uint32_t>(question_bytes);
   return event;
+}
+
+/// Folds a served request's stage vector into the per-stage histograms
+/// "online.stage.<stage>_ns": one sample for each stage the request
+/// entered. They count every request whose context was bound, including
+/// the ones whose wide event the ring overwrites before a drain.
+void RecordStageHistograms(const obs::RequestContext& ctx) {
+  if (!obs::Enabled()) return;
+  static const std::array<obs::Histogram*, obs::kWideStageCount> histograms =
+      [] {
+        std::array<obs::Histogram*, obs::kWideStageCount> h{};
+        obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+        for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+          const std::string stage = obs::WideStageName(s);
+          h[s] = registry.GetHistogram("online.stage." + stage + "_ns");
+        }
+        return h;
+      }();
+  for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+    const obs::StageRecord& record = ctx.stages[s];
+    if (record.count > 0) histograms[s]->Record(record.ns);
+  }
 }
 
 ServingOptions Sanitize(ServingOptions options) {
@@ -322,6 +346,7 @@ void Server::ServeTake(std::vector<Request>* take) {
       event.deadline_budget_ns =
           BudgetNsAt(request.options.deadline, ToNs(take_time));
       event.StampFrom(request.ctx);
+      RecordStageHistograms(request.ctx);
       obs::WideEvents::Record(event);
     }
     request.done(std::move(response));

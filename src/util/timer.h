@@ -35,9 +35,9 @@ class Timer {
 
 /// RAII phase timer: reports the scope's elapsed nanoseconds into a
 /// registry histogram on destruction, optionally printing a "[label]
-/// 12.3s" line as well. The coarse (steady_clock, multi-millisecond)
-/// sibling of KBQA_TRACE_SPAN — use it for offline phases and bench
-/// setup, where a name lookup per scope is noise.
+/// 12.3s" line as well. The printing, multi-millisecond sibling of
+/// KBQA_TRACE_SPAN — use it for offline phases and bench setup, where a
+/// name lookup per scope is noise.
 class ScopedTimer {
  public:
   /// Reports into Global()'s histogram `histogram_name`.

@@ -53,10 +53,7 @@ TEST(TokenizerTest, NormalizeTextIsCanonical) {
   EXPECT_EQ(NormalizeText("390,000"), "390 000");
   EXPECT_EQ(SplitTokens(NormalizeText("  Who IS Barack Obama's wife? ")),
             TokenizeQuestion("  Who IS Barack Obama's wife? "));
-  // Appending builds a key around the canonical text in one buffer.
-  std::string key = "e3\n";
-  AppendNormalizedText("Who IS it?", &key);
-  EXPECT_EQ(key, "e3\nwho is it");
+  EXPECT_EQ(NormalizeText("Who IS it?"), "who is it");
 }
 
 TEST(TokenizerTest, StackedPossessivesNormalizeIdempotently) {

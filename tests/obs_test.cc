@@ -1,12 +1,10 @@
 // Tests for the observability substrate: sharded-metric determinism,
-// histogram bucket math, snapshot JSON round-trips, trace export, span
-// sampling, and the runtime kill switch.
+// histogram bucket math, snapshot JSON round-trips, span timers, and the
+// runtime kill switch.
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -270,127 +268,21 @@ TEST(TracingTest, MacrosCompiledOut) {
 
 #else  // !KBQA_OBS_DISABLED
 
-// Extracts the "name" values from a Chrome trace-event JSON document, in
-// document order.
-std::vector<std::string> EventNames(const std::string& json) {
-  std::vector<std::string> names;
-  const std::string key = "\"name\": \"";
-  for (size_t pos = json.find(key); pos != std::string::npos;
-       pos = json.find(key, pos)) {
-    pos += key.size();
-    const size_t end = json.find('"', pos);
-    names.push_back(json.substr(pos, end - pos));
-    pos = end;
-  }
-  return names;
-}
-
-// Golden structure of a single-threaded trace: events sorted by begin
-// time, so nesting order is exactly the source order of span entry.
-TEST(TracingTest, ChromeTraceGoldenStructure) {
+// A span scope feeds exactly one sample into its "span.<name>" histogram.
+TEST(TracingTest, SpanScopeAddsOneHistogramSample) {
   obs::MetricsRegistry::set_enabled(true);
-  obs::Tracing::Start();
-  {
-    KBQA_TRACE_SPAN("golden.outer");
-    KBQA_TRACE_DETAIL_WINDOW();  // fires unconditionally while tracing
-    { KBQA_TRACE_SPAN("golden.inner"); }
-    { KBQA_TRACE_SPAN_SAMPLED("golden.sampled"); }
-  }
-  obs::Tracing::Stop();
-  EXPECT_EQ(obs::Tracing::CollectedEvents(), 3u);
-
-  std::ostringstream os;
-  obs::Tracing::ExportChromeTrace(os);
-  const std::string json = os.str();
-
-  EXPECT_EQ(EventNames(json),
-            (std::vector<std::string>{"golden.outer", "golden.inner",
-                                      "golden.sampled"}));
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"kbqa\""), std::string::npos);
-  EXPECT_NE(json.find("\"droppedEvents\": 0"), std::string::npos);
-
-  // The spans also fed their histograms in the global registry.
-  obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  for (const char* name :
-       {"span.golden.outer", "span.golden.inner", "span.golden.sampled"}) {
-    const auto* h = snap.histogram(name);
-    ASSERT_NE(h, nullptr) << name;
-    EXPECT_GE(h->count, 1u) << name;
-  }
-}
-
-// Regression for the export-during-recording race: ExportChromeTrace may
-// overlap live span recording (an operator can dump a trace mid-request).
-// The ring slots are individually atomic, so a concurrent export must
-// produce well-formed JSON — possibly missing the in-flight row, never a
-// torn or broken one — and a quiescent export after Stop() is exact.
-TEST(TracingTest, ExportWhileRecordingIsWellFormed) {
-  obs::MetricsRegistry::set_enabled(true);
-  obs::Tracing::Start();
-  constexpr size_t kSpans = 5000;  // < ring capacity: nothing overwritten
-  std::atomic<bool> writer_done{false};
-  std::thread writer([&] {
-    for (size_t i = 0; i < kSpans; ++i) {
-      KBQA_TRACE_SPAN("live.span");
-    }
-    writer_done.store(true, std::memory_order_release);
-  });
-  do {
-    std::ostringstream os;
-    obs::Tracing::ExportChromeTrace(os);
-    const std::string json = os.str();
-    ASSERT_NE(json.find("\"traceEvents\": ["), std::string::npos);
-    ASSERT_EQ(json.back(), '\n');
-    // Every emitted row is complete: a torn slot is skipped, not mangled.
-    for (const std::string& name : EventNames(json)) {
-      ASSERT_EQ(name, "live.span");
-    }
-  } while (!writer_done.load(std::memory_order_acquire));
-  writer.join();
-  obs::Tracing::Stop();
-
-  // Quiescent export is exact: every recorded span, none lost or torn.
-  EXPECT_EQ(obs::Tracing::CollectedEvents(), kSpans);
-  std::ostringstream os;
-  obs::Tracing::ExportChromeTrace(os);
-  EXPECT_EQ(EventNames(os.str()).size(), kSpans);
-}
-
-TEST(TracingTest, SampledSpansRecordOnlyInFiringDetailWindows) {
-  ASSERT_FALSE(obs::Tracing::active());
-  obs::MetricsRegistry::set_enabled(true);
-  obs::MetricsRegistry::Global().GetHistogram("span.sampling.probe")->Reset();
-
-  // Outside any detail window a sampled site never records.
-  for (int i = 0; i < 100; ++i) {
-    KBQA_TRACE_SPAN_SAMPLED("sampling.probe");
-  }
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetHistogram("span.sampling.probe")
-                ->Count(),
-            0u);
-
-  const unsigned old_shift = obs::Tracing::sample_shift();
-  // 1 in 4 windows fire; SetSampleShift resets this thread's countdown,
-  // so the count over 400 request-shaped iterations is exact.
-  obs::Tracing::SetSampleShift(2);
-  for (int i = 0; i < 400; ++i) {
-    obs::DetailWindow window;
-    KBQA_TRACE_SPAN_SAMPLED("sampling.probe");
-  }
-  obs::Tracing::SetSampleShift(old_shift);
-  EXPECT_EQ(obs::MetricsRegistry::Global()
-                .GetHistogram("span.sampling.probe")
-                ->Count(),
-            100u);
+  obs::Histogram* const histogram =
+      obs::MetricsRegistry::Global().GetHistogram("span.golden.outer");
+  const uint64_t before = histogram->Count();
+  { KBQA_TRACE_SPAN("golden.outer"); }
+  EXPECT_EQ(histogram->Count(), before + 1);
 }
 
 TEST(TracingTest, WriteSpanSummaryListsTopSpans) {
   obs::MetricsRegistry::set_enabled(true);
   { KBQA_TRACE_SPAN("summary.span"); }
   std::ostringstream os;
-  obs::Tracing::WriteSpanSummary(os, 100);
+  obs::WriteSpanSummary(os, 100);
   EXPECT_NE(os.str().find("summary.span"), std::string::npos);
 }
 

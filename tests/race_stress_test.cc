@@ -2,7 +2,7 @@
 // under ThreadSanitizer (cmake -DTSAN=ON; scripts/check.sh --tsan). The
 // assertions matter in every configuration, but the real gate is TSan
 // proving the synchronization: each test drives genuinely concurrent
-// access — pool scheduling, sharded LRU mutation, metric shards, trace
+// access — pool scheduling, sharded LRU mutation, metric shards, wide-event
 // rings, one engine answering from many threads, parallel Freeze/Build —
 // so a missing happens-before edge anywhere in those paths becomes a CI
 // failure instead of a corrupted answer in production.
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,8 +21,6 @@
 #include "corpus/qa_generator.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
-#include "obs/trace.h"
 #include "obs/wide_event.h"
 #include "core/live_engine.h"
 #include "rdf/expanded_predicate.h"
@@ -120,7 +117,7 @@ TEST(RaceStressTest, LruCacheConcurrentMixedOperations) {
   EXPECT_GT(hits.load(), 0u);
 }
 
-// ---------- MetricsRegistry / trace rings ----------
+// ---------- MetricsRegistry / wide-event rings ----------
 
 TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   obs::MetricsRegistry registry;
@@ -155,35 +152,35 @@ TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   EXPECT_EQ(histogram->Count(), 4u * 10000u);
 }
 
-void RecordOneSpan() {
-  KBQA_TRACE_SPAN("race.span");
-}
-
-TEST(RaceStressTest, TraceRingsConcurrentRecordAndExport) {
-  obs::Tracing::Start();
+TEST(RaceStressTest, WideEventRingsConcurrentRecordAndRecent) {
+  obs::WideEvents::ResetForTest();
   std::atomic<bool> done{false};
-  // Exporting while recording is allowed to observe torn/stale rows but
-  // must be free of data races (ring slots are atomics) and well-formed.
-  std::thread exporter([&] {
+  // The /eventz view reads rings while their owners record. Slots are
+  // per-field atomics, so the overlap must be free of data races.
+  std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      std::ostringstream os;
-      obs::Tracing::ExportChromeTrace(os);
-      ASSERT_FALSE(os.str().empty());
-      (void)obs::Tracing::CollectedEvents();
+      for (const obs::WideEvent& e : obs::WideEvents::Recent(64)) {
+        ASSERT_GT(e.trace_id, 0u);
+      }
     }
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([] {
-      for (int i = 0; i < 5000; ++i) RecordOneSpan();
+      obs::WideEvent e;
+      for (uint64_t i = 1; i <= 5000; ++i) {
+        e.trace_id = i;
+        obs::WideEvents::Record(e);
+      }
     });
   }
   for (auto& th : writers) th.join();
   done.store(true, std::memory_order_release);
-  exporter.join();
-  obs::Tracing::Stop();
-  // Quiescent export sees every surviving event (rings hold 2^14 each).
-  EXPECT_GE(obs::Tracing::CollectedEvents(), 4u * 5000u);
+  reader.join();
+  EXPECT_EQ(obs::WideEvents::TotalRecorded(), 4u * 5000u);
+  // Each writer's ring keeps its newest kRingCapacity rows.
+  EXPECT_EQ(obs::WideEvents::Drain().size(),
+            4 * obs::WideEvents::kRingCapacity);
 }
 
 // ---------- Parallel RDF substrate ----------

@@ -44,6 +44,12 @@ uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
   return counter == nullptr ? 0 : counter->value;
 }
 
+uint64_t HistogramCount(const obs::MetricsSnapshot& snapshot,
+                        std::string_view name) {
+  const auto* histogram = snapshot.histogram(name);
+  return histogram == nullptr ? 0 : histogram->count;
+}
+
 obs::MetricsSnapshot GlobalSnapshot() {
   return obs::MetricsRegistry::Global().Snapshot();
 }
@@ -532,6 +538,72 @@ TEST(WideEventServeTest, SamplePeriodZeroSuppressesAllEvents) {
   EXPECT_TRUE(server.Answer("q").result.status.ok());
   EXPECT_TRUE(obs::WideEvents::Drain().empty());
   obs::WideEvents::SetSamplePeriod(1);
+}
+
+/// Samples each online.stage.*_ns histogram gained between two snapshots,
+/// in WideStage order.
+std::vector<uint64_t> StageSamplesAdded(const obs::MetricsSnapshot& before,
+                                        const obs::MetricsSnapshot& after) {
+  std::vector<uint64_t> added;
+  for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+    const std::string name =
+        std::string("online.stage.") + obs::WideStageName(s) + "_ns";
+    added.push_back(HistogramCount(after, name) -
+                    HistogramCount(before, name));
+  }
+  return added;
+}
+
+// The stage histograms take one sample per stage each served request
+// entered, so they stay exact past the point where the worker's wide-event
+// ring has overwritten its oldest rows.
+TEST(StageHistogramServeTest, CountsEveryServedRequestPastTheRing) {
+  obs::MetricsRegistry::set_enabled(true);
+  obs::WideEvents::ResetForTest();
+  constexpr size_t kRequests = obs::WideEvents::kRingCapacity + 512;
+  ServingOptions options;
+  options.num_workers = 1;
+  const obs::MetricsSnapshot before = GlobalSnapshot();
+  {
+    Server server(
+        [](const std::string& question,
+           const core::AnswerOptions& answer_options) {
+          obs::RequestContext* const ctx = answer_options.request_context;
+          if (ctx != nullptr) {
+            ctx->Mark(obs::WideStage::kNer);
+            ctx->Mark(obs::WideStage::kTemplateMatch);
+            ctx->Mark(obs::WideStage::kRank);
+          }
+          return EchoResult(question);
+        },
+        options);
+    for (size_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(server.Answer("q").result.status.ok());
+    }
+  }
+  EXPECT_EQ(StageSamplesAdded(before, GlobalSnapshot()),
+            (std::vector<uint64_t>{kRequests, 0, kRequests, 0, 0, kRequests}));
+  EXPECT_LE(obs::WideEvents::Drain().size(),
+            obs::WideEvents::kRingCapacity);
+}
+
+TEST(StageHistogramServeTest, RequestThatEntersNoStageAddsNoSample) {
+  obs::MetricsRegistry::set_enabled(true);
+  obs::WideEvents::ResetForTest();
+  const obs::MetricsSnapshot before = GlobalSnapshot();
+  {
+    Server server(
+        [](const std::string& question, const core::AnswerOptions&) {
+          return EchoResult(question);
+        },
+        ServingOptions{});
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(server.Answer("q").result.status.ok());
+    }
+  }
+  EXPECT_EQ(StageSamplesAdded(before, GlobalSnapshot()),
+            std::vector<uint64_t>(obs::kWideStageCount, 0));
+  EXPECT_EQ(obs::WideEvents::Drain().size(), 16u);
 }
 
 TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
