@@ -45,10 +45,6 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-double Min(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 /// One timed arm: a single sweep over the questions, returning ns per
 /// Answer call.
 double TimeAnswerPass(const core::KbqaSystem& kbqa,
@@ -115,7 +111,7 @@ int main() {
   // Warm-up fills the value cache so both arms measure the steady state,
   // and calibrates the pass count to give each timed arm >= ~50ms (the
   // per-answer path is microseconds; short arms would be pure timer noise).
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   for (const std::string& q : questions) (void)kbqa.Answer(q);
 
   // Paired design at single-pass granularity: each pair times one pass
@@ -135,21 +131,21 @@ int main() {
   for (int pair = 0; pair < kPairs; ++pair) {
     double e = 0, d = 0;
     if (pair % 2 == 0) {
-      obs::MetricsRegistry::set_enabled(true);
+      obs::SetEnabled(true);
       e = TimeAnswerPass(kbqa, questions, &answered);
-      obs::MetricsRegistry::set_enabled(false);
+      obs::SetEnabled(false);
       d = TimeAnswerPass(kbqa, questions, &answered);
     } else {
-      obs::MetricsRegistry::set_enabled(false);
+      obs::SetEnabled(false);
       d = TimeAnswerPass(kbqa, questions, &answered);
-      obs::MetricsRegistry::set_enabled(true);
+      obs::SetEnabled(true);
       e = TimeAnswerPass(kbqa, questions, &answered);
     }
     enabled_ns.push_back(e);
     disabled_ns.push_back(d);
     diff_ns.push_back(e - d);
   }
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   Check(answered > 0, "answer passes produced answers");
 
   const double med_diff = Median(diff_ns);
@@ -169,6 +165,11 @@ int main() {
   // period 0 reduces Sample() to a relaxed load and skips everything
   // downstream. Same paired interleaved single-pass design as the registry
   // A/B above — this box drifts too much for aggregate arm comparisons.
+  // One through-server request waits on two thread wake-ups, so a pass's
+  // per-request difference spreads about ±7 µs (p10/p90) on a ~24 µs
+  // request. The median of n such differences has a standard error of
+  // about 1.25 * sigma / sqrt(n): 0.5 µs (2% of the request, the whole
+  // budget) at 200 pairs, about 0.13 µs at 3,000.
   core::OnlineInference::Options engine_opts = kbqa.options().online;
   engine_opts.enable_answer_cache = true;
   engine_opts.answer_cache_budget_bytes = 64ull << 20;
@@ -178,6 +179,7 @@ int main() {
       &kbqa.template_store(), &kbqa.expanded_kb().paths(), engine_opts);
   const uint64_t wide_recorded_before = obs::WideEvents::TotalRecorded();
   std::vector<double> sampled_ns, unsampled_ns, wide_diff_ns;
+  const Timer wide_section;
   {
     serve::ServingOptions serve_options;
     serve_options.num_workers = 2;
@@ -188,7 +190,7 @@ int main() {
     obs::WideEvents::SetSamplePeriod(1);
     size_t completed = 0;
     (void)TimeServerPass(*server, questions, &completed);
-    const int kWidePairs = 200;
+    const int kWidePairs = 3000;
     sampled_ns.reserve(kWidePairs);
     unsampled_ns.reserve(kWidePairs);
     wide_diff_ns.reserve(kWidePairs);
@@ -221,9 +223,10 @@ int main() {
   const double wide_overhead_pct = wide_med_diff / wide_base_ns * 100.0;
   std::printf(
       "[wide events] through-server: median paired diff %+.0f ns on a "
-      "%.0f ns/request baseline -> %.2f%% at 1-in-1 sampling (%" PRIu64
-      " events recorded)\n",
-      wide_med_diff, wide_base_ns, wide_overhead_pct, wide_events_recorded);
+      "%.0f ns/request baseline -> %.2f%% at 1-in-1 sampling (%zu pairs, "
+      "%" PRIu64 " events recorded, %.1f s)\n",
+      wide_med_diff, wide_base_ns, wide_overhead_pct, wide_diff_ns.size(),
+      wide_events_recorded, wide_section.ElapsedSeconds());
   Check(wide_overhead_pct < 2.0, "wide-event overhead under 2%");
 
   // ---- Context-propagation delta on the bare engine ----

@@ -507,13 +507,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- Wide-event drain + SLO evaluation. All phases recorded into the
-  // same process-wide rings; the drain consumes them (the exposition's
+  // one process-wide ring; the drain consumes it (the exposition's
   // /eventz view is non-consuming, so a live scrape saw the same rows). ----
   const std::vector<obs::WideEvent> wide_events = obs::WideEvents::Drain();
   const uint64_t wide_recorded = obs::WideEvents::TotalRecorded();
   const uint64_t wide_dropped = obs::WideEvents::Dropped();
   std::printf("[obs] wide events: %" PRIu64 " recorded, %zu drained, %" PRIu64
-              " overwritten before drain (ring %zu/thread, sample 1-in-%u)\n",
+              " overwritten before drain (ring %zu rows, sample 1-in-%u)\n",
               wide_recorded, wide_events.size(), wide_dropped,
               obs::WideEvents::kRingCapacity, obs::WideEvents::SamplePeriod());
   if (!args.obs_events.empty()) {

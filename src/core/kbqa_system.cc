@@ -69,16 +69,14 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
   BuildAnswering();
 
   // 5. Complex-question machinery (§5).
-  if (options_.enable_complex_questions) {
-    pattern_index_.emplace(nlp::PatternIndex::Build(pattern_questions));
-    const OnlineInference* online = online_.get();
-    decomposer_ = std::make_unique<ComplexDecomposer>(
-        &*pattern_index_,
-        [online](const std::vector<std::string>& tokens) {
-          return online->IsPrimitiveBfq(tokens);
-        },
-        options_.decomposition);
-  }
+  pattern_index_.emplace(nlp::PatternIndex::Build(pattern_questions));
+  const OnlineInference* online = online_.get();
+  decomposer_ = std::make_unique<ComplexDecomposer>(
+      &*pattern_index_,
+      [online](const std::vector<std::string>& tokens) {
+        return online->IsPrimitiveBfq(tokens);
+      },
+      options_.decomposition);
   return Status::Ok();
 }
 
@@ -104,7 +102,7 @@ Status KbqaSystem::LoadModel(const std::string& path) {
       std::move(loaded.value().paths));
   BuildAnswering();
   // The decomposer (if any) belongs to a previous training run whose path
-  // ids no longer match; drop it.
+  // ids no longer match; drop it. AnswerComplex then answers directly.
   decomposer_.reset();
   pattern_index_.reset();
   return Status::Ok();
@@ -147,16 +145,11 @@ ComplexAnswer KbqaSystem::AnswerComplex(const std::string& question) const {
   if (online_ == nullptr) return out;
   std::vector<std::string> tokens = nlp::TokenizeQuestion(question);
 
-  if (decomposer_ == nullptr) {
-    out.answer = online_->AnswerTokens(tokens);
-    out.sequence = {nlp::JoinTokens(tokens)};
-    out.decomposition_probability = out.answer.answered ? 1.0 : 0.0;
-    return out;
-  }
-
-  Decomposition decomposition = decomposer_->Decompose(tokens);
+  Decomposition decomposition;
+  if (decomposer_ != nullptr) decomposition = decomposer_->Decompose(tokens);
   if (decomposition.sequence.empty()) {
-    // No valid decomposition: fall back to direct BFQ answering.
+    // No decomposer (a restored model) or no valid decomposition: fall
+    // back to direct BFQ answering.
     out.answer = online_->AnswerTokens(tokens);
     out.sequence = {nlp::JoinTokens(tokens)};
     out.decomposition_probability = out.answer.answered ? 1.0 : 0.0;

@@ -33,9 +33,6 @@ struct KbqaOptions {
   OnlineInference::Options online;
   EvExtractor::Options ev;
   ComplexDecomposer::Options decomposition;
-  /// Build the corpus pattern index / decomposer during Train (disable to
-  /// measure the BFQ-only pipeline).
-  bool enable_complex_questions = true;
 };
 
 /// The result of answering a (possibly complex) question: the final answer

@@ -61,11 +61,10 @@ inline std::atomic<bool> g_enabled{true};
 
 }  // namespace internal
 
-/// Process-wide runtime kill switch (also settable via the
-/// KBQA_OBS_DISABLED *environment variable*, read at registry creation).
-/// Counters/gauges/histograms ignore updates while disabled — the
-/// single-binary arm of the overhead A/B; the compile-time define is the
-/// zero-cost arm.
+/// The layer's one runtime switch, process-wide. While it is off,
+/// counters/gauges/histograms ignore updates and no wide event is sampled —
+/// the single-binary arm of the overhead A/B; the compile-time define is
+/// the zero-cost arm.
 inline bool RuntimeEnabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
@@ -277,9 +276,6 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
   /// Zeroes every registered metric (names stay registered).
   void Reset();
-
-  static bool enabled() { return RuntimeEnabled(); }
-  static void set_enabled(bool on) { SetEnabled(on); }
 
  private:
   /// Guards the name → metric maps only; the metric objects themselves are

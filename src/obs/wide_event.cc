@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <memory>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -22,159 +20,45 @@ constexpr const char* kOutcomeNames[kWideOutcomeCount] = {
     "rejected",     "shed_expired", "shed_shutdown",
 };
 
-// ---- ring slot packing -------------------------------------------------
-//
-// A WideEvent flattens into a fixed array of uint64 words so a ring slot
-// can be per-field atomic: a read that overlaps a write reads defined
-// values. Word 0 is the slot's sequence tag: the monotone event index + 1,
-// written before the payload; a reader that copies a slot and then sees a
-// different tag knows the writer lapped it mid-copy and skips the row.
-
-constexpr size_t kSlotWords = 22;
-
-enum SlotWord : size_t {
-  kWordSeq = 0,
-  kWordTraceId,
-  kWordAdmitNs,
-  kWordFlags,          // outcome | has_deadline << 8
-  kWordSizes,          // batch_size | question_bytes << 32
-  kWordQueueWaitNs,
-  kWordBatchWaitNs,
-  kWordServiceNs,
-  kWordTotalNs,
-  kWordBudgetNs,       // int64 bit-cast
-  kWordStageNs0,       // .. kWordStageNs0 + 5
-  kWordStageCounts0 = kWordStageNs0 + kWideStageCount,  // 2 counts per word
-  kWordValueCache = kWordStageCounts0 + 3,  // hits | misses << 32
-  kWordAnswerCache,
-  kWordKbEpoch,
-};
-static_assert(kWordKbEpoch == kSlotWords - 1, "slot layout mismatch");
-
-uint64_t PackPair(uint32_t lo, uint32_t hi) {
-  return static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-}
-
-void EncodeEvent(const WideEvent& e, uint64_t (&w)[kSlotWords]) {
-  w[kWordTraceId] = e.trace_id;
-  w[kWordAdmitNs] = e.admit_ns;
-  w[kWordFlags] = static_cast<uint64_t>(e.outcome) |
-                  (static_cast<uint64_t>(e.has_deadline ? 1 : 0) << 8);
-  w[kWordSizes] = PackPair(e.batch_size, e.question_bytes);
-  w[kWordQueueWaitNs] = e.queue_wait_ns;
-  w[kWordBatchWaitNs] = e.batch_wait_ns;
-  w[kWordServiceNs] = e.service_ns;
-  w[kWordTotalNs] = e.total_ns;
-  w[kWordBudgetNs] = static_cast<uint64_t>(e.deadline_budget_ns);
-  for (size_t i = 0; i < kWideStageCount; ++i) {
-    w[kWordStageNs0 + i] = e.stages[i].ns;
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    w[kWordStageCounts0 + i] =
-        PackPair(e.stages[2 * i].count, e.stages[2 * i + 1].count);
-  }
-  w[kWordValueCache] = PackPair(e.value_cache_hits, e.value_cache_misses);
-  w[kWordAnswerCache] = PackPair(e.answer_cache_hits, e.answer_cache_misses);
-  w[kWordKbEpoch] = e.kb_epoch;
-}
-
-WideEvent DecodeEvent(const uint64_t (&w)[kSlotWords]) {
-  WideEvent e;
-  e.trace_id = w[kWordTraceId];
-  e.admit_ns = w[kWordAdmitNs];
-  uint64_t outcome = w[kWordFlags] & 0xff;
-  if (outcome >= kWideOutcomeCount) outcome = 0;  // torn row tolerated
-  e.outcome = static_cast<WideOutcome>(outcome);
-  e.has_deadline = ((w[kWordFlags] >> 8) & 1) != 0;
-  e.batch_size = static_cast<uint32_t>(w[kWordSizes]);
-  e.question_bytes = static_cast<uint32_t>(w[kWordSizes] >> 32);
-  e.queue_wait_ns = w[kWordQueueWaitNs];
-  e.batch_wait_ns = w[kWordBatchWaitNs];
-  e.service_ns = w[kWordServiceNs];
-  e.total_ns = w[kWordTotalNs];
-  e.deadline_budget_ns = static_cast<int64_t>(w[kWordBudgetNs]);
-  for (size_t i = 0; i < kWideStageCount; ++i) {
-    e.stages[i].ns = w[kWordStageNs0 + i];
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    e.stages[2 * i].count = static_cast<uint32_t>(w[kWordStageCounts0 + i]);
-    e.stages[2 * i + 1].count =
-        static_cast<uint32_t>(w[kWordStageCounts0 + i] >> 32);
-  }
-  e.value_cache_hits = static_cast<uint32_t>(w[kWordValueCache]);
-  e.value_cache_misses = static_cast<uint32_t>(w[kWordValueCache] >> 32);
-  e.answer_cache_hits = static_cast<uint32_t>(w[kWordAnswerCache]);
-  e.answer_cache_misses = static_cast<uint32_t>(w[kWordAnswerCache] >> 32);
-  e.kb_epoch = w[kWordKbEpoch];
-  return e;
-}
-
-// ---- per-thread rings --------------------------------------------------
-
-struct EventSlot {
-  std::atomic<uint64_t> words[kSlotWords] = {};
-};
-
-/// Per-thread event ring. Only the owning thread writes slots and `count`;
-/// drains read under the registry mutex.
-struct EventRing {
-  std::vector<EventSlot> slots{WideEvents::kRingCapacity};
-  /// Monotone number of events ever pushed (slot = index % capacity),
-  /// release-published after the slot payload.
-  std::atomic<uint64_t> count{0};
-  /// Consumer positions, guarded by SinkState::mu: `drained` advances on
-  /// Drain(); `floor` rises on ResetForTest() so Recent() forgets older
-  /// generations too.
-  uint64_t drained = 0;
-  uint64_t floor = 0;
-};
-
+/// The process-wide sink: one ring of plain rows behind one mutex. The
+/// mutex is a leaf: no caller holds another lock across Record, Drain or
+/// Recent.
 struct SinkState {
   Mutex mu;
-  std::vector<std::unique_ptr<EventRing>> rings GUARDED_BY(mu);
-  std::atomic<uint64_t> total_recorded{0};
-  std::atomic<uint64_t> dropped{0};
+  /// Allocated on the first Record. Event i of the stream since the last
+  /// ResetForTest lives at ring[i % kRingCapacity] until event
+  /// i + kRingCapacity overwrites it.
+  std::vector<WideEvent> ring GUARDED_BY(mu);
+  uint64_t recorded GUARDED_BY(mu) = 0;  // events recorded
+  uint64_t drained GUARDED_BY(mu) = 0;   // Drain's position in the stream
+  uint64_t dropped GUARDED_BY(mu) = 0;
   std::atomic<uint64_t> next_trace_id{1};
   std::atomic<uint32_t> sample_period{1};
 };
 
 SinkState& Sink() {
-  // Leaked: rings must outlive thread exit and static destruction order.
+  // Leaked: recorders may run during static destruction.
   static SinkState* const kSink = new SinkState();  // NOLINT(kbqa-naked-new)
   return *kSink;
 }
 
-EventRing* LocalRing() {
-  thread_local EventRing* const ring = [] {
-    auto owned = std::make_unique<EventRing>();
-    EventRing* raw = owned.get();
-    SinkState& sink = Sink();
-    MutexLock lock(sink.mu);
-    sink.rings.push_back(std::move(owned));
-    return raw;
-  }();
-  return ring;
-}
-
-/// Copies one published row out of `ring`. Returns false when the writer
-/// lapped the row mid-copy (sequence tag mismatch).
-bool ReadRow(const EventRing& ring, uint64_t index, WideEvent* out) {
-  const EventSlot& slot =
-      ring.slots[static_cast<size_t>(index % WideEvents::kRingCapacity)];
-  uint64_t words[kSlotWords];
-  for (size_t i = 0; i < kSlotWords; ++i) {
-    words[i] = slot.words[i].load(std::memory_order_relaxed);
-  }
-  if (words[kWordSeq] != index + 1) return false;
-  *out = DecodeEvent(words);
-  return true;
-}
-
-/// Oldest still-resident row index for a ring that has pushed `count`.
-uint64_t RingBase(uint64_t count) {
-  return count > WideEvents::kRingCapacity
-             ? count - WideEvents::kRingCapacity
+/// Oldest still-resident event index once `recorded` events were pushed.
+uint64_t RingBase(uint64_t recorded) {
+  return recorded > WideEvents::kRingCapacity
+             ? recorded - WideEvents::kRingCapacity
              : 0;
+}
+
+/// Copies events [from, to) of the stream out of the ring.
+std::vector<WideEvent> CopyRows(const SinkState& sink, uint64_t from,
+                                uint64_t to) REQUIRES(sink.mu) {
+  std::vector<WideEvent> out;
+  out.reserve(static_cast<size_t>(to - from));
+  for (uint64_t i = from; i < to; ++i) {
+    out.push_back(
+        sink.ring[static_cast<size_t>(i % WideEvents::kRingCapacity)]);
+  }
+  return out;
 }
 
 bool AdmitBefore(const WideEvent& a, const WideEvent& b) {
@@ -253,40 +137,25 @@ std::string WideEvent::ToJsonLine() const {
 }
 
 void WideEvents::Record(const WideEvent& event) {
-  EventRing* ring = LocalRing();
-  const uint64_t index = ring->count.load(std::memory_order_relaxed);
-  EventSlot& slot = ring->slots[static_cast<size_t>(index % kRingCapacity)];
-  uint64_t words[kSlotWords];
-  words[kWordSeq] = index + 1;
-  EncodeEvent(event, words);
-  // Sequence tag first so a concurrent reader holding the old tag notices
-  // the lap; payload next; then the release publish of count makes the
-  // whole row visible to rows-below-count readers.
-  for (size_t i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  ring->count.store(index + 1, std::memory_order_release);
-  Sink().total_recorded.fetch_add(1, std::memory_order_relaxed);
+  SinkState& sink = Sink();
+  MutexLock lock(sink.mu);
+  if (sink.ring.empty()) sink.ring.resize(kRingCapacity);
+  sink.ring[static_cast<size_t>(sink.recorded % kRingCapacity)] = event;
+  ++sink.recorded;
 }
 
 std::vector<WideEvent> WideEvents::Drain() {
   SinkState& sink = Sink();
   std::vector<WideEvent> out;
-  MutexLock lock(sink.mu);
-  for (auto& ring_ptr : sink.rings) {
-    EventRing& ring = *ring_ptr;
-    const uint64_t count = ring.count.load(std::memory_order_acquire);
-    uint64_t from = ring.drained;
-    const uint64_t base = RingBase(count);
-    if (base > from) {
-      sink.dropped.fetch_add(base - from, std::memory_order_relaxed);
-      from = base;
+  {
+    MutexLock lock(sink.mu);
+    const uint64_t base = RingBase(sink.recorded);
+    if (base > sink.drained) {
+      sink.dropped += base - sink.drained;
+      sink.drained = base;
     }
-    for (uint64_t i = from; i < count; ++i) {
-      WideEvent event;
-      if (ReadRow(ring, i, &event)) out.push_back(event);
-    }
-    ring.drained = count;
+    out = CopyRows(sink, sink.drained, sink.recorded);
+    sink.drained = sink.recorded;
   }
   std::sort(out.begin(), out.end(), AdmitBefore);
   return out;
@@ -295,29 +164,26 @@ std::vector<WideEvent> WideEvents::Drain() {
 std::vector<WideEvent> WideEvents::Recent(size_t max_events) {
   SinkState& sink = Sink();
   std::vector<WideEvent> out;
-  MutexLock lock(sink.mu);
-  for (auto& ring_ptr : sink.rings) {
-    EventRing& ring = *ring_ptr;
-    const uint64_t count = ring.count.load(std::memory_order_acquire);
-    const uint64_t from = std::max(ring.floor, RingBase(count));
-    for (uint64_t i = from; i < count; ++i) {
-      WideEvent event;
-      if (ReadRow(ring, i, &event)) out.push_back(event);
-    }
+  {
+    MutexLock lock(sink.mu);
+    const uint64_t resident = sink.recorded - RingBase(sink.recorded);
+    const uint64_t n = std::min<uint64_t>(max_events, resident);
+    out = CopyRows(sink, sink.recorded - n, sink.recorded);
   }
   std::sort(out.begin(), out.end(), AdmitBefore);
-  if (out.size() > max_events) {
-    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(max_events));
-  }
   return out;
 }
 
 uint64_t WideEvents::TotalRecorded() {
-  return Sink().total_recorded.load(std::memory_order_relaxed);
+  SinkState& sink = Sink();
+  MutexLock lock(sink.mu);
+  return sink.recorded;
 }
 
 uint64_t WideEvents::Dropped() {
-  return Sink().dropped.load(std::memory_order_relaxed);
+  SinkState& sink = Sink();
+  MutexLock lock(sink.mu);
+  return sink.dropped;
 }
 
 void WideEvents::SetSamplePeriod(uint32_t period) {
@@ -349,13 +215,9 @@ uint64_t WideEvents::NextTraceId() {
 void WideEvents::ResetForTest() {
   SinkState& sink = Sink();
   MutexLock lock(sink.mu);
-  for (auto& ring_ptr : sink.rings) {
-    const uint64_t count = ring_ptr->count.load(std::memory_order_acquire);
-    ring_ptr->drained = count;
-    ring_ptr->floor = count;
-  }
-  sink.total_recorded.store(0, std::memory_order_relaxed);
-  sink.dropped.store(0, std::memory_order_relaxed);
+  sink.recorded = 0;
+  sink.drained = 0;
+  sink.dropped = 0;
   sink.sample_period.store(1, std::memory_order_relaxed);
 }
 

@@ -8,8 +8,8 @@
 /// engine (`AnswerOptions::request_context`); each layer stamps disjoint stage
 /// durations and per-tier cache counters into it. When the request reaches
 /// a terminal outcome (answered, rejected, shed, deadline-exceeded) the
-/// server flattens the context into one `WideEvent` and appends it to a
-/// lock-free per-thread ring (`WideEvents::Record`), drainable as JSONL.
+/// server flattens the context into one `WideEvent` and appends it to the
+/// process-wide ring (`WideEvents::Record`), drainable as JSONL.
 ///
 /// The stage clock is chained: every `Mark(stage)` charges the interval
 /// since the previous mark to `stage` with a single clock read, so stage
@@ -17,7 +17,6 @@
 /// anchored at the server's own service-start reading of the same
 /// steady_clock, the stage sum can never exceed the measured service time.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -119,7 +118,7 @@ struct RequestContext {
 };
 
 /// One flat record per completed request — the whole attribution vector in
-/// a single row, serialized to a fixed-width ring slot and to JSONL.
+/// a single row, kept in the sink's ring and serialized to JSONL.
 struct WideEvent {
   uint64_t trace_id = 0;
   uint64_t admit_ns = 0;
@@ -160,27 +159,25 @@ struct WideEvent {
   std::string ToJsonLine() const;
 };
 
-/// Process-wide wide-event sink: per-thread rings of per-field-atomic
-/// slots (the owning thread writes fields relaxed then release-publishes a
-/// monotone count; readers acquire the count and skip rows whose sequence
-/// tag shows the writer lapped them).
+/// Process-wide wide-event sink: one ring of the newest kRingCapacity
+/// events behind one mutex, allocated on the first Record. A row is copied
+/// whole under the lock, so every row a reader gets is one event.
 /// All methods are static; state is a leaked singleton.
 class WideEvents {
  public:
-  /// Events a single thread's ring retains before overwriting the oldest.
-  static constexpr size_t kRingCapacity = 2048;
+  /// Events the ring retains before overwriting the oldest.
+  static constexpr size_t kRingCapacity = 8192;
 
-  /// Appends to the calling thread's ring. Lock-free, wait-free.
+  /// Copies the event into the ring, overwriting the oldest row when full.
   static void Record(const WideEvent& event);
 
-  /// Consumes every event recorded since the previous Drain, across all
-  /// threads, ordered by admission time. Overwritten (never-drained)
-  /// events are counted in Dropped().
+  /// Consumes every event recorded since the previous Drain, ordered by
+  /// admission time. Overwritten (never-drained) events are counted in
+  /// Dropped().
   static std::vector<WideEvent> Drain();
 
-  /// Non-consuming view of the most recent events (up to `max_events`,
-  /// newest last). Concurrent recording may tear at most one in-flight
-  /// row per thread; torn rows are skipped.
+  /// Non-consuming view of the most recently recorded events (up to
+  /// `max_events`), ordered by admission time.
   static std::vector<WideEvent> Recent(size_t max_events);
 
   /// Total events ever recorded / dropped before a drain reached them.
@@ -197,9 +194,8 @@ class WideEvents {
   /// Process-unique trace id (monotone, never 0).
   static uint64_t NextTraceId();
 
-  /// Clears all rings and counters and restores the default sample
-  /// period. Test-only; racing recorders may leak a row into the fresh
-  /// generation.
+  /// Clears the ring and counters and restores the default sample period.
+  /// Test-only.
   static void ResetForTest();
 };
 

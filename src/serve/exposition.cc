@@ -154,8 +154,8 @@ std::string RenderEventz(const std::string& path_and_query) {
   if (!n_param.empty()) {
     n = static_cast<size_t>(std::strtoull(n_param.c_str(), nullptr, 10));
     if (n == 0) n = 1;
-    if (n > obs::WideEvents::kRingCapacity * 4) {
-      n = obs::WideEvents::kRingCapacity * 4;
+    if (n > obs::WideEvents::kRingCapacity) {
+      n = obs::WideEvents::kRingCapacity;
     }
   }
   std::string out;

@@ -99,7 +99,6 @@ Server::~Server() {
     MutexLock lock(mu_);
     stopping_ = true;
     leftover.swap(queue_);
-    queue_bytes_ = 0;
     KBQA_GAUGE_SET("online.serve.queue_depth", 0);
   }
   queue_cv_.NotifyAll();
@@ -129,7 +128,6 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     // so a request that languishes is shed instead of served late.
     request.options.deadline = request.enqueue_time + *options_.default_timeout;
   }
-  request.charge_bytes = request.question.size() + sizeof(Request);
   // The wide-event sampling decision is fixed at admission so every layer
   // downstream sees a consistent answer, and so rejections are sampled at
   // the same rate as served requests.
@@ -139,30 +137,27 @@ Status Server::Submit(std::string question, const core::AnswerOptions& options,
     request.ctx.admit_ns = ToNs(request.enqueue_time);
   }
   bool wake = false;
-  {
-    MutexLock lock(mu_);
-    if (stopping_) {
-      rejected_.Add(1);
-      KBQA_COUNTER_ADD("online.serve.rejected", 1);
-      RecordRejected(request);
-      return Status::Unavailable("server shutting down");
-    }
-    if (queue_.size() >= options_.max_queue_depth ||
-        (options_.max_queue_bytes != 0 &&
-         queue_bytes_ + request.charge_bytes > options_.max_queue_bytes)) {
-      rejected_.Add(1);
-      KBQA_COUNTER_ADD("online.serve.rejected", 1);
-      RecordRejected(request);
-      return Status::Unavailable("serving queue full");
-    }
-    queue_bytes_ += request.charge_bytes;
-    queue_.push_back(std::move(request));
-    KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
-    wake = sleeping_workers_ > pending_wakeups_;
-    if (wake) ++pending_wakeups_;
+  // The refusal is decided under mu_ and recorded after it is released, so
+  // no lock is held across the wide-event sink's.
+  if (const char* refusal = Enqueue(&request, &wake)) {
+    rejected_.Add(1);
+    KBQA_COUNTER_ADD("online.serve.rejected", 1);
+    RecordRejected(request);
+    return Status::Unavailable(refusal);
   }
   if (wake) queue_cv_.NotifyOne();
   return Status::Ok();
+}
+
+const char* Server::Enqueue(Request* request, bool* wake) {
+  MutexLock lock(mu_);
+  if (stopping_) return "server shutting down";
+  if (queue_.size() >= options_.max_queue_depth) return "serving queue full";
+  queue_.push_back(std::move(*request));
+  KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
+  *wake = sleeping_workers_ > pending_wakeups_;
+  if (*wake) ++pending_wakeups_;
+  return nullptr;
 }
 
 ServeResponse Server::Answer(const std::string& question,
@@ -260,7 +255,6 @@ void Server::WorkerLoop() {
       // Take what is queued now, up to max_batch_size; never wait for more.
       const size_t n = std::min(queue_.size(), options_.max_batch_size);
       for (size_t i = 0; i < n; ++i) {
-        queue_bytes_ -= queue_.front().charge_bytes;
         take.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }

@@ -32,9 +32,6 @@ struct ServingOptions {
   /// this is rejected with kUnavailable (backpressure to the caller
   /// instead of unbounded memory + doomed-to-expire latency).
   size_t max_queue_depth = 1024;
-  /// Admission control on queued request payload bytes (question text +
-  /// per-request overhead). 0 = no byte limit.
-  uint64_t max_queue_bytes = 0;
   /// Each time a worker goes to the queue it takes whatever is queued, up
   /// to this many requests, and answers them in order. It never waits for
   /// more to arrive.
@@ -126,8 +123,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Asynchronous entry point. Accepts the request into the queue and
-  /// returns Ok, or rejects with kUnavailable (queue past its depth/byte
-  /// bound, or server shutting down) without ever invoking `done`.
+  /// returns Ok, or rejects with kUnavailable (queue at its depth bound, or
+  /// server shutting down) without ever invoking `done`.
   /// `options.deadline` (or ServingOptions::default_timeout) is measured
   /// against wall time from this call on — queue wait spends the budget.
   [[nodiscard]] Status Submit(std::string question,
@@ -152,7 +149,6 @@ class Server {
     core::AnswerOptions options;
     Callback done;
     std::chrono::steady_clock::time_point enqueue_time;
-    uint64_t charge_bytes = 0;
     /// Request-scoped telemetry (DESIGN.md §8): the sampling decision and
     /// trace id are fixed at admission; the context then travels by value
     /// with the request and is stamped by every layer it crosses. Exactly
@@ -160,6 +156,10 @@ class Server {
     obs::RequestContext ctx;
   };
 
+  /// Queues `*request` (moving from it) and returns nullptr, or returns
+  /// why admission refused it, leaving it untouched. Sets `*wake` when a
+  /// sleeping worker should be notified.
+  const char* Enqueue(Request* request, bool* wake);
   void WorkerLoop();
   /// Sheds the expired requests of one take, then answers the rest in
   /// order on the calling worker.
@@ -178,7 +178,6 @@ class Server {
   mutable Mutex mu_;
   CondVar queue_cv_;  // workers wait for arrivals / stop
   std::deque<Request> queue_ GUARDED_BY(mu_);
-  uint64_t queue_bytes_ GUARDED_BY(mu_) = 0;
   /// Workers asleep on queue_cv_, and wake-ups Submit issued that no
   /// worker has woken from yet. Submit notifies only while the first
   /// exceeds the second: a wake-up per Submit would cost a futex call on

@@ -154,22 +154,5 @@ TEST_F(TrainedEdgeCaseTest, ExpansionSeedsComeFromCorpus) {
   EXPECT_LT(kbqa().expansion_seeds().size(), world().kb.num_entities());
 }
 
-TEST_F(TrainedEdgeCaseTest, DisabledComplexQuestionsStillAnswersBfqs) {
-  core::KbqaOptions options;
-  options.enable_complex_questions = false;
-  corpus::QaGenConfig config;
-  config.num_pairs = 3000;
-  core::KbqaSystem system(&world(), options);
-  ASSERT_TRUE(
-      system.Train(corpus::GenerateTrainingCorpus(world(), config)).ok());
-  EXPECT_EQ(system.pattern_index(), nullptr);
-  EXPECT_TRUE(system.Answer("when was barack obama born").answered);
-  // AnswerComplex degrades to direct answering.
-  core::ComplexAnswer complex =
-      system.AnswerComplex("when was barack obama born");
-  EXPECT_TRUE(complex.answer.answered);
-  EXPECT_EQ(complex.sequence.size(), 1u);
-}
-
 }  // namespace
 }  // namespace kbqa

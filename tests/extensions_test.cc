@@ -232,6 +232,13 @@ TEST_F(ExtensionsTest, ModelSaveLoadRoundTrip) {
     EXPECT_EQ(got.value, want.value) << q;
     EXPECT_EQ(got.predicate, want.predicate) << q;
   }
+  // The model file carries no pattern index, so a restored system has no
+  // decomposer and AnswerComplex answers the question directly.
+  EXPECT_EQ(restored.pattern_index(), nullptr);
+  const core::ComplexAnswer complex =
+      restored.AnswerComplex("when was barack obama born");
+  EXPECT_TRUE(complex.answer.answered);
+  EXPECT_EQ(complex.sequence.size(), 1u);
   std::remove(path.c_str());
 }
 

@@ -213,14 +213,14 @@ TEST(MetricsRegistryTest, RuntimeKillSwitchDropsUpdates) {
   obs::MetricsRegistry registry;
   obs::Counter* c = registry.GetCounter("kill.counter");
   obs::Histogram* h = registry.GetHistogram("kill.histogram");
-  const bool was_enabled = obs::MetricsRegistry::enabled();
-  obs::MetricsRegistry::set_enabled(false);
+  const bool was_enabled = obs::RuntimeEnabled();
+  obs::SetEnabled(false);
   c->Add(5);
   h->Record(99);
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   c->Add(3);
   h->Record(7);
-  obs::MetricsRegistry::set_enabled(was_enabled);
+  obs::SetEnabled(was_enabled);
   EXPECT_EQ(c->Value(), 3u);
   EXPECT_EQ(h->Count(), 1u);
 }
@@ -270,7 +270,7 @@ TEST(TracingTest, MacrosCompiledOut) {
 
 // A span scope feeds exactly one sample into its "span.<name>" histogram.
 TEST(TracingTest, SpanScopeAddsOneHistogramSample) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::Histogram* const histogram =
       obs::MetricsRegistry::Global().GetHistogram("span.golden.outer");
   const uint64_t before = histogram->Count();
@@ -279,7 +279,7 @@ TEST(TracingTest, SpanScopeAddsOneHistogramSample) {
 }
 
 TEST(TracingTest, WriteSpanSummaryListsTopSpans) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   { KBQA_TRACE_SPAN("summary.span"); }
   std::ostringstream os;
   obs::WriteSpanSummary(os, 100);
@@ -289,7 +289,7 @@ TEST(TracingTest, WriteSpanSummaryListsTopSpans) {
 // ---- wide events (DESIGN.md §8) ----------------------------------------
 
 TEST(WideEventTest, RecordDrainRoundTrip) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::WideEvents::ResetForTest();
   obs::WideEvent a;
   a.trace_id = 7;
@@ -302,7 +302,7 @@ TEST(WideEventTest, RecordDrainRoundTrip) {
   a.batch_wait_ns = 200;
   a.service_ns = 5000;
   a.total_ns = 6200;
-  a.deadline_budget_ns = -1500;  // negative budgets survive the bit-cast
+  a.deadline_budget_ns = -1500;  // negative budgets survive the ring
   a.stages[static_cast<size_t>(obs::WideStage::kNer)] = {111, 1};
   a.stages[static_cast<size_t>(obs::WideStage::kRank)] = {222, 2};
   a.value_cache_hits = 9;
@@ -361,7 +361,7 @@ TEST(WideEventTest, JsonLineCarriesSchema) {
 }
 
 TEST(WideEventTest, DropCountsEventsOverwrittenBeforeDrain) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::WideEvents::ResetForTest();
   obs::WideEvent e;
   const size_t extra = 100;
@@ -377,7 +377,7 @@ TEST(WideEventTest, DropCountsEventsOverwrittenBeforeDrain) {
 }
 
 TEST(WideEventTest, SamplePeriodIsExactPerThread) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::WideEvents::ResetForTest();
   obs::WideEvents::SetSamplePeriod(4);
   int sampled = 0;
@@ -393,7 +393,7 @@ TEST(WideEventTest, SamplePeriodIsExactPerThread) {
 }
 
 TEST(WideEventTest, RecentIsNonConsumingAndBounded) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::WideEvents::ResetForTest();
   obs::WideEvent e;
   for (uint64_t i = 0; i < 10; ++i) {
@@ -489,7 +489,7 @@ TEST(SloMonitorTest, RecordRequestAppliesLatencyCriterion) {
 }
 
 TEST(SloMonitorTest, PublishGaugesExportsSloSeries) {
-  obs::MetricsRegistry::set_enabled(true);
+  obs::SetEnabled(true);
   obs::SloMonitor slo(TestSpec());
   const uint64_t t0 = 30'000 * kNsPerS;
   for (int i = 0; i < 9; ++i) slo.Record(true, t0);

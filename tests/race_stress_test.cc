@@ -2,15 +2,16 @@
 // under ThreadSanitizer (cmake -DTSAN=ON; scripts/check.sh --tsan). The
 // assertions matter in every configuration, but the real gate is TSan
 // proving the synchronization: each test drives genuinely concurrent
-// access — pool scheduling, sharded LRU mutation, metric shards, wide-event
-// rings, one engine answering from many threads, parallel Freeze/Build —
-// so a missing happens-before edge anywhere in those paths becomes a CI
-// failure instead of a corrupted answer in production.
+// access — pool scheduling, sharded LRU mutation, metric shards, the
+// wide-event ring, one engine answering from many threads, parallel
+// Freeze/Build — so a missing happens-before edge anywhere in those paths
+// becomes a CI failure instead of a corrupted answer in production.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -117,7 +118,7 @@ TEST(RaceStressTest, LruCacheConcurrentMixedOperations) {
   EXPECT_GT(hits.load(), 0u);
 }
 
-// ---------- MetricsRegistry / wide-event rings ----------
+// ---------- MetricsRegistry / wide-event ring ----------
 
 TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   obs::MetricsRegistry registry;
@@ -152,35 +153,93 @@ TEST(RaceStressTest, MetricsConcurrentUpdatesAndSnapshots) {
   EXPECT_EQ(histogram->Count(), 4u * 10000u);
 }
 
+// An event whose every numeric field carries its trace id, so a row that
+// mixes two events fails CarriesOneEvent.
+obs::WideEvent EventCarrying(uint64_t id) {
+  const auto id32 = static_cast<uint32_t>(id);
+  obs::WideEvent e;
+  e.trace_id = id;
+  e.admit_ns = id;
+  e.outcome = static_cast<obs::WideOutcome>(id % obs::kWideOutcomeCount);
+  e.has_deadline = id % 2 == 1;
+  e.batch_size = id32;
+  e.question_bytes = id32;
+  e.queue_wait_ns = id;
+  e.batch_wait_ns = id;
+  e.service_ns = id;
+  e.total_ns = id;
+  e.deadline_budget_ns = static_cast<int64_t>(id);
+  for (obs::StageRecord& stage : e.stages) stage = {id, id32};
+  e.value_cache_hits = id32;
+  e.value_cache_misses = id32;
+  e.answer_cache_hits = id32;
+  e.answer_cache_misses = id32;
+  e.kb_epoch = id;
+  return e;
+}
+
+bool CarriesOneEvent(const obs::WideEvent& row) {
+  const obs::WideEvent want = EventCarrying(row.trace_id);
+  bool same =
+      row.admit_ns == want.admit_ns && row.outcome == want.outcome &&
+      row.has_deadline == want.has_deadline &&
+      row.batch_size == want.batch_size &&
+      row.question_bytes == want.question_bytes &&
+      row.queue_wait_ns == want.queue_wait_ns &&
+      row.batch_wait_ns == want.batch_wait_ns &&
+      row.service_ns == want.service_ns && row.total_ns == want.total_ns &&
+      row.deadline_budget_ns == want.deadline_budget_ns &&
+      row.value_cache_hits == want.value_cache_hits &&
+      row.value_cache_misses == want.value_cache_misses &&
+      row.answer_cache_hits == want.answer_cache_hits &&
+      row.answer_cache_misses == want.answer_cache_misses &&
+      row.kb_epoch == want.kb_epoch;
+  for (size_t s = 0; s < obs::kWideStageCount; ++s) {
+    same = same && row.stages[s].ns == want.stages[s].ns &&
+           row.stages[s].count == want.stages[s].count;
+  }
+  return same;
+}
+
 TEST(RaceStressTest, WideEventRingsConcurrentRecordAndRecent) {
+  // The /eventz view reads every resident row while 4 writers record. Each
+  // row it returns must be one whole event, never a mix of two.
   obs::WideEvents::ResetForTest();
+  constexpr uint64_t kWriters = 4;
+  constexpr int kReads = 100;
+  std::atomic<uint64_t> filled{0};  // writers past a ring's worth of rows
+  std::atomic<uint64_t> recorded{0};
   std::atomic<bool> done{false};
-  // The /eventz view reads rings while their owners record. Slots are
-  // per-field atomics, so the overlap must be free of data races.
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      for (const obs::WideEvent& e : obs::WideEvents::Recent(64)) {
-        ASSERT_GT(e.trace_id, 0u);
-      }
-    }
-  });
   std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([] {
-      obs::WideEvent e;
-      for (uint64_t i = 1; i <= 5000; ++i) {
-        e.trace_id = i;
-        obs::WideEvents::Record(e);
+  for (uint64_t t = 0; t < kWriters; ++t) {
+    writers.emplace_back([t, &filled, &recorded, &done] {
+      uint64_t i = 0;
+      for (; !done.load(std::memory_order_acquire); ++i) {
+        obs::WideEvents::Record(EventCarrying(i * kWriters + t + 1));
+        if (i + 1 == obs::WideEvents::kRingCapacity) filled.fetch_add(1);
       }
+      recorded.fetch_add(i);
     });
   }
-  for (auto& th : writers) th.join();
+  // Every read overlaps all 4 writers, and the ring is full by then.
+  while (filled.load() < kWriters) std::this_thread::yield();
+  uint64_t rows = 0;
+  uint64_t mixed = 0;
+  for (int r = 0; r < kReads; ++r) {
+    for (const obs::WideEvent& row :
+         obs::WideEvents::Recent(std::numeric_limits<size_t>::max())) {
+      ++rows;
+      if (!CarriesOneEvent(row)) ++mixed;
+    }
+  }
   done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(obs::WideEvents::TotalRecorded(), 4u * 5000u);
-  // Each writer's ring keeps its newest kRingCapacity rows.
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(obs::WideEvents::TotalRecorded(), recorded.load());
+  EXPECT_GT(rows, 0u);
+  EXPECT_EQ(mixed, 0u) << "of " << rows << " rows read";
+  // One ring for the process: it keeps the newest kRingCapacity rows.
   EXPECT_EQ(obs::WideEvents::Drain().size(),
-            4 * obs::WideEvents::kRingCapacity);
+            obs::WideEvents::kRingCapacity);
 }
 
 // ---------- Parallel RDF substrate ----------
@@ -375,7 +434,7 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
     // Exactly-once emission through teardown: 800 submissions -> 800 wide
     // events, with accepted requests split between answered and
     // shutdown-shed exactly as their callbacks resolved, and every
-    // rejection accounted for. (Ring capacity 2048/thread: no drops.)
+    // rejection accounted for. (800 events fit the ring: no drops.)
     const std::vector<obs::WideEvent> events = obs::WideEvents::Drain();
     ASSERT_EQ(events.size(), 4u * 200u);
     uint64_t answered = 0, shed = 0, rejected = 0, other = 0;
