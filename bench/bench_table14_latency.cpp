@@ -159,27 +159,10 @@ BENCHMARK(BM_OfflineTrainingThreads)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Online throughput serving: the batched AnswerAll entry point at 1/2/N
-/// worker threads over the Table 14 question set.
-void BM_AnswerAllThroughput(benchmark::State& state) {
-  const auto& questions = Questions();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        Experiment().kbqa().AnswerAll(questions, threads));
-  }
-  state.SetItemsProcessed(state.iterations() * questions.size());
-}
-BENCHMARK(BM_AnswerAllThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/// Measures the parallel speedup curve directly (offline Train and online
-/// AnswerAll at 1/2/4 threads) and emits BENCH_parallel.json.
+/// Measures the offline procedure's parallel speedup directly (Train at
+/// 1/2/4 threads) and emits BENCH_parallel.json.
 void EmitParallelSpeedupJson() {
-  std::printf("[parallel] measuring offline/online thread scaling...\n");
+  std::printf("[parallel] measuring offline thread scaling...\n");
   corpus::QaGenConfig corpus_config;
   corpus_config.num_pairs = 8000;
   corpus::QaCorpus corpus =
@@ -196,19 +179,6 @@ void EmitParallelSpeedupJson() {
     train_seconds.push_back(timer.ElapsedSeconds());
   }
 
-  const auto& questions = Questions();
-  constexpr int kBatchReps = 20;
-  std::vector<double> qps;
-  for (int threads : thread_counts) {
-    kbqa::Timer timer;
-    for (int rep = 0; rep < kBatchReps; ++rep) {
-      benchmark::DoNotOptimize(Experiment().kbqa().AnswerAll(questions,
-                                                             threads));
-    }
-    qps.push_back(static_cast<double>(questions.size()) * kBatchReps /
-                  timer.ElapsedSeconds());
-  }
-
   FILE* out = std::fopen("BENCH_parallel.json", "w");
   if (out == nullptr) return;
   std::fprintf(out, "{\n  \"hardware_threads\": %u,\n",
@@ -222,14 +192,6 @@ void EmitParallelSpeedupJson() {
                  "\"speedup\": %.2f}",
                  i ? "," : "", thread_counts[i], train_seconds[i],
                  train_seconds[0] / train_seconds[i]);
-  }
-  std::fprintf(out, "\n  ]},\n  \"answer_all\": {\"questions\": %zu, "
-               "\"runs\": [", questions.size());
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    std::fprintf(out,
-                 "%s\n    {\"threads\": %d, \"questions_per_sec\": %.1f, "
-                 "\"speedup\": %.2f}",
-                 i ? "," : "", thread_counts[i], qps[i], qps[i] / qps[0]);
   }
   std::fprintf(out, "\n  ]}\n}\n");
   std::fclose(out);

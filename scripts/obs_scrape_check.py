@@ -5,7 +5,10 @@ Runs against a bench_serving (or examples/serving_server) process that
 printed "exposition listening on 127.0.0.1:PORT". Verifies:
 
   /statusz   — reports build info and the wide-event sink totals
-  /metricsz  — text tables; ?format=json parses as a JSON object
+  /metricsz  — text tables; ?format=json holds `counters`, `gauges` and
+               `histograms` lists whose entries carry name/value
+               (counters, gauges) and name/count/sum/buckets
+               (histograms), the shape MetricsSnapshot::ToJson writes
   /slo       — parses as JSON with burn rates and the firing flag
   /eventz    — retried until at least one wide event is visible (the
                load phases start shortly after the listener), then one
@@ -49,6 +52,33 @@ def histogram_count(port, name):
     return 0
 
 
+def check_metrics_json(metrics):
+    if not isinstance(metrics, dict):
+        fail("/metricsz?format=json is not an object")
+    number = (int, float)
+    shapes = {"counters": {"name": str, "value": int},
+              "gauges": {"name": str, "value": number},
+              "histograms": {"name": str, "count": int, "sum": int,
+                             "buckets": list}}
+    for section, fields in shapes.items():
+        entries = metrics.get(section)
+        if not isinstance(entries, list):
+            fail(f"/metricsz?format=json has no {section} list")
+        for entry in entries:
+            for field, kind in fields.items():
+                if not isinstance(entry, dict) or \
+                        not isinstance(entry.get(field), kind):
+                    fail(f"/metricsz?format=json {section} entry lacks "
+                         f"{field}: {entry!r:.200}")
+            for bucket in entry.get("buckets", []):
+                if not isinstance(bucket, dict) or \
+                        not isinstance(bucket.get("bucket"), int) or \
+                        not isinstance(bucket.get("count"), int):
+                    fail(f"/metricsz?format=json bad bucket in "
+                         f"{entry['name']}: {bucket!r}")
+    return {section: len(metrics[section]) for section in shapes}
+
+
 def check_wide_event(line):
     event = json.loads(line)
     for key in ("trace_id", "outcome", "admit_ns", "has_deadline",
@@ -83,10 +113,10 @@ def main():
 
     if not fetch(port, "/metricsz").strip():
         fail("/metricsz is empty")
-    metrics = json.loads(fetch(port, "/metricsz?format=json"))
-    if not isinstance(metrics, dict):
-        fail("/metricsz?format=json is not an object")
-    print("obs scrape: /metricsz OK")
+    sizes = check_metrics_json(
+        json.loads(fetch(port, "/metricsz?format=json")))
+    print(f"obs scrape: /metricsz OK ({sizes['counters']} counters, "
+          f"{sizes['gauges']} gauges, {sizes['histograms']} histograms)")
 
     slo = json.loads(fetch(port, "/slo"))
     for key in ("availability_target", "short_burn_rate", "long_burn_rate",

@@ -176,8 +176,7 @@ def check_overhead(name, section):
 
 def validate_observability(doc):
     for key in ("hardware_threads", "answer_overhead", "wide_event_overhead",
-                "context_propagation", "coverage",
-                "snapshot_json_round_trip", "batched_run"):
+                "context_propagation", "coverage", "benchmark_run"):
         require(key in doc, f"top-level {key} missing")
 
     check_overhead("answer_overhead", doc["answer_overhead"])
@@ -202,8 +201,6 @@ def validate_observability(doc):
                 "em_iterations", "thread_pool_tasks"):
         require(key in coverage, f"coverage.{key} missing")
         require(coverage[key] > 0, f"coverage.{key} is zero")
-    require(doc["snapshot_json_round_trip"] is True,
-            "snapshot JSON round-trip failed")
 
 
 # ---- BENCH_mutation.json ----

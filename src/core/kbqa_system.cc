@@ -119,12 +119,6 @@ AnswerResult KbqaSystem::Answer(const std::string& question,
   return online_->Answer(question, answer_options);
 }
 
-std::vector<AnswerResult> KbqaSystem::AnswerAll(
-    const std::vector<std::string>& questions, int num_threads) const {
-  if (online_ == nullptr) return std::vector<AnswerResult>(questions.size());
-  return online_->AnswerAll(questions, num_threads);
-}
-
 std::unique_ptr<LiveKbqaEngine> KbqaSystem::MakeLiveEngine(
     rdf::MutableKb* live) const {
   if (!trained()) return nullptr;

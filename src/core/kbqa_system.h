@@ -81,12 +81,6 @@ class KbqaSystem : public QaSystemInterface {
   AnswerResult Answer(const std::string& question,
                       const AnswerOptions& answer_options) const;
 
-  /// Batched throughput serving: answers every question over `num_threads`
-  /// workers (see OnlineInference::AnswerAll). results[i] is identical to
-  /// Answer(questions[i]) for any thread count.
-  std::vector<AnswerResult> AnswerAll(const std::vector<std::string>& questions,
-                                      int num_threads = 1) const;
-
   /// Full pipeline: decompose into a BFQ chain, answer sequentially,
   /// substituting each answer into the next question's $e slot (§5).
   ComplexAnswer AnswerComplex(const std::string& question) const;

@@ -51,13 +51,4 @@ AnswerResult LiveKbqaEngine::AnswerCached(
                                                 *snapshot);
 }
 
-std::vector<AnswerResult> LiveKbqaEngine::AnswerAll(
-    const std::vector<std::string>& questions, int num_threads) const {
-  // Each question pins its own snapshot and state, so mutations and
-  // merges landing mid-batch are picked up per question, not per batch.
-  return AnswerEach(questions, num_threads, [this](const std::string& q) {
-    return AnswerCached(q, AnswerOptions{});
-  });
-}
-
 }  // namespace kbqa::core

@@ -69,8 +69,6 @@ class LiveKbqaEngine {
                       const AnswerOptions& answer_options) const;
   AnswerResult AnswerCached(const std::string& question,
                             const AnswerOptions& answer_options) const;
-  std::vector<AnswerResult> AnswerAll(const std::vector<std::string>& questions,
-                                      int num_threads) const;
 
   uint64_t epoch() const { return live_->epoch(); }
   const rdf::MutableKb& kb() const { return *live_; }

@@ -8,7 +8,6 @@
 #include "nlp/tokenizer.h"
 #include "obs/obs.h"
 #include "rdf/query.h"
-#include "util/thread_pool.h"
 
 namespace kbqa::core {
 
@@ -303,33 +302,6 @@ AnswerResult OnlineInference::Answer(const std::string& question,
   if (snapshot.base != snapshot_.base) return OtherBase();
   return AnswerTokensAt(nlp::TokenizeQuestion(question), answer_options,
                         snapshot, /*reads=*/nullptr);
-}
-
-std::vector<AnswerResult> AnswerEach(
-    const std::vector<std::string>& questions, int num_threads,
-    const std::function<AnswerResult(const std::string&)>& answer) {
-  std::vector<AnswerResult> results(questions.size());
-  ThreadPool pool(num_threads);
-  // Over-shard relative to the pool for load balancing; each question is
-  // answered independently into its own slot, so the sharding is
-  // unobservable in the output.
-  const size_t num_shards =
-      std::max<size_t>(1, static_cast<size_t>(pool.num_threads()) * 4);
-  ParallelFor(pool, questions.size(), num_shards,
-              [&](size_t shard, size_t begin, size_t end) {
-                (void)shard;
-                for (size_t i = begin; i < end; ++i) {
-                  results[i] = answer(questions[i]);
-                }
-              });
-  return results;
-}
-
-std::vector<AnswerResult> OnlineInference::AnswerAll(
-    const std::vector<std::string>& questions, int num_threads) const {
-  return AnswerEach(questions, num_threads, [this](const std::string& q) {
-    return AnswerCached(q, AnswerOptions{});
-  });
 }
 
 AnswerResult OnlineInference::AnswerCached(

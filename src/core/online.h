@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -135,7 +134,7 @@ class OnlineInference {
     /// short-lived processes); any other value keeps a long-running
     /// serving process's cache footprint bounded via LRU eviction.
     uint64_t value_cache_budget_bytes = 0;
-    /// Memoize whole-question AnswerResults across AnswerAll batches:
+    /// Memoize whole-question AnswerResults across AnswerCached calls:
     /// repeat questions (head-heavy serving traffic) skip the pipeline
     /// entirely. Off by default — single-shot Answer callers and benchmarks
     /// measuring the pipeline want every question computed.
@@ -179,22 +178,14 @@ class OnlineInference {
   AnswerResult AnswerTokens(const std::vector<std::string>& tokens,
                             const AnswerOptions& answer_options) const;
 
-  /// Batched throughput entry point: answers every question, sharded over
-  /// `num_threads` workers. results[i] corresponds to questions[i] and is
-  /// identical to Answer(questions[i]) for any thread count (questions are
-  /// independent and the engine is immutable during answering).
-  std::vector<AnswerResult> AnswerAll(const std::vector<std::string>& questions,
-                                      int num_threads) const;
-
   /// One question through the whole-question memo cache (when enabled) —
-  /// the per-request unit AnswerAll shards and the serving workers both
-  /// route through. The cache key is NormalizeText(question), so casing /
-  /// whitespace / punctuation paraphrases of one canonical question share
-  /// an entry (they tokenize identically, hence answer identically). The
-  /// question is normalized once: on a miss its tokens are the pieces of
-  /// the key's canonical text. Only complete results are memoized: a
-  /// deadline-clipped partial answer (status kDeadlineExceeded) is
-  /// returned but never cached.
+  /// the per-request unit the serving workers route through. The cache
+  /// key is NormalizeText(question), so casing / whitespace / punctuation
+  /// paraphrases of one canonical question share an entry (they tokenize
+  /// identically, hence answer identically). The question is normalized
+  /// once: on a miss its tokens are the pieces of the key's canonical
+  /// text. Only complete results are memoized: a deadline-clipped partial
+  /// answer (status kDeadlineExceeded) is returned but never cached.
   AnswerResult AnswerCached(const std::string& question,
                             const AnswerOptions& answer_options) const;
   /// AnswerCached against a caller-pinned `snapshot` (see Answer above).
@@ -215,7 +206,7 @@ class OnlineInference {
   ValueCacheStats value_cache_stats() const;
 
   /// Same accounting for the whole-question answer memo cache used by
-  /// AnswerAll (all-zero unless Options::enable_answer_cache).
+  /// AnswerCached (all-zero unless Options::enable_answer_cache).
   ValueCacheStats answer_cache_stats() const;
 
  private:
@@ -327,7 +318,7 @@ class OnlineInference {
   mutable obs::ShardedCounter cache_hits_;
   mutable obs::ShardedCounter cache_misses_;
 
-  /// Whole-question memo for AnswerAll/AnswerCached: normalized question
+  /// Whole-question memo for AnswerCached: normalized question
   /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
   /// tokenize identically hit one entry. Internally synchronized (sharded
   /// LRU) like the value cache; results are copied out, so eviction never
@@ -336,14 +327,6 @@ class OnlineInference {
   mutable obs::ShardedCounter answer_cache_hits_;
   mutable obs::ShardedCounter answer_cache_misses_;
 };
-
-/// Answers every question with `answer`, sharded over `num_threads`
-/// workers: results[i] = answer(questions[i]) for any thread count
-/// (questions are independent, each answered into its own slot). The
-/// batch body of OnlineInference::AnswerAll and LiveKbqaEngine::AnswerAll.
-std::vector<AnswerResult> AnswerEach(
-    const std::vector<std::string>& questions, int num_threads,
-    const std::function<AnswerResult(const std::string&)>& answer);
 
 }  // namespace kbqa::core
 

@@ -5,49 +5,6 @@
 
 namespace kbqa::eval {
 
-namespace {
-
-/// Judges one answered question and folds it into `result` (both the
-/// all-question and the BFQ-restricted counters).
-void JudgeAndTally(const core::AnswerResult& answer,
-                   const corpus::QaPair& pair, const corpus::QaGold& gold,
-                   double elapsed_ms, RunResult* result) {
-  JudgedQuestion jq;
-  jq.judgment = Judge(answer, gold);
-  jq.is_bfq = gold.is_bfq;
-  jq.unseen_paraphrase = gold.unseen_paraphrase;
-  jq.kind = gold.kind;
-  jq.question = pair.question;
-  jq.system_answer = answer.answered ? answer.value : "";
-  jq.gold_answer = gold.value_string;
-  jq.elapsed_ms = elapsed_ms;
-
-  auto tally = [&](QaldCounts& counts) {
-    ++counts.total;
-    if (gold.is_bfq) ++counts.bfq;
-    switch (jq.judgment) {
-      case Judgment::kDeclined:
-        break;
-      case Judgment::kRight:
-        ++counts.pro;
-        ++counts.ri;
-        break;
-      case Judgment::kPartial:
-        ++counts.pro;
-        ++counts.par;
-        break;
-      case Judgment::kWrong:
-        ++counts.pro;
-        break;
-    }
-  };
-  tally(result->counts);
-  if (gold.is_bfq) tally(result->bfq_only);
-  result->judged.push_back(std::move(jq));
-}
-
-}  // namespace
-
 Judgment Judge(const core::AnswerResult& answer,
                const corpus::QaGold& gold) {
   if (!answer.answered) return Judgment::kDeclined;
@@ -71,39 +28,45 @@ RunResult RunBenchmark(const core::QaSystemInterface& system,
   result.judged.reserve(benchmark.questions.size());
   for (size_t i = 0; i < benchmark.questions.size(); ++i) {
     const corpus::QaPair& pair = benchmark.questions.pairs[i];
+    const corpus::QaGold& gold = benchmark.questions.gold[i];
 
     Timer timer;
     core::AnswerResult answer = system.Answer(pair.question);
     double elapsed = timer.ElapsedMillis();
     result.total_ms += elapsed;
 
-    JudgeAndTally(answer, pair, benchmark.questions.gold[i], elapsed,
-                  &result);
-  }
-  return result;
-}
+    JudgedQuestion jq;
+    jq.judgment = Judge(answer, gold);
+    jq.is_bfq = gold.is_bfq;
+    jq.unseen_paraphrase = gold.unseen_paraphrase;
+    jq.kind = gold.kind;
+    jq.question = pair.question;
+    jq.system_answer = answer.answered ? answer.value : "";
+    jq.gold_answer = gold.value_string;
+    jq.elapsed_ms = elapsed;
 
-RunResult RunBenchmarkBatched(const core::KbqaSystem& system,
-                              const corpus::BenchmarkSet& benchmark,
-                              int num_threads) {
-  std::vector<std::string> questions;
-  questions.reserve(benchmark.questions.size());
-  for (const corpus::QaPair& pair : benchmark.questions.pairs) {
-    questions.push_back(pair.question);
-  }
-
-  Timer timer;
-  std::vector<core::AnswerResult> answers =
-      system.AnswerAll(questions, num_threads);
-  RunResult result;
-  result.total_ms = timer.ElapsedMillis();
-
-  const double avg_ms =
-      questions.empty() ? 0 : result.total_ms / questions.size();
-  result.judged.reserve(benchmark.questions.size());
-  for (size_t i = 0; i < benchmark.questions.size(); ++i) {
-    JudgeAndTally(answers[i], benchmark.questions.pairs[i],
-                  benchmark.questions.gold[i], avg_ms, &result);
+    auto tally = [&](QaldCounts& counts) {
+      ++counts.total;
+      if (gold.is_bfq) ++counts.bfq;
+      switch (jq.judgment) {
+        case Judgment::kDeclined:
+          break;
+        case Judgment::kRight:
+          ++counts.pro;
+          ++counts.ri;
+          break;
+        case Judgment::kPartial:
+          ++counts.pro;
+          ++counts.par;
+          break;
+        case Judgment::kWrong:
+          ++counts.pro;
+          break;
+      }
+    };
+    tally(result.counts);
+    if (gold.is_bfq) tally(result.bfq_only);
+    result.judged.push_back(std::move(jq));
   }
   return result;
 }

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kbqa_system.h"
 #include "core/qa_interface.h"
 #include "corpus/qa_generator.h"
 #include "eval/metrics.h"
@@ -48,21 +47,10 @@ struct RunResult {
 /// (answered == false) does not count toward #pro.
 Judgment Judge(const core::AnswerResult& answer, const corpus::QaGold& gold);
 
-/// Runs `system` over every benchmark question and tallies the QALD
-/// counters. `use_complex` routes questions through AnswerComplex when the
-/// system is a KbqaSystem (benchmarks are BFQ/non-BFQ mixes; decomposition
-/// is a no-op for plain BFQs).
+/// Runs `system` over every benchmark question, one Answer call at a time,
+/// and tallies the QALD counters.
 RunResult RunBenchmark(const core::QaSystemInterface& system,
                        const corpus::BenchmarkSet& benchmark);
-
-/// Throughput-mode counterpart of RunBenchmark: answers the whole set in
-/// one KbqaSystem::AnswerAll batch over `num_threads` workers, then judges.
-/// Counts and judgments are identical to RunBenchmark for any thread count;
-/// per-question latencies are not available in this mode (total_ms is the
-/// batch wall clock, judged[i].elapsed_ms is the batch average).
-RunResult RunBenchmarkBatched(const core::KbqaSystem& system,
-                              const corpus::BenchmarkSet& benchmark,
-                              int num_threads);
 
 }  // namespace kbqa::eval
 

@@ -1,9 +1,7 @@
 #include "obs/metrics.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 namespace kbqa::obs {
 
@@ -190,8 +188,7 @@ void MetricsRegistry::Reset() {
 // ---------------------------------------------------------------------------
 // JSON exposition. Metric names are code-controlled identifiers, but the
 // writer still escapes quotes/backslashes/control bytes so the output is
-// always valid JSON; the reader accepts exactly the grammar the writer
-// emits (objects, arrays, strings, numbers).
+// always valid JSON.
 
 namespace {
 
@@ -217,115 +214,6 @@ void AppendJsonString(const std::string& s, std::string* out) {
   }
   out->push_back('"');
 }
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool Eat(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Eat('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else {
-                return false;
-              }
-            }
-            if (code > 0x7f) return false;  // Writer only escapes ASCII.
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  bool ParseU64(uint64_t* out) {
-    SkipWs();
-    size_t begin = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == begin) return false;
-    *out = std::strtoull(std::string(text_.substr(begin, pos_ - begin)).c_str(),
-                         nullptr, 10);
-    return true;
-  }
-
-  bool ParseDouble(double* out) {
-    SkipWs();
-    size_t begin = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == begin) return false;
-    *out = std::strtod(std::string(text_.substr(begin, pos_ - begin)).c_str(),
-                       nullptr);
-    return true;
-  }
-
-  /// Expects `"key":` next.
-  bool EatKey(const char* key) {
-    std::string k;
-    return ParseString(&k) && k == key && Eat(':');
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -372,70 +260,6 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += histograms.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-bool MetricsSnapshot::FromJson(std::string_view json, MetricsSnapshot* out) {
-  *out = MetricsSnapshot();
-  JsonParser p(json);
-  if (!p.Eat('{')) return false;
-
-  if (!p.EatKey("counters") || !p.Eat('[')) return false;
-  if (!p.Peek(']')) {
-    do {
-      CounterEntry e;
-      if (!p.Eat('{') || !p.EatKey("name") || !p.ParseString(&e.name) ||
-          !p.Eat(',') || !p.EatKey("value") || !p.ParseU64(&e.value) ||
-          !p.Eat('}')) {
-        return false;
-      }
-      out->counters.push_back(std::move(e));
-    } while (p.Eat(','));
-  }
-  if (!p.Eat(']') || !p.Eat(',')) return false;
-
-  if (!p.EatKey("gauges") || !p.Eat('[')) return false;
-  if (!p.Peek(']')) {
-    do {
-      GaugeEntry e;
-      if (!p.Eat('{') || !p.EatKey("name") || !p.ParseString(&e.name) ||
-          !p.Eat(',') || !p.EatKey("value") || !p.ParseDouble(&e.value) ||
-          !p.Eat('}')) {
-        return false;
-      }
-      out->gauges.push_back(std::move(e));
-    } while (p.Eat(','));
-  }
-  if (!p.Eat(']') || !p.Eat(',')) return false;
-
-  if (!p.EatKey("histograms") || !p.Eat('[')) return false;
-  if (!p.Peek(']')) {
-    do {
-      HistogramEntry e;
-      if (!p.Eat('{') || !p.EatKey("name") || !p.ParseString(&e.name) ||
-          !p.Eat(',') || !p.EatKey("count") || !p.ParseU64(&e.count) ||
-          !p.Eat(',') || !p.EatKey("sum") || !p.ParseU64(&e.sum) ||
-          !p.Eat(',') || !p.EatKey("buckets") || !p.Eat('[')) {
-        return false;
-      }
-      if (!p.Peek(']')) {
-        do {
-          BucketEntry b;
-          uint64_t bucket = 0;
-          if (!p.Eat('{') || !p.EatKey("bucket") || !p.ParseU64(&bucket) ||
-              !p.Eat(',') || !p.EatKey("count") || !p.ParseU64(&b.count) ||
-              !p.Eat('}')) {
-            return false;
-          }
-          b.bucket = static_cast<int>(bucket);
-          e.buckets.push_back(b);
-        } while (p.Eat(','));
-      }
-      if (!p.Eat(']') || !p.Eat('}')) return false;
-      out->histograms.push_back(std::move(e));
-    } while (p.Eat(','));
-  }
-  if (!p.Eat(']') || !p.Eat('}')) return false;
-  return p.AtEnd();
 }
 
 }  // namespace kbqa::obs

@@ -17,16 +17,6 @@
 
 namespace kbqa::obs {
 
-/// True when the KBQA_* instrumentation macros are compiled in. The
-/// KBQA_OBS_DISABLED define turns every macro site into a no-op for
-/// overhead A/B builds; the library itself (registry, snapshots, direct
-/// calls) stays functional either way.
-#ifdef KBQA_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace internal {
 
 /// Number of per-metric shards. Threads map onto shards by a stable
@@ -61,26 +51,15 @@ inline std::atomic<bool> g_enabled{true};
 
 }  // namespace internal
 
-/// The layer's one runtime switch, process-wide. While it is off,
-/// counters/gauges/histograms ignore updates and no wide event is sampled —
-/// the single-binary arm of the overhead A/B; the compile-time define is
-/// the zero-cost arm.
-inline bool RuntimeEnabled() {
+/// The layer's one switch, process-wide. While it is off,
+/// counters/gauges/histograms ignore updates, span timers read no clock
+/// and no wide event is sampled; guard any stat computation of your own
+/// with `if (obs::Enabled()) { ... }`.
+inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 inline void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-/// Compile-time-and-runtime gate for instrumentation blocks in user code:
-///   if (obs::Enabled()) { <compute + record expensive stats> }
-/// folds to `if (false)` under KBQA_OBS_DISABLED.
-inline bool Enabled() {
-  if constexpr (!kCompiledIn) {
-    return false;
-  } else {
-    return RuntimeEnabled();
-  }
 }
 
 /// Steady-clock nanoseconds: the one clock every latency in this layer is
@@ -124,7 +103,7 @@ class ShardedCounter {
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     cells_.Add(n);
   }
   uint64_t Value() const { return cells_.Value(); }
@@ -138,7 +117,7 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   double Value() const { return value_.load(std::memory_order_relaxed); }
@@ -172,7 +151,7 @@ class Histogram {
   }
 
   void Record(uint64_t value) {
-    if (!RuntimeEnabled()) return;
+    if (!Enabled()) return;
     Shard& s = shards_[internal::ThreadShard()];
     s.count.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
@@ -196,7 +175,7 @@ class Histogram {
 
 /// Point-in-time merged view of a registry, sorted by metric name (so two
 /// snapshots of identical update sets compare equal regardless of thread
-/// count or interleaving). Serializes to JSON and parses its own output.
+/// count or interleaving). Serializes to JSON.
 struct MetricsSnapshot {
   struct CounterEntry {
     std::string name;
@@ -249,9 +228,6 @@ struct MetricsSnapshot {
   const HistogramEntry* histogram(std::string_view name) const;
 
   std::string ToJson() const;
-  /// Parses the exact shape ToJson emits. Returns false on malformed
-  /// input; `*out` is unspecified in that case.
-  static bool FromJson(std::string_view json, MetricsSnapshot* out);
 
   bool operator==(const MetricsSnapshot&) const = default;
 };

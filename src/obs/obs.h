@@ -3,25 +3,14 @@
 
 /// Umbrella header for instrumentation sites: include this and use the
 /// macros below. Each macro caches its registry lookup in a function-local
-/// static, so the steady-state cost is the increment alone. Defining
-/// KBQA_OBS_DISABLED at compile time turns every macro into a no-op
-/// (guard any surrounding stat computation with `if (obs::Enabled())`,
-/// which folds to `if (false)` in that configuration).
+/// static, so the steady-state cost is the increment alone; while
+/// obs::SetEnabled(false) is in force it is one relaxed load and a branch.
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 #define KBQA_OBS_CONCAT_INNER(a, b) a##b
 #define KBQA_OBS_CONCAT(a, b) KBQA_OBS_CONCAT_INNER(a, b)
-
-#ifdef KBQA_OBS_DISABLED
-
-#define KBQA_COUNTER_ADD(name, n) static_cast<void>(0)
-#define KBQA_GAUGE_SET(name, v) static_cast<void>(0)
-#define KBQA_HISTOGRAM_RECORD(name, v) static_cast<void>(0)
-#define KBQA_TRACE_SPAN(name) static_cast<void>(0)
-
-#else
 
 /// Bumps the named process-wide counter by n.
 #define KBQA_COUNTER_ADD(name, n)                                        \
@@ -57,7 +46,5 @@
       ::kbqa::obs::MetricsRegistry::Global().GetHistogram("span." name); \
   const ::kbqa::obs::SpanGuard KBQA_OBS_CONCAT(kbqa_obs_span_, __LINE__)( \
       KBQA_OBS_CONCAT(kbqa_obs_span_histogram_, __LINE__))
-
-#endif  // KBQA_OBS_DISABLED
 
 #endif  // KBQA_OBS_OBS_H_

@@ -11,12 +11,12 @@ namespace kbqa::obs {
 
 /// RAII scope timer behind KBQA_TRACE_SPAN: on destruction records the
 /// elapsed steady-clock nanoseconds into the site's "span.<name>"
-/// histogram. An entry made while the registry is runtime-disabled reads
-/// no clock and records nothing.
+/// histogram. An entry made while obs::Enabled() is false reads no clock
+/// and records nothing.
 class SpanGuard {
  public:
   explicit SpanGuard(Histogram* histogram)
-      : histogram_(RuntimeEnabled() ? histogram : nullptr),
+      : histogram_(Enabled() ? histogram : nullptr),
         begin_ns_(histogram_ != nullptr ? NowSteadyNs() : 0) {}
   ~SpanGuard() {
     if (histogram_ != nullptr) histogram_->Record(NowSteadyNs() - begin_ns_);

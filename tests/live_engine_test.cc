@@ -419,7 +419,10 @@ TEST_F(LiveEngineTest, MakeLiveEngineAnswersBenchmarkAfterBackgroundMerges) {
   ASSERT_NE(engine, nullptr);
 
   const std::vector<std::string> questions = BenchmarkQuestions(15, 909);
-  const std::vector<core::AnswerResult> want = engine->AnswerAll(questions, 1);
+  std::vector<core::AnswerResult> want;
+  for (const std::string& q : questions) {
+    want.push_back(engine->AnswerCached(q, core::AnswerOptions{}));
+  }
 
   // Churn unrelated entities through several background merges.
   for (int i = 0; i < 12; ++i) {
@@ -431,10 +434,9 @@ TEST_F(LiveEngineTest, MakeLiveEngineAnswersBenchmarkAfterBackgroundMerges) {
 
   // Unrelated churn must not disturb any benchmark answer (id stability:
   // the trained model's ids survived every merge).
-  const std::vector<core::AnswerResult> got = engine->AnswerAll(questions, 2);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ExpectSameAnswer(got[i], want[i], questions[i]);
+  for (size_t i = 0; i < questions.size(); ++i) {
+    ExpectSameAnswer(engine->AnswerCached(questions[i], core::AnswerOptions{}),
+                     want[i], questions[i]);
   }
 }
 

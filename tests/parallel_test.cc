@@ -1,7 +1,8 @@
 // The threading layer's determinism contract (DESIGN.md "Threading model &
 // determinism"): the thread pool's static sharding, bit-identical EM
-// training for any thread count, AnswerAll == Answer per question, and the
-// online value cache being unobservable in results.
+// training for any thread count, concurrent AnswerCached callers ==
+// Answer per question, and the online value cache being unobservable in
+// results.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +12,12 @@
 #include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/kbqa_system.h"
 #include "core/online.h"
 #include "eval/experiment.h"
-#include "eval/runner.h"
 #include "nlp/tokenizer.h"
 #include "util/thread_pool.h"
 
@@ -120,6 +121,26 @@ class ParallelSystemTest : public ::testing::Test {
     }
     return questions;
   }
+
+  /// Answers questions[i] into results[i] through `engine.AnswerCached`
+  /// from `threads` concurrent callers, caller c taking every
+  /// threads-th question from the c-th.
+  static std::vector<core::AnswerResult> AnswerConcurrently(
+      const core::OnlineInference& engine,
+      const std::vector<std::string>& questions, int threads) {
+    std::vector<core::AnswerResult> results(questions.size());
+    std::vector<std::thread> callers;
+    for (int c = 0; c < threads; ++c) {
+      callers.emplace_back([&, c] {
+        for (size_t i = static_cast<size_t>(c); i < questions.size();
+             i += static_cast<size_t>(threads)) {
+          results[i] = engine.AnswerCached(questions[i], core::AnswerOptions{});
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    return results;
+  }
 };
 
 TEST_F(ParallelSystemTest, TrainingIsBitIdenticalAcrossThreadCounts) {
@@ -162,7 +183,7 @@ TEST_F(ParallelSystemTest, TrainingIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelSystemTest, AnswerAllMatchesAnswerForAnyThreadCount) {
+TEST_F(ParallelSystemTest, ConcurrentCallersMatchAnswerForAnyThreadCount) {
   std::vector<std::string> questions = BenchmarkQuestions(40, 8181);
   const core::KbqaSystem& kbqa = experiment().kbqa();
 
@@ -172,7 +193,7 @@ TEST_F(ParallelSystemTest, AnswerAllMatchesAnswerForAnyThreadCount) {
 
   for (int threads : {1, 2, 8}) {
     std::vector<core::AnswerResult> batched =
-        kbqa.AnswerAll(questions, threads);
+        AnswerConcurrently(kbqa.online(), questions, threads);
     ASSERT_EQ(batched.size(), reference.size());
     for (size_t i = 0; i < batched.size(); ++i) {
       EXPECT_EQ(batched[i].answered, reference[i].answered) << questions[i];
@@ -307,11 +328,11 @@ TEST_F(ParallelSystemTest, AnswerCacheMatchesUncachedAcrossBatches) {
   reference.reserve(batch.size());
   for (const std::string& q : batch) reference.push_back(kbqa.Answer(q));
 
-  // Pass 1 single-threaded (cold cache), pass 2 sharded (warm cache):
-  // both must be field-identical to the uncached engine.
+  // Pass 1 single-threaded (cold cache), pass 2 from 4 callers (warm
+  // cache): both must be field-identical to the uncached engine.
   for (int pass_threads : {1, 4}) {
     std::vector<core::AnswerResult> batched =
-        cached.AnswerAll(batch, pass_threads);
+        AnswerConcurrently(cached, batch, pass_threads);
     ASSERT_EQ(batched.size(), reference.size());
     for (size_t i = 0; i < batched.size(); ++i) {
       EXPECT_EQ(batched[i].answered, reference[i].answered) << batch[i];
@@ -403,7 +424,8 @@ TEST_F(ParallelSystemTest, AnswerCacheBudgetBoundsResidentBytes) {
 
   std::vector<std::string> questions = BenchmarkQuestions(40, 2718);
   for (int pass = 0; pass < 2; ++pass) {
-    std::vector<core::AnswerResult> batched = budgeted.AnswerAll(questions, 2);
+    std::vector<core::AnswerResult> batched =
+        AnswerConcurrently(budgeted, questions, 2);
     for (size_t i = 0; i < batched.size(); ++i) {
       // Eviction must be semantically invisible: dropped memo entries are
       // recomputed by the full pipeline on the next miss.
@@ -449,27 +471,6 @@ TEST_F(ParallelSystemTest, DeadlineExceededDegradesGracefully) {
     EXPECT_EQ(bounded.value, reference.value) << q;
     EXPECT_EQ(bounded.score, reference.score) << q;
     EXPECT_EQ(bounded.values, reference.values) << q;
-  }
-}
-
-TEST_F(ParallelSystemTest, BatchedRunnerMatchesSequentialRunner) {
-  corpus::BenchmarkSet set = experiment().MakeQald1();
-  eval::RunResult sequential =
-      eval::RunBenchmark(experiment().kbqa(), set);
-  for (int threads : {1, 4}) {
-    eval::RunResult batched =
-        eval::RunBenchmarkBatched(experiment().kbqa(), set, threads);
-    EXPECT_EQ(batched.counts.pro, sequential.counts.pro);
-    EXPECT_EQ(batched.counts.ri, sequential.counts.ri);
-    EXPECT_EQ(batched.counts.par, sequential.counts.par);
-    EXPECT_EQ(batched.counts.total, sequential.counts.total);
-    EXPECT_EQ(batched.bfq_only.ri, sequential.bfq_only.ri);
-    ASSERT_EQ(batched.judged.size(), sequential.judged.size());
-    for (size_t i = 0; i < batched.judged.size(); ++i) {
-      EXPECT_EQ(batched.judged[i].judgment, sequential.judged[i].judgment);
-      EXPECT_EQ(batched.judged[i].system_answer,
-                sequential.judged[i].system_answer);
-    }
   }
 }
 

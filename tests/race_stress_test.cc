@@ -341,7 +341,7 @@ TEST_F(RaceStressSystemTest, ConcurrentAnswerOnOneEngineMatchesSerial) {
   for (auto& th : threads) th.join();
 }
 
-TEST_F(RaceStressSystemTest, ConcurrentAnswerAllWithSharedAnswerCache) {
+TEST_F(RaceStressSystemTest, ConcurrentAnswerCachedWithSharedAnswerCache) {
   core::OnlineInference::Options options =
       experiment().kbqa().options().online;
   options.enable_answer_cache = true;
@@ -349,40 +349,49 @@ TEST_F(RaceStressSystemTest, ConcurrentAnswerAllWithSharedAnswerCache) {
   const auto engine = MakeEngine(options);
 
   const std::vector<std::string> questions = BenchmarkQuestions(30, 977);
-  const std::vector<core::AnswerResult> reference =
-      engine->AnswerAll(questions, 1);
+  std::vector<core::AnswerResult> reference;
+  for (const std::string& q : questions) {
+    reference.push_back(engine->AnswerCached(q, core::AnswerOptions{}));
+  }
 
+  // Each caller starts at its own offset, so callers insert, hit and
+  // evict different entries at the same time.
+  constexpr size_t kCallers = 4;
   std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
-      const std::vector<core::AnswerResult> batched =
-          engine->AnswerAll(questions, 2);
-      ASSERT_EQ(batched.size(), reference.size());
-      for (size_t i = 0; i < batched.size(); ++i) {
-        ASSERT_EQ(batched[i].answered, reference[i].answered);
-        ASSERT_EQ(batched[i].value, reference[i].value);
-        ASSERT_EQ(batched[i].score, reference[i].score);
+  for (size_t t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < questions.size(); ++k) {
+        const size_t i = (k + t * 7) % questions.size();
+        const core::AnswerResult result =
+            engine->AnswerCached(questions[i], core::AnswerOptions{});
+        ASSERT_EQ(result.answered, reference[i].answered);
+        ASSERT_EQ(result.value, reference[i].value);
+        ASSERT_EQ(result.score, reference[i].score);
       }
     });
   }
   for (auto& th : threads) th.join();
   const core::ValueCacheStats stats = engine->answer_cache_stats();
   EXPECT_LE(stats.bytes, options.answer_cache_budget_bytes);
-  EXPECT_EQ(stats.hits + stats.misses, 4u * questions.size());
+  EXPECT_EQ(stats.hits + stats.misses, (kCallers + 1) * questions.size());
 }
 
 TEST_F(RaceStressSystemTest, EngineShutdownImmediatelyAfterInFlightWork) {
-  // Deterministic-shutdown satellite: the engine (and the pool AnswerAll
-  // creates inside) is destroyed the instant its last batch completes,
-  // while worker threads are in their final teardown section. TSan checks
-  // the destructor's join edge against every answer the workers wrote.
+  // The engine is destroyed the instant its last callers finish. TSan
+  // checks the join edges against every cache entry the callers wrote and
+  // the engine's destructor frees.
   const std::vector<std::string> questions = BenchmarkQuestions(10, 31337);
   core::OnlineInference::Options options =
       experiment().kbqa().options().online;
   for (int round = 0; round < 10; ++round) {
     auto engine = MakeEngine(options);
-    std::thread a([&] { (void)engine->AnswerAll(questions, 2); });
-    std::thread b([&] { (void)engine->AnswerAll(questions, 2); });
+    const auto answer_questions = [&] {
+      for (const std::string& q : questions) {
+        (void)engine->AnswerCached(q, core::AnswerOptions{});
+      }
+    };
+    std::thread a(answer_questions);
+    std::thread b(answer_questions);
     a.join();
     b.join();
     engine.reset();
@@ -463,8 +472,10 @@ TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
   options.enable_answer_cache = true;
   const auto engine = MakeEngine(options);
   const std::vector<std::string> questions = BenchmarkQuestions(12, 555);
-  const std::vector<core::AnswerResult> reference =
-      engine->AnswerAll(questions, 1);
+  std::vector<core::AnswerResult> reference;
+  for (const std::string& q : questions) {
+    reference.push_back(engine->AnswerCached(q, core::AnswerOptions{}));
+  }
   for (int round = 0; round < 5; ++round) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
@@ -487,12 +498,12 @@ TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
 
 // ---------- Live KB mutation (DESIGN.md §10) ----------
 
-TEST_F(RaceStressSystemTest, LiveEngineAnswerAllAcrossMutationsAndSwaps) {
-  // Reader threads batch-answer through a LiveKbqaEngine while a mutator
-  // thread applies overlay batches and forces merges, so every RCU edge is
+TEST_F(RaceStressSystemTest, LiveEngineAnswersAcrossMutationsAndSwaps) {
+  // Reader threads answer through a LiveKbqaEngine while a mutator thread
+  // applies overlay batches and forces merges, so every RCU edge is
   // exercised concurrently: Pin() against Apply's snapshot publish, the
   // merge thread's base rebuild + swap, and the publish hook rebuilding
-  // the per-epoch engine state that readers acquire mid-batch.
+  // the per-epoch engine state that each read acquires.
   const std::string path = ::testing::TempDir() + "/race_live_kb.bin";
   ASSERT_TRUE(experiment().world().kb.Save(path).ok());
   auto loaded = rdf::KnowledgeBase::Load(path);
@@ -521,14 +532,12 @@ TEST_F(RaceStressSystemTest, LiveEngineAnswerAllAcrossMutationsAndSwaps) {
     stop.store(true, std::memory_order_release);
   });
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       do {
-        const std::vector<core::AnswerResult> results =
-            engine->AnswerAll(questions, 2);
-        ASSERT_EQ(results.size(), questions.size());
-        for (const core::AnswerResult& r : results) {
-          ASSERT_TRUE(r.status.ok());
+        for (const std::string& q : questions) {
+          ASSERT_TRUE(
+              engine->AnswerCached(q, core::AnswerOptions{}).status.ok());
         }
       } while (!stop.load(std::memory_order_acquire));
     });
