@@ -333,9 +333,7 @@ int main() {
                import_seconds / load_seconds);
   std::fprintf(out,
                "  \"point_lookup\": {\"out_ns_per_op\": %.1f, "
-               "\"objects_range_ns_per_op\": %.1f,\n"
-               "    \"nested_vector_baseline\": {\"out_ns_per_op\": 23.0, "
-               "\"objects_range_ns_per_op\": 22.7}},\n",
+               "\"objects_range_ns_per_op\": %.1f},\n",
                out_ns, range_ns);
   std::fprintf(out,
                "  \"zero_allocation_lookups\": true,\n"

@@ -40,6 +40,12 @@
 #                             # after an Apply and after a merge, the train
 #                             # replay's template count, precision/recall
 #                             # floors, zero failed operations)
+#   scripts/check.sh --perf PARENT_REV
+#                             # short parent/change A/B of perfbench:
+#                             # scripts/perf_ab.py PARENT_REV --pairs 3
+#                             # --seconds 5 (both workloads); exits with
+#                             # its status (non-zero on a failed check or
+#                             # a metric past its BENCHMARK.json bound)
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -190,6 +196,14 @@ case "${1:-}" in
     run_perf_smoke
     echo "== OK (perf smoke) =="
     ;;
+  --perf)
+    if [ -z "${2:-}" ]; then
+      echo "usage: scripts/check.sh --perf PARENT_REV" >&2
+      exit 2
+    fi
+    python3 scripts/perf_ab.py "$2" --pairs 3 --seconds 5
+    echo "== OK (perf A/B against $2) =="
+    ;;
   --tsan)
     run_tsan
     echo "== OK (tsan) =="
@@ -206,7 +220,7 @@ case "${1:-}" in
     echo "== OK =="
     ;;
   *)
-    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke|--perf-smoke]" >&2
+    echo "usage: scripts/check.sh [fast|--lint|--tsan|--serve-smoke|--mutation-smoke|--obs-smoke|--fuzz-smoke|--perf-smoke|--perf PARENT_REV]" >&2
     exit 2
     ;;
 esac

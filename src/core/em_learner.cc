@@ -130,6 +130,8 @@ void EmLearner::BuildObservations(ThreadPool* pool,
         if (cat_mass <= 0) continue;
 
         Observation obs;
+        const std::span<const std::pair<rdf::PathId, rdf::TermId>> out_run =
+            ekb_->Out(cand.entity);
         for (const auto& sc : categories) {
           if (sc.probability < options_.min_category_prob) continue;
           std::string text = MakeTemplateText(
@@ -147,7 +149,13 @@ void EmLearner::BuildObservations(ThreadPool* pool,
           ++out.frequency[t];
           const double p_t = sc.probability / cat_mass;
           for (rdf::PathId path : cand.paths) {
-            const size_t fanout = ekb_->Objects(cand.entity, path).size();
+            // |V(e, p)|: the length of p's stretch of e's (path, object)-
+            // sorted run.
+            const size_t fanout =
+                std::ranges::equal_range(out_run, path, std::ranges::less{},
+                                         &std::pair<rdf::PathId,
+                                                    rdf::TermId>::first)
+                    .size();
             if (fanout == 0) continue;
             const double p_v = 1.0 / static_cast<double>(fanout);
             obs.z.push_back(ZPair{t, path, p_e * p_t * p_v});

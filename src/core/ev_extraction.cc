@@ -1,25 +1,19 @@
 #include "core/ev_extraction.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "nlp/tokenizer.h"
 
 namespace kbqa::core {
 
-bool ContainsTokenRun(const std::vector<std::string>& haystack,
-                      const std::vector<std::string>& needle) {
-  if (needle.empty() || needle.size() > haystack.size()) return false;
-  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    bool match = true;
-    for (size_t j = 0; j < needle.size(); ++j) {
-      if (haystack[i + j] != needle[j]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
+HashedToken::HashedToken(std::string_view token)
+    : hash(std::hash<std::string_view>{}(token)), text(token) {}
+
+bool ContainsTokenRun(std::span<const HashedToken> haystack,
+                      std::span<const HashedToken> needle) {
+  return !needle.empty() &&
+         !std::ranges::search(haystack, needle).empty();
 }
 
 EvExtractor::EvExtractor(const rdf::KnowledgeBase* kb,
@@ -35,7 +29,36 @@ EvExtractor::EvExtractor(const rdf::KnowledgeBase* kb,
       classifier_(classifier),
       predicate_class_(predicate_class),
       name_like_(name_like),
-      options_(options) {}
+      options_(options) {
+  // Tokenize each literal once. The texts are appended first and viewed
+  // after, so no view points into a buffer that later grows or shrinks.
+  literal_begin_.reserve(kb_->num_nodes() + 1);
+  literal_begin_.push_back(0);
+  std::vector<uint32_t> token_size;
+  for (rdf::TermId node = 0; node < kb_->num_nodes(); ++node) {
+    if (kb_->IsLiteral(node)) {
+      for (const std::string& token : nlp::Tokenize(kb_->NodeString(node))) {
+        literal_text_ += token;
+        token_size.push_back(static_cast<uint32_t>(token.size()));
+      }
+    }
+    literal_begin_.push_back(static_cast<uint32_t>(token_size.size()));
+  }
+  literal_text_.shrink_to_fit();
+  literal_tokens_.reserve(token_size.size());
+  size_t offset = 0;
+  for (uint32_t size : token_size) {
+    literal_tokens_.emplace_back(
+        std::string_view(literal_text_).substr(offset, size));
+    offset += size;
+  }
+
+  path_class_.reserve(ekb_->paths().size());
+  for (rdf::PathId id = 0; id < ekb_->paths().size(); ++id) {
+    path_class_.push_back(PathAnswerClass(ekb_->paths().GetPath(id),
+                                          *predicate_class_, *name_like_));
+  }
+}
 
 std::vector<EvCandidate> EvExtractor::Extract(
     const std::vector<std::string>& question_tokens,
@@ -46,6 +69,8 @@ std::vector<EvCandidate> EvExtractor::Extract(
 
   const std::vector<std::string> answer_tokens = nlp::Tokenize(answer);
   if (answer_tokens.empty()) return out;
+  const std::vector<HashedToken> answer_run(answer_tokens.begin(),
+                                            answer_tokens.end());
 
   nlp::QuestionClass question_class = nlp::QuestionClass::kUnknown;
   if (options_.refine_by_question_class) {
@@ -59,20 +84,18 @@ std::vector<EvCandidate> EvExtractor::Extract(
       EvCandidate* current = nullptr;
       rdf::TermId current_value = rdf::kInvalidTerm;
       for (const auto& [path_id, object] : ekb_->Out(entity)) {
-        const rdf::PredPath& path = ekb_->paths().GetPath(path_id);
-        // Refinement: the value's class (from its predicate) must be
-        // compatible with the question's expected answer type.
-        if (options_.refine_by_question_class) {
-          nlp::QuestionClass value_class =
-              PathAnswerClass(path, *predicate_class_, *name_like_);
-          if (!AnswerClassCompatible(question_class, value_class)) continue;
-        }
         // Skip objects that cannot appear as answer text (entity IRIs).
         if (!kb_->IsLiteral(object)) continue;
-        if (!ContainsTokenRun(answer_tokens,
-                              nlp::Tokenize(kb_->NodeString(object)))) {
+        // Refinement: the value's class (from its predicate) must be
+        // compatible with the question's expected answer type.
+        if (options_.refine_by_question_class &&
+            !AnswerClassCompatible(question_class, path_class_[path_id])) {
           continue;
         }
+        const std::span<const HashedToken> value_run(
+            literal_tokens_.data() + literal_begin_[object],
+            literal_tokens_.data() + literal_begin_[object + 1]);
+        if (!ContainsTokenRun(answer_run, value_run)) continue;
         if (current == nullptr || current_value != object) {
           // Out() is sorted by (path, object), so the same value may recur
           // non-contiguously; search existing candidates for this entity.

@@ -44,6 +44,13 @@ struct PatternStats {
 /// for those — the index holds O(#mentions) patterns instead of
 /// O(#questions · |q|²) (the full fo table would not fit for large corpora,
 /// and its extra entries are all P = 0 anyway).
+///
+/// Pass 2 builds no string per span. It hashes each question's text before
+/// and after every cut once, probes each span with one hash combine, and
+/// builds and compares the span's pattern text only when the hash hits an
+/// admitted pattern. The hash is of the pattern's bytes, so the counts
+/// equal those of the MakePattern string loop for any tokens, `$e` and
+/// empty tokens included.
 class PatternIndex {
  public:
   struct Options {

@@ -361,14 +361,6 @@ std::span<const std::pair<PathId, TermId>> ExpandedKb::Out(TermId s) const {
   return it->second;
 }
 
-std::vector<TermId> ExpandedKb::Objects(TermId s, PathId path) const {
-  std::vector<TermId> out;
-  for (const auto& [pid, o] : Out(s)) {
-    if (pid == path) out.push_back(o);
-  }
-  return out;
-}
-
 std::vector<PathId> ExpandedKb::ConnectingPaths(TermId s, TermId o) const {
   std::vector<PathId> out;
   for (const auto& [pid, obj] : Out(s)) {

@@ -125,11 +125,8 @@ class ExpandedKb {
       const ExpansionOptions& options);
 
   /// All expanded triples out of `s`, as (path, object) pairs sorted by
-  /// (path, object).
+  /// (path, object): V(s, p+) is the stretch of this run whose path is p+.
   std::span<const std::pair<PathId, TermId>> Out(TermId s) const;
-
-  /// V(e, p+) — objects connected to `s` via `path`.
-  std::vector<TermId> Objects(TermId s, PathId path) const;
 
   /// All paths p+ with (s, p+, o) materialized.
   std::vector<PathId> ConnectingPaths(TermId s, TermId o) const;

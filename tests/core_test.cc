@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/em_learner.h"
 #include "core/ev_extraction.h"
 #include "core/template_store.h"
+#include "eval/experiment.h"
 #include "nlp/ner.h"
 #include "nlp/question_classifier.h"
 #include "nlp/tokenizer.h"
@@ -22,14 +24,31 @@ using nlp::QuestionClass;
 
 // ---------- ContainsTokenRun ----------
 
+bool ContainsRun(const std::vector<std::string>& haystack,
+                 const std::vector<std::string>& needle) {
+  const std::vector<HashedToken> h(haystack.begin(), haystack.end());
+  const std::vector<HashedToken> n(needle.begin(), needle.end());
+  return ContainsTokenRun(h, n);
+}
+
 TEST(ContainsTokenRunTest, Basics) {
   std::vector<std::string> haystack = {"it", "s", "390000", "people"};
-  EXPECT_TRUE(ContainsTokenRun(haystack, {"390000"}));
-  EXPECT_TRUE(ContainsTokenRun(haystack, {"s", "390000"}));
-  EXPECT_FALSE(ContainsTokenRun(haystack, {"390"}));
-  EXPECT_FALSE(ContainsTokenRun(haystack, {"people", "390000"}));
-  EXPECT_FALSE(ContainsTokenRun(haystack, {}));
-  EXPECT_FALSE(ContainsTokenRun({}, {"x"}));
+  EXPECT_TRUE(ContainsRun(haystack, {"390000"}));
+  EXPECT_TRUE(ContainsRun(haystack, {"s", "390000"}));
+  EXPECT_FALSE(ContainsRun(haystack, {"390"}));
+  EXPECT_FALSE(ContainsRun(haystack, {"people", "390000"}));
+  EXPECT_FALSE(ContainsRun(haystack, {}));
+  EXPECT_FALSE(ContainsRun({}, {"x"}));
+}
+
+TEST(ContainsTokenRunTest, EqualHashesAloneDoNotMatch) {
+  // A forged collision: same hash, different text.
+  HashedToken forged("1961");
+  forged.hash = HashedToken("1964").hash;
+  const std::vector<HashedToken> haystack = {HashedToken("1964")};
+  EXPECT_FALSE(ContainsTokenRun(haystack, std::vector<HashedToken>{forged}));
+  EXPECT_TRUE(ContainsTokenRun(haystack,
+                               std::vector<HashedToken>{HashedToken("1964")}));
 }
 
 // ---------- MakeTemplateText ----------
@@ -161,6 +180,9 @@ class MicroWorldTest : public ::testing::Test {
     kb_.AddTriple(obama_, marriage_, cvt);
     kb_.AddTriple(cvt, person_pred_, michelle_);
     kb_.AddTriple(michelle_, dob_, kb_.AddLiteral("1964"));
+    // A literal without a word: it tokenizes to nothing.
+    motto_ = kb_.AddPredicate("motto");
+    kb_.AddTriple(honolulu_, motto_, kb_.AddLiteral("?!"));
     kb_.Freeze();
 
     city_cat_ = taxonomy_.AddCategory("$city");
@@ -205,7 +227,7 @@ class MicroWorldTest : public ::testing::Test {
   rdf::KnowledgeBase kb_;
   taxonomy::Taxonomy taxonomy_;
   rdf::PredId name_, population_, area_, dob_, profession_, marriage_,
-      person_pred_;
+      person_pred_, motto_;
   rdf::TermId honolulu_, tokyo_, obama_, michelle_;
   taxonomy::CategoryId city_cat_, person_cat_;
   PredicateClassMap classes_;
@@ -280,6 +302,122 @@ TEST_F(MicroWorldTest, MultipleEntitiesShareUniformProbability) {
     found_tokyo = found_tokyo || (c.entity == tokyo_);
   }
   EXPECT_TRUE(found_tokyo);
+}
+
+TEST_F(MicroWorldTest, MultiTokenValueMustBeOneContiguousRun) {
+  // "michelle obama" is one two-token literal: its tokens out of order or
+  // apart do not make it a value.
+  EXPECT_TRUE(Extract("who is the wife of barack obama",
+                      "obama michelle of course .")
+                  .empty());
+  EXPECT_TRUE(Extract("who is the wife of barack obama",
+                      "michelle , not obama .")
+                  .empty());
+  EXPECT_EQ(Extract("who is the wife of barack obama", "michelle obama .")
+                .size(),
+            1u);
+}
+
+TEST_F(MicroWorldTest, WordlessLiteralNeverMatches) {
+  const rdf::TermId motto = kb_.Objects(honolulu_, motto_).at(0);
+  ASSERT_TRUE(nlp::Tokenize(kb_.NodeString(motto)).empty());
+  for (const char* answer : {"?!", "?! !?", "honolulu ?!", "it is ?! ."}) {
+    for (const EvCandidate& cand :
+         Extract("what is the motto of honolulu", answer)) {
+      EXPECT_NE(cand.value, motto) << answer;
+    }
+  }
+}
+
+// ---------- Literal token table against per-triple tokenization ----------
+
+/// The extraction loop without the literal token table: it tokenizes every
+/// literal object and computes its path's answer class per triple.
+std::vector<EvCandidate> ReferenceExtract(
+    const corpus::World& world, const rdf::ExpandedKb& ekb,
+    const nlp::GazetteerNer& ner, bool refine,
+    const std::vector<std::string>& question_tokens,
+    const std::string& answer) {
+  std::vector<EvCandidate> out;
+  const std::vector<nlp::Mention> mentions = ner.FindMentions(question_tokens);
+  const std::vector<std::string> answer_tokens = nlp::Tokenize(answer);
+  if (mentions.empty() || answer_tokens.empty()) return out;
+  const QuestionClass question_class =
+      refine ? nlp::QuestionClassifier().Classify(question_tokens)
+             : QuestionClass::kUnknown;
+  auto contains_run = [&](const std::vector<std::string>& needle) {
+    return !needle.empty() &&
+           std::search(answer_tokens.begin(), answer_tokens.end(),
+                       needle.begin(), needle.end()) != answer_tokens.end();
+  };
+  for (const nlp::Mention& mention : mentions) {
+    for (rdf::TermId entity : mention.entities) {
+      for (const auto& [path, object] : ekb.Out(entity)) {
+        if (refine &&
+            !AnswerClassCompatible(
+                question_class,
+                PathAnswerClass(ekb.paths().GetPath(path),
+                                world.predicate_class, world.name_like))) {
+          continue;
+        }
+        if (!world.kb.IsLiteral(object) ||
+            !contains_run(nlp::Tokenize(world.kb.NodeString(object)))) {
+          continue;
+        }
+        auto same = [&](const EvCandidate& c) {
+          return c.entity == entity && c.value == object &&
+                 c.mention_begin == mention.begin;
+        };
+        auto it = std::find_if(out.begin(), out.end(), same);
+        if (it == out.end()) {
+          out.push_back(
+              EvCandidate{mention.begin, mention.end, entity, object, {}});
+          it = out.end() - 1;
+        }
+        if (std::find(it->paths.begin(), it->paths.end(), path) ==
+            it->paths.end()) {
+          it->paths.push_back(path);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LiteralTableTest, ExtractMatchesPerTripleTokenizationOnSmallWorld) {
+  auto built = eval::Experiment::Build(eval::ExperimentConfig::Small());
+  ASSERT_TRUE(built.ok()) << built.status();
+  const eval::Experiment& experiment = *built.value();
+  const corpus::World& world = experiment.world();
+  const KbqaSystem& kbqa = experiment.kbqa();
+  const nlp::QuestionClassifier classifier;
+  for (const bool refine : {true, false}) {
+    EvExtractor::Options options;
+    options.refine_by_question_class = refine;
+    const EvExtractor extractor(&world.kb, &kbqa.expanded_kb(), &kbqa.ner(),
+                                &classifier, &world.predicate_class,
+                                &world.name_like, options);
+    size_t candidates = 0;
+    for (const corpus::QaPair& pair : experiment.train_corpus().pairs) {
+      const std::vector<std::string> tokens =
+          nlp::TokenizeQuestion(pair.question);
+      const std::vector<EvCandidate> got =
+          extractor.Extract(tokens, pair.answer);
+      const std::vector<EvCandidate> want = ReferenceExtract(
+          world, kbqa.expanded_kb(), kbqa.ner(), refine, tokens, pair.answer);
+      ASSERT_EQ(got.size(), want.size()) << pair.question;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].mention_begin, want[i].mention_begin);
+        EXPECT_EQ(got[i].mention_end, want[i].mention_end);
+        EXPECT_EQ(got[i].entity, want[i].entity);
+        EXPECT_EQ(got[i].value, want[i].value);
+        EXPECT_EQ(got[i].paths, want[i].paths) << pair.question;
+      }
+      candidates += got.size();
+    }
+    // Most pairs yield a candidate, so the comparison is not vacuous.
+    EXPECT_GT(candidates, experiment.train_corpus().pairs.size() / 2);
+  }
 }
 
 // ---------- EM learning on the micro world ----------

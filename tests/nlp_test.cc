@@ -2,11 +2,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "corpus/qa_generator.h"
+#include "corpus/world_generator.h"
+#include "eval/experiment.h"
 #include "nlp/ner.h"
 #include "nlp/pattern.h"
 #include "nlp/question_classifier.h"
@@ -435,6 +440,132 @@ TEST(PatternTest, LongMentionsBeyondSpanCapStillCount) {
   auto stats = index.Stats("about $e");
   EXPECT_EQ(stats.fv, 1u);
   EXPECT_EQ(stats.fo, 1u);  // counted via the mention fallback
+}
+
+/// fo and fv as the string loop counts them: every span of up to
+/// max_span_tokens tokens and every longer mention span replaced by `$e`,
+/// each distinct pattern counted once per question; only patterns some
+/// mention produced are kept.
+std::map<std::string, PatternStats> BruteForceCounts(
+    const std::vector<PatternQuestion>& questions,
+    const PatternIndex::Options& options) {
+  std::map<std::string, PatternStats> fv_patterns;
+  for (const PatternQuestion& q : questions) {
+    std::set<std::string> valid;
+    for (const auto& [begin, end] : q.mention_spans) {
+      if (begin < end && end <= q.tokens.size()) {
+        valid.insert(MakePattern(q.tokens, begin, end));
+      }
+    }
+    for (const std::string& pattern : valid) ++fv_patterns[pattern].fv;
+  }
+  for (const PatternQuestion& q : questions) {
+    const size_t n = q.tokens.size();
+    std::set<std::string> occurring;
+    for (size_t begin = 0; begin < n; ++begin) {
+      for (size_t end = begin + 1;
+           end <= n && end - begin <= options.max_span_tokens; ++end) {
+        occurring.insert(MakePattern(q.tokens, begin, end));
+      }
+    }
+    for (const auto& [begin, end] : q.mention_spans) {
+      if (begin < end && end <= n) {
+        occurring.insert(MakePattern(q.tokens, begin, end));
+      }
+    }
+    for (const std::string& pattern : occurring) {
+      auto it = fv_patterns.find(pattern);
+      if (it != fv_patterns.end()) ++it->second.fo;
+    }
+  }
+  return fv_patterns;
+}
+
+void ExpectBruteForceCounts(const std::vector<PatternQuestion>& questions,
+                            const PatternIndex::Options& options = {}) {
+  const PatternIndex index = PatternIndex::Build(questions, options);
+  const std::map<std::string, PatternStats> want =
+      BruteForceCounts(questions, options);
+  EXPECT_EQ(index.num_patterns(), want.size());
+  for (const auto& [pattern, stats] : want) {
+    EXPECT_EQ(index.Stats(pattern).fo, stats.fo) << pattern;
+    EXPECT_EQ(index.Stats(pattern).fv, stats.fv) << pattern;
+  }
+}
+
+TEST(PatternTest, CountsMatchBruteForceOnSmallCorpus) {
+  const eval::ExperimentConfig config = eval::ExperimentConfig::Small();
+  const corpus::World world = corpus::GenerateWorld(config.world);
+  const corpus::QaCorpus corpus =
+      corpus::GenerateTrainingCorpus(world, config.corpus);
+  const GazetteerNer ner(world.kb, world.alias_predicates);
+  std::vector<PatternQuestion> questions;
+  for (const corpus::QaPair& pair : corpus.pairs) {
+    PatternQuestion q;
+    q.tokens = TokenizeQuestion(pair.question);
+    for (const Mention& m : ner.FindMentions(q.tokens)) {
+      q.mention_spans.emplace_back(m.begin, m.end);
+    }
+    questions.push_back(std::move(q));
+  }
+  ASSERT_GT(PatternIndex::Build(questions).num_patterns(), 10u);
+  ExpectBruteForceCounts(questions);
+  PatternIndex::Options short_spans;
+  short_spans.max_span_tokens = 2;
+  ExpectBruteForceCounts(questions, short_spans);
+}
+
+TEST(PatternTest, PatternFromTwoSpansOfOneQuestionCountsOnce) {
+  // Spans [0,2) and [1,3) both write "$e $e".
+  std::vector<PatternQuestion> corpus(1);
+  corpus[0].tokens = {"$e", "of", "$e"};
+  corpus[0].mention_spans = {{0, 2}, {1, 3}};
+  const PatternIndex index = PatternIndex::Build(corpus);
+  EXPECT_EQ(index.Stats("$e $e").fo, 1u);
+  EXPECT_EQ(index.Stats("$e $e").fv, 1u);
+  ExpectBruteForceCounts(corpus);
+}
+
+TEST(PatternTest, SharedPrefixDifferentSuffix) {
+  std::vector<PatternQuestion> corpus(2);
+  corpus[0].tokens = {"when", "was", "obama", "born"};
+  corpus[0].mention_spans = {{2, 3}};
+  corpus[1].tokens = {"when", "was", "obama", "elected"};
+  const PatternIndex index = PatternIndex::Build(corpus);
+  EXPECT_EQ(index.Stats("when was $e born").fo, 1u);
+  EXPECT_EQ(index.Stats("when was $e born").fv, 1u);
+  EXPECT_EQ(index.Stats("when was $e elected").fo, 0u);
+  ExpectBruteForceCounts(corpus);
+}
+
+TEST(PatternTest, EntitySlotAndEmptyTokensCountAsTheirStrings) {
+  // Different spans, one string. A leading empty token adds no space, so
+  // ["", "when", "born"] writes "$e born" for [0,2) and for [1,2), as
+  // ["when", "born"] does for [0,1). ["$e", "x"] and ["x", "$e"] both
+  // write "$e $e". An inner empty token adds a space: ["a", "", "b"]
+  // writes "a  $e" for [2,3), as ["a", "", "", "b"] does for [2,4).
+  std::vector<PatternQuestion> corpus(6);
+  corpus[0].tokens = {"", "when", "born"};
+  corpus[0].mention_spans = {{1, 2}};
+  corpus[1].tokens = {"when", "born"};
+  corpus[1].mention_spans = {{0, 1}};
+  corpus[2].tokens = {"$e", "x"};
+  corpus[2].mention_spans = {{1, 2}};
+  corpus[3].tokens = {"x", "$e"};
+  corpus[4].tokens = {"a", "", "b"};
+  corpus[4].mention_spans = {{2, 3}};
+  corpus[5].tokens = {"a", "", "", "b"};
+  const PatternIndex index = PatternIndex::Build(corpus);
+  EXPECT_EQ(index.Stats("$e born").fv, 2u);
+  EXPECT_EQ(index.Stats("$e born").fo, 2u);
+  EXPECT_EQ(index.Stats("$e $e").fv, 1u);
+  EXPECT_EQ(index.Stats("$e $e").fo, 2u);
+  EXPECT_EQ(index.Stats("a  $e").fv, 1u);
+  EXPECT_EQ(index.Stats("a  $e").fo, 2u);
+  ExpectBruteForceCounts(corpus);
+  PatternIndex::Options one_token;
+  one_token.max_span_tokens = 1;
+  ExpectBruteForceCounts(corpus, one_token);
 }
 
 }  // namespace

@@ -463,8 +463,15 @@ TEST_F(ExpansionTest, FindsSpouseOfPath) {
   PredPath spouse_of = {marriage_, person_, name_};
   auto path_id = ekb.value().paths().Lookup(spouse_of);
   ASSERT_TRUE(path_id.has_value());
-  EXPECT_EQ(ekb.value().Objects(a_, *path_id),
-            (std::vector<TermId>{michelle_lit_}));
+  // The Out() run is sorted by (path, object): the path's objects are one
+  // contiguous stretch of it.
+  const auto out = ekb.value().Out(a_);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  const auto stretch = std::ranges::equal_range(
+      out, *path_id, std::ranges::less{}, &std::pair<PathId, TermId>::first);
+  const std::vector<std::pair<PathId, TermId>> want = {
+      {*path_id, michelle_lit_}};
+  EXPECT_TRUE(std::ranges::equal(stretch, want));
   EXPECT_EQ(ekb.value().paths().ToString(*path_id, kb_),
             "marriage -> person -> name");
 }
