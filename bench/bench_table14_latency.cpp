@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -159,8 +160,8 @@ BENCHMARK(BM_OfflineTrainingThreads)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Measures the offline procedure's parallel speedup directly (Train at
-/// 1/2/4 threads) and emits BENCH_parallel.json.
+/// Measures the offline procedure's parallel speedup directly (the median
+/// of five Trains at each of 1/2/4 threads) and emits BENCH_parallel.json.
 void EmitParallelSpeedupJson() {
   std::printf("[parallel] measuring offline thread scaling...\n");
   corpus::QaGenConfig corpus_config;
@@ -168,15 +169,22 @@ void EmitParallelSpeedupJson() {
   corpus::QaCorpus corpus =
       corpus::GenerateTrainingCorpus(ScalingWorld(), corpus_config);
   const std::vector<int> thread_counts = {1, 2, 4};
+  // One Train takes about 0.1 s here, so each row is the median of a few.
+  constexpr int kRepeats = 5;
 
   std::vector<double> train_seconds;
   for (int threads : thread_counts) {
-    core::KbqaOptions options;
-    options.em.num_threads = threads;
-    kbqa::Timer timer;
-    core::KbqaSystem kbqa(&ScalingWorld(), options);
-    if (!kbqa.Train(corpus).ok()) std::exit(1);
-    train_seconds.push_back(timer.ElapsedSeconds());
+    std::vector<double> runs;
+    for (int r = 0; r < kRepeats; ++r) {
+      core::KbqaOptions options;
+      options.em.num_threads = threads;
+      kbqa::Timer timer;
+      core::KbqaSystem kbqa(&ScalingWorld(), options);
+      if (!kbqa.Train(corpus).ok()) std::exit(1);
+      runs.push_back(timer.ElapsedSeconds());
+    }
+    std::nth_element(runs.begin(), runs.begin() + kRepeats / 2, runs.end());
+    train_seconds.push_back(runs[kRepeats / 2]);
   }
 
   FILE* out = std::fopen("BENCH_parallel.json", "w");
@@ -184,8 +192,9 @@ void EmitParallelSpeedupJson() {
   std::fprintf(out, "{\n  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(out,
-               "  \"offline_training\": {\"corpus_pairs\": %zu, \"runs\": [",
-               corpus.size());
+               "  \"offline_training\": {\"corpus_pairs\": %zu, "
+               "\"repeats\": %d, \"runs\": [",
+               corpus.size(), kRepeats);
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     std::fprintf(out,
                  "%s\n    {\"threads\": %d, \"seconds\": %.3f, "

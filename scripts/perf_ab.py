@@ -19,11 +19,12 @@ on both trees with seed S = first_seed + (workload index) * pairs + i - 1,
 the parent first on odd pairs and the change first on even pairs, so host
 drift falls on both sides alike.
 
-It prints every run, then per workload one row per end-to-end metric of
-BENCHMARK.json: parent median and interquartile range, change median, the
-change's relative delta, and the pairs the change won (ties count for
-neither side). A metric whose change median is worse than the parent's by
-more than its BENCHMARK.json bound is flagged.
+It prints every run, with the Train time of each of its set-ups, then
+per workload one row per end-to-end metric of BENCHMARK.json: parent
+median and interquartile range, change median, the change's relative
+delta, and the pairs the change won (ties count for neither side). A
+metric whose change median is worse than the parent's by more than its
+BENCHMARK.json bound is flagged.
 
 Exit status: 0 when every run reported `correct: true` and 0 failed
 operations and no metric is flagged; 1 otherwise; 2 on bad arguments or a
@@ -81,6 +82,10 @@ def run_once(tree, workload, seed, seconds):
         sys.stderr.write(done.stderr[-4000:])
         return None
     result["exit_code"] = done.returncode
+    # perfbench logs each set-up as "[setup] k: S s (Train T s)".
+    result["trains"] = [line.rsplit("(Train ", 1)[1].split()[0]
+                        for line in done.stderr.splitlines()
+                        if line.startswith("[setup]") and "(Train " in line]
     return result
 
 
@@ -165,7 +170,8 @@ def main(argv):
                                      for n in names)
                     print(f"{workload} pair {pair} seed {seed} {side:<6} "
                           f"correct={str(result['correct']).lower()} "
-                          f"failed={result['failed']} {shown}", flush=True)
+                          f"failed={result['failed']} {shown} "
+                          f"trains={','.join(result['trains'])}", flush=True)
                 results[workload].append((got["parent"], got["change"]))
         flagged = []
         for workload, pairs in results.items():

@@ -55,6 +55,51 @@ void MakeTemplateText(const std::vector<std::string>& tokens,
   }
 }
 
+PreparedCorpus PrepareCorpus(const corpus::QaCorpus& corpus,
+                             const nlp::GazetteerNer& ner, ThreadPool* pool,
+                             std::vector<rdf::TermId>* seeds) {
+  const size_t n = corpus.pairs.size();
+  PreparedCorpus prepared;
+  prepared.questions.resize(n);
+  prepared.mentions.resize(n);
+  std::vector<std::vector<rdf::TermId>> shard_seeds(kNumShards);
+  // Each shard writes only its own questions' slots and seed list.
+  ParallelFor(*pool, n, kNumShards,
+              [&](size_t shard, size_t begin, size_t end) {
+                std::vector<rdf::TermId>& local_seeds = shard_seeds[shard];
+                for (size_t i = begin; i < end; ++i) {
+                  nlp::PatternQuestion& question = prepared.questions[i];
+                  question.tokens =
+                      nlp::TokenizeQuestion(corpus.pairs[i].question);
+                  prepared.mentions[i] = ner.FindMentions(question.tokens);
+                  question.mention_spans.reserve(prepared.mentions[i].size());
+                  for (const nlp::Mention& m : prepared.mentions[i]) {
+                    question.mention_spans.emplace_back(m.begin, m.end);
+                    if (seeds != nullptr) {
+                      local_seeds.insert(local_seeds.end(), m.entities.begin(),
+                                         m.entities.end());
+                    }
+                  }
+                }
+              });
+  if (seeds != nullptr) {
+    // Shard order, then sorted and de-duplicated: the same list for any
+    // pool size.
+    size_t total = 0;
+    for (const std::vector<rdf::TermId>& part : shard_seeds) {
+      total += part.size();
+    }
+    seeds->clear();
+    seeds->reserve(total);
+    for (const std::vector<rdf::TermId>& part : shard_seeds) {
+      seeds->insert(seeds->end(), part.begin(), part.end());
+    }
+    std::sort(seeds->begin(), seeds->end());
+    seeds->erase(std::unique(seeds->begin(), seeds->end()), seeds->end());
+  }
+  return prepared;
+}
+
 EmLearner::EmLearner(const rdf::KnowledgeBase* kb, const rdf::ExpandedKb* ekb,
                      const taxonomy::Taxonomy* taxonomy,
                      const EvExtractor* extractor, const EmOptions& options)
@@ -66,6 +111,7 @@ EmLearner::EmLearner(const rdf::KnowledgeBase* kb, const rdf::ExpandedKb* ekb,
 
 void EmLearner::BuildObservations(ThreadPool* pool,
                                   const corpus::QaCorpus& corpus,
+                                  const PreparedCorpus& prepared,
                                   TemplateStore* store,
                                   std::vector<Observation>* observations,
                                   EmStats* stats) const {
@@ -86,14 +132,19 @@ void EmLearner::BuildObservations(ThreadPool* pool,
     size_t total_pred_cands = 0;
   };
 
+  std::vector<ShardBuild> shards(kNumShards);
   auto build_shard = [&](size_t shard, size_t begin, size_t end) {
-    (void)shard;
-    ShardBuild out;
+    ShardBuild& out = shards[shard];
+    // A question yields about one observation and at most a few new
+    // templates, so the shard's question count sizes its buffers once.
+    out.texts.reserve(end - begin);
+    out.index.reserve(end - begin);
+    out.frequency.reserve(end - begin);
+    out.observations.reserve(end - begin);
     for (size_t qi = begin; qi < end; ++qi) {
-      const corpus::QaPair& pair = corpus.pairs[qi];
-      std::vector<std::string> tokens = nlp::TokenizeQuestion(pair.question);
-      std::vector<EvCandidate> candidates =
-          extractor_->Extract(tokens, pair.answer);
+      const std::vector<std::string>& tokens = prepared.questions[qi].tokens;
+      std::vector<EvCandidate> candidates = extractor_->Extract(
+          tokens, prepared.mentions[qi], corpus.pairs[qi].answer);
       if (candidates.empty()) continue;
 
       // P(e|q_i): uniform over the distinct entities appearing in EV_i
@@ -168,34 +219,36 @@ void EmLearner::BuildObservations(ThreadPool* pool,
         }
       }
     }
-    return out;
   };
+  ParallelFor(*pool, corpus.pairs.size(), kNumShards, build_shard);
 
   size_t questions_with_entities = 0;
   size_t total_entities = 0;
   size_t total_template_cands = 0;
   size_t total_pred_cands = 0;
+  size_t total_observations = 0;
+  for (const ShardBuild& shard : shards) {
+    total_observations += shard.observations.size();
+  }
+  observations->reserve(observations->size() + total_observations);
 
   // Ordered merge: shard s's templates and observations land before shard
   // s+1's, with local template ids rewritten through the global store.
-  ParallelReduce(
-      *pool, corpus.pairs.size(), kNumShards, 0,
-      build_shard,
-      [&](int&, ShardBuild&& shard) {
-        std::vector<TemplateId> to_global(shard.texts.size());
-        for (size_t i = 0; i < shard.texts.size(); ++i) {
-          to_global[i] = store->Intern(shard.texts[i]);
-          store->AddFrequency(to_global[i], shard.frequency[i]);
-        }
-        for (Observation& obs : shard.observations) {
-          for (ZPair& z : obs.z) z.t = to_global[z.t];
-          observations->push_back(std::move(obs));
-        }
-        questions_with_entities += shard.questions_with_entities;
-        total_entities += shard.total_entities;
-        total_template_cands += shard.total_template_cands;
-        total_pred_cands += shard.total_pred_cands;
-      });
+  for (ShardBuild& shard : shards) {
+    std::vector<TemplateId> to_global(shard.texts.size());
+    for (size_t i = 0; i < shard.texts.size(); ++i) {
+      to_global[i] = store->Intern(shard.texts[i]);
+      store->AddFrequency(to_global[i], shard.frequency[i]);
+    }
+    for (Observation& obs : shard.observations) {
+      for (ZPair& z : obs.z) z.t = to_global[z.t];
+      observations->push_back(std::move(obs));
+    }
+    questions_with_entities += shard.questions_with_entities;
+    total_entities += shard.total_entities;
+    total_template_cands += shard.total_template_cands;
+    total_pred_cands += shard.total_pred_cands;
+  }
 
   stats->num_qa_pairs = corpus.pairs.size();
   stats->num_observations = observations->size();
@@ -216,15 +269,25 @@ void EmLearner::BuildObservations(ThreadPool* pool,
 
 Status EmLearner::Train(const corpus::QaCorpus& corpus, TemplateStore* store,
                         EmStats* stats) const {
+  ThreadPool pool(options_.num_threads);
+  return Train(corpus, PrepareCorpus(corpus, extractor_->ner(), &pool, nullptr),
+               &pool, store, stats);
+}
+
+Status EmLearner::Train(const corpus::QaCorpus& corpus,
+                        const PreparedCorpus& prepared, ThreadPool* pool,
+                        TemplateStore* store, EmStats* stats) const {
   if (store == nullptr || stats == nullptr) {
     return Status::InvalidArgument("store and stats must be non-null");
   }
+  if (prepared.questions.size() != corpus.pairs.size() ||
+      prepared.mentions.size() != corpus.pairs.size()) {
+    return Status::InvalidArgument("prepared corpus does not match the corpus");
+  }
   KBQA_TRACE_SPAN("em.train");
 
-  ThreadPool pool(options_.num_threads);
-
   std::vector<Observation> observations;
-  BuildObservations(&pool, corpus, store, &observations, stats);
+  BuildObservations(pool, corpus, prepared, store, &observations, stats);
   if (observations.empty()) {
     return Status::FailedPrecondition(
         "no (question, entity, value) observations could be extracted; "
@@ -298,7 +361,7 @@ Status EmLearner::Train(const corpus::QaCorpus& corpus, TemplateStore* store,
       // sharded over observations.
       {
         KBQA_TRACE_SPAN("em.e_step");
-        ParallelFor(pool, m, num_shards,
+        ParallelFor(*pool, m, num_shards,
                     [&](size_t shard, size_t begin, size_t end) {
                       const uint64_t t0 =
                           obs::Enabled() ? obs::NowSteadyNs() : 0;

@@ -9,6 +9,8 @@
 #include "core/ev_extraction.h"
 #include "core/template_store.h"
 #include "corpus/qa_corpus.h"
+#include "nlp/ner.h"
+#include "nlp/pattern.h"
 #include "rdf/expanded_predicate.h"
 #include "taxonomy/taxonomy.h"
 #include "util/status.h"
@@ -29,10 +31,11 @@ struct EmOptions {
   /// When false, EM stops after the θ⁰ initialization (Eq. 23) — the
   /// initialization-only ablation.
   bool run_em = true;
-  /// Worker threads for observation building and the E-step. The work is
-  /// split into a *fixed* number of statically ordered shards merged in
-  /// shard order, so the learned θ is bit-identical for any thread count
-  /// (see DESIGN.md "Threading model & determinism").
+  /// Worker threads for observation building and the E-step; in
+  /// KbqaSystem::Train, the size of the one pool every sharded phase runs
+  /// on. The work is split into a *fixed* number of statically ordered
+  /// shards merged in shard order, so the learned θ is bit-identical for
+  /// any thread count (see DESIGN.md "Threading model & determinism").
   int num_threads = 1;
 };
 
@@ -54,6 +57,23 @@ struct EmStats {
   double avg_predicates_per_observation = 0;
 };
 
+/// A training corpus with every question tokenized and NER-scanned once.
+/// Entry i of each vector belongs to pair i. Seed reduction, EV extraction
+/// and the pattern index all read it, so Train scans each question once.
+struct PreparedCorpus {
+  /// Tokens and mention spans: the pattern index's input.
+  std::vector<nlp::PatternQuestion> questions;
+  /// The same mentions with their candidate entities.
+  std::vector<std::vector<nlp::Mention>> mentions;
+};
+
+/// Prepares every question of `corpus` with `ner`, sharded on `pool`. When
+/// `seeds` is non-null it receives every mentioned entity, sorted and
+/// de-duplicated: the seeds of the §6.2 reduction.
+PreparedCorpus PrepareCorpus(const corpus::QaCorpus& corpus,
+                             const nlp::GazetteerNer& ner, ThreadPool* pool,
+                             std::vector<rdf::TermId>* seeds);
+
 /// Maximum-likelihood estimation of P(p|t) over the QA corpus via EM
 /// (Algorithm 1). The latent variable z_i = (p, t) names the predicate and
 /// template that generated observation x_i = (q_i, e_i, v_i); the E-step
@@ -68,9 +88,15 @@ class EmLearner {
             const EmOptions& options);
 
   /// Trains P(p|t) over `corpus`, filling `store` (templates + learned
-  /// distributions) and `stats`.
+  /// distributions) and `stats`. Prepares the corpus itself, on a pool of
+  /// options.num_threads.
   [[nodiscard]] Status Train(const corpus::QaCorpus& corpus, TemplateStore* store,
                EmStats* stats) const;
+  /// As above, from `prepared` = PrepareCorpus(corpus, ...) and on `pool`
+  /// (options.num_threads is not read).
+  [[nodiscard]] Status Train(const corpus::QaCorpus& corpus,
+                             const PreparedCorpus& prepared, ThreadPool* pool,
+                             TemplateStore* store, EmStats* stats) const;
 
  private:
   // One candidate assignment of the latent variable for an observation.
@@ -84,7 +110,7 @@ class EmLearner {
   };
 
   void BuildObservations(ThreadPool* pool, const corpus::QaCorpus& corpus,
-                         TemplateStore* store,
+                         const PreparedCorpus& prepared, TemplateStore* store,
                          std::vector<Observation>* observations,
                          EmStats* stats) const;
 

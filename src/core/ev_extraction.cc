@@ -63,8 +63,13 @@ EvExtractor::EvExtractor(const rdf::KnowledgeBase* kb,
 std::vector<EvCandidate> EvExtractor::Extract(
     const std::vector<std::string>& question_tokens,
     const std::string& answer) const {
+  return Extract(question_tokens, ner_->FindMentions(question_tokens), answer);
+}
+
+std::vector<EvCandidate> EvExtractor::Extract(
+    const std::vector<std::string>& question_tokens,
+    std::span<const nlp::Mention> mentions, const std::string& answer) const {
   std::vector<EvCandidate> out;
-  std::vector<nlp::Mention> mentions = ner_->FindMentions(question_tokens);
   if (mentions.empty()) return out;
 
   const std::vector<std::string> answer_tokens = nlp::Tokenize(answer);

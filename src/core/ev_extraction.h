@@ -83,13 +83,13 @@ class EvExtractor {
   std::vector<EvCandidate> Extract(
       const std::vector<std::string>& question_tokens,
       const std::string& answer) const;
+  /// As above, with the question's mentions already found by the NER this
+  /// extractor was built with.
+  std::vector<EvCandidate> Extract(
+      const std::vector<std::string>& question_tokens,
+      std::span<const nlp::Mention> mentions, const std::string& answer) const;
 
-  /// Entity mentions found in the question (exposed so callers can reuse
-  /// the NER pass, e.g. for pattern-index construction).
-  std::vector<nlp::Mention> Mentions(
-      const std::vector<std::string>& question_tokens) const {
-    return ner_->FindMentions(question_tokens);
-  }
+  const nlp::GazetteerNer& ner() const { return *ner_; }
 
  private:
   const rdf::KnowledgeBase* kb_;

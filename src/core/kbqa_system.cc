@@ -1,10 +1,9 @@
 #include "core/kbqa_system.h"
 
-#include <unordered_set>
-
 #include "nlp/tokenizer.h"
 #include "obs/obs.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace kbqa::core {
 
@@ -19,57 +18,69 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
     return Status::FailedPrecondition("knowledge base must be frozen");
   }
   KBQA_TRACE_SPAN("system.train");
+  // One pool runs every sharded phase below.
+  ThreadPool pool(options_.em.num_threads);
 
   // 1. Seed reduction (§6.2): only entities mentioned in corpus questions
-  //    start the expansion BFS. Mentions are also reused for the pattern
-  //    index, so tokenize once.
-  std::vector<nlp::PatternQuestion> pattern_questions;
-  pattern_questions.reserve(corpus.pairs.size());
+  //    start the expansion BFS. Each question is tokenized and NER-scanned
+  //    here once; EV extraction and the pattern index read the result.
+  std::vector<rdf::TermId> seeds;
+  PreparedCorpus prepared;
   {
     KBQA_TRACE_SPAN("system.seed_reduction");
-    std::unordered_set<rdf::TermId> seed_set;
-    for (const corpus::QaPair& pair : corpus.pairs) {
-      nlp::PatternQuestion pq;
-      pq.tokens = nlp::TokenizeQuestion(pair.question);
-      for (const nlp::Mention& m : ner_->FindMentions(pq.tokens)) {
-        pq.mention_spans.emplace_back(m.begin, m.end);
-        for (rdf::TermId e : m.entities) seed_set.insert(e);
-      }
-      pattern_questions.push_back(std::move(pq));
-    }
-    seeds_.assign(seed_set.begin(), seed_set.end());
-    std::sort(seeds_.begin(), seeds_.end());  // Determinism.
+    prepared = PrepareCorpus(corpus, *ner_, &pool, &seeds);
   }
 
-  // 2. Predicate expansion (§6). An unset expansion thread count inherits
-  //    the EM worker pool size, so one option drives both phases.
-  rdf::ExpansionOptions expansion = options_.expansion;
-  if (expansion.num_threads == 0) expansion.num_threads = options_.em.num_threads;
-  auto ekb = [&] {
+  // 2. Predicate expansion (§6). An unset expansion thread count runs on
+  //    the EM pool, so one option drives every phase.
+  auto built = [&] {
     KBQA_TRACE_SPAN("system.expand_predicates");
-    return rdf::ExpandedKb::Build(world_->kb, seeds_, world_->name_like,
-                                  expansion);
+    if (options_.expansion.num_threads == 0) {
+      return rdf::ExpandedKb::Build(world_->kb, seeds, world_->name_like,
+                                    options_.expansion, &pool);
+    }
+    return rdf::ExpandedKb::Build(world_->kb, seeds, world_->name_like,
+                                  options_.expansion);
   }();
-  if (!ekb.ok()) return ekb.status();
-  ekb_ = std::make_unique<rdf::ExpandedKb>(std::move(ekb).value());
+  if (!built.ok()) return built.status();
+  auto ekb = std::make_unique<rdf::ExpandedKb>(std::move(built).value());
 
   // 3. Entity–value extraction + EM predicate inference (§4).
-  extractor_ = std::make_unique<EvExtractor>(
-      &world_->kb, ekb_.get(), ner_.get(), &classifier_,
-      &world_->predicate_class, &world_->name_like, options_.ev);
-  EmLearner learner(&world_->kb, ekb_.get(), &world_->taxonomy,
-                    extractor_.get(), options_.em);
-  store_ = TemplateStore();
-  em_stats_ = EmStats();
-  KBQA_RETURN_IF_ERROR(learner.Train(corpus, &store_, &em_stats_));
+  std::unique_ptr<EvExtractor> extractor;
+  {
+    KBQA_TRACE_SPAN("system.build_extractor");
+    extractor = std::make_unique<EvExtractor>(
+        &world_->kb, ekb.get(), ner_.get(), &classifier_,
+        &world_->predicate_class, &world_->name_like, options_.ev);
+  }
+  EmLearner learner(&world_->kb, ekb.get(), &world_->taxonomy,
+                    extractor.get(), options_.em);
+  TemplateStore store;
+  EmStats em_stats;
+  KBQA_RETURN_IF_ERROR(
+      learner.Train(corpus, prepared, &pool, &store, &em_stats));
 
-  // 4. Online inference engine (§3.3) and variant solver, over the
-  //    expansion's PathIds.
+  // 4. The corpus pattern index for complex questions (§5).
+  std::optional<nlp::PatternIndex> pattern_index;
+  {
+    KBQA_TRACE_SPAN("system.pattern_index");
+    pattern_index.emplace(nlp::PatternIndex::Build(
+        prepared.questions, nlp::PatternIndex::Options(), &pool));
+  }
+
+  // Every step succeeded: replace the previous model. A failed Train
+  // returns above and leaves it answering.
+  seeds_ = std::move(seeds);
+  ekb_ = std::move(ekb);
+  extractor_ = std::move(extractor);
+  store_ = std::move(store);
+  em_stats_ = std::move(em_stats);
+  pattern_index_ = std::move(pattern_index);
+
+  // 5. Online inference engine (§3.3) and variant solver, over the
+  //    expansion's PathIds, then the decomposer over both.
   loaded_paths_.reset();
   BuildAnswering();
-
-  // 5. Complex-question machinery (§5).
-  pattern_index_.emplace(nlp::PatternIndex::Build(pattern_questions));
   const OnlineInference* online = online_.get();
   decomposer_ = std::make_unique<ComplexDecomposer>(
       &*pattern_index_,

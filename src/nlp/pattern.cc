@@ -87,41 +87,48 @@ class SpanPatternHashes {
 
 /// The patterns pass 1 admitted, in an open-addressed table keyed by the
 /// hash of their text. A probe whose hash hits compares the real pattern
-/// text, so a hash collision never miscounts.
+/// text, so a hash collision never miscounts. Each admitted pattern has a
+/// dense index, so pass 2's shards can count into plain arrays.
 class AdmittedPatterns {
  public:
   using Entry = std::pair<const std::string, PatternStats>;
+  static constexpr uint32_t kNone = UINT32_MAX;
 
   explicit AdmittedPatterns(
       std::unordered_map<std::string, PatternStats>* stats)
       : slots_(std::bit_ceil(2 * stats->size() + 2)),
         shift_(64 - std::countr_zero(slots_.size())) {
+    entries_.reserve(stats->size());
     for (Entry& entry : *stats) {
       const uint64_t hash = Extend(0, entry.first);
       size_t i = Home(hash);
-      while (slots_[i].entry != nullptr) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = Slot{hash, &entry};
+      while (slots_[i].index != kNone) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = Slot{hash, static_cast<uint32_t>(entries_.size())};
+      entries_.push_back(&entry);
     }
   }
 
-  /// The admitted pattern of span [begin, end) of `tokens`, whose pattern
-  /// hash is `hash`; null when the span's pattern was not admitted.
-  /// `scratch` holds the span's pattern text when a hash hits.
-  PatternStats* Find(uint64_t hash, const std::vector<std::string>& tokens,
-                     size_t begin, size_t end, std::string* scratch) const {
-    for (size_t i = Home(hash); slots_[i].entry != nullptr;
+  size_t size() const { return entries_.size(); }
+  PatternStats& stats(uint32_t index) const { return entries_[index]->second; }
+
+  /// The index of the admitted pattern of span [begin, end) of `tokens`,
+  /// whose pattern hash is `hash`; kNone when the span's pattern was not
+  /// admitted. `scratch` holds the span's pattern text when a hash hits.
+  uint32_t Find(uint64_t hash, const std::vector<std::string>& tokens,
+                size_t begin, size_t end, std::string* scratch) const {
+    for (size_t i = Home(hash); slots_[i].index != kNone;
          i = (i + 1) & (slots_.size() - 1)) {
       if (slots_[i].hash != hash) continue;
       WritePattern(tokens, begin, end, scratch);
-      if (*scratch == slots_[i].entry->first) return &slots_[i].entry->second;
+      if (*scratch == entries_[slots_[i].index]->first) return slots_[i].index;
     }
-    return nullptr;
+    return kNone;
   }
 
  private:
   struct Slot {
     uint64_t hash = 0;
-    Entry* entry = nullptr;
+    uint32_t index = kNone;
   };
 
   /// Fibonacci hashing: the top bits of the product mix every input bit.
@@ -130,19 +137,24 @@ class AdmittedPatterns {
   }
 
   std::vector<Slot> slots_;
+  std::vector<Entry*> entries_;
   int shift_;
 };
 
-/// Adds `stats` to this question's counted patterns; false when it is
+/// Adds `pattern` to this question's counted patterns; false when it is
 /// there already. A question matches a handful of patterns, so a linear
 /// scan beats hashing.
-bool CountOnce(PatternStats* stats, std::vector<PatternStats*>* counted) {
-  if (std::find(counted->begin(), counted->end(), stats) != counted->end()) {
+template <typename Pattern>
+bool CountOnce(Pattern pattern, std::vector<Pattern>* counted) {
+  if (std::find(counted->begin(), counted->end(), pattern) != counted->end()) {
     return false;
   }
-  counted->push_back(stats);
+  counted->push_back(pattern);
   return true;
 }
+
+/// Fixed shard count of pass 2, independent of the pool size.
+constexpr size_t kFoShards = 32;
 
 }  // namespace
 
@@ -155,11 +167,17 @@ std::string MakePattern(const std::vector<std::string>& tokens, size_t begin,
 
 PatternIndex PatternIndex::Build(const std::vector<PatternQuestion>& questions,
                                  const Options& options) {
+  ThreadPool pool(1);
+  return Build(questions, options, &pool);
+}
+
+PatternIndex PatternIndex::Build(const std::vector<PatternQuestion>& questions,
+                                 const Options& options, ThreadPool* pool) {
   PatternIndex index;
-  std::vector<PatternStats*> counted;
 
   // Pass 1: register the validly matched patterns and count fv, dedup per
   // question ("the number of questions that validly matches qˇ").
+  std::vector<PatternStats*> counted;
   for (const PatternQuestion& q : questions) {
     counted.clear();
     for (const auto& [begin, end] : q.mention_spans) {
@@ -173,29 +191,47 @@ PatternIndex PatternIndex::Build(const std::vector<PatternQuestion>& questions,
   // pass 1 admitted (others have P(qˇ) = 0 regardless of fo). Each span's
   // pattern is probed by hash; no string is built unless the hash hits.
   const AdmittedPatterns admitted(&index.stats_);
-  SpanPatternHashes hashes;
-  std::string scratch;
-  for (const PatternQuestion& q : questions) {
-    counted.clear();
-    hashes.Reset(q.tokens);
-    auto count = [&](size_t begin, size_t end) {
-      PatternStats* stats =
-          admitted.Find(hashes.Hash(begin, end), q.tokens, begin, end,
-                        &scratch);
-      if (stats != nullptr && CountOnce(stats, &counted)) ++stats->fo;
-    };
-    const size_t n = q.tokens.size();
-    for (size_t begin = 0; begin < n; ++begin) {
-      const size_t max_end = std::min(n, begin + options.max_span_tokens);
-      for (size_t end = begin + 1; end <= max_end; ++end) count(begin, end);
-    }
-    // Long mentions can exceed max_span_tokens; make sure every valid match
-    // is also an occurrence so fv <= fo holds by construction.
-    for (const auto& [begin, end] : q.mention_spans) {
-      if (begin < end && end <= n && end - begin > options.max_span_tokens) {
-        count(begin, end);
-      }
-    }
+  std::vector<std::vector<uint32_t>> shard_fo(kFoShards);
+  ParallelFor(
+      *pool, questions.size(), kFoShards,
+      [&](size_t shard, size_t first, size_t last) {
+        std::vector<uint32_t>& fo = shard_fo[shard];
+        fo.assign(admitted.size(), 0);
+        SpanPatternHashes hashes;
+        std::string scratch;
+        std::vector<uint32_t> counted_here;
+        for (size_t qi = first; qi < last; ++qi) {
+          const PatternQuestion& q = questions[qi];
+          counted_here.clear();
+          hashes.Reset(q.tokens);
+          auto count = [&](size_t begin, size_t end) {
+            const uint32_t found = admitted.Find(
+                hashes.Hash(begin, end), q.tokens, begin, end, &scratch);
+            if (found != AdmittedPatterns::kNone &&
+                CountOnce(found, &counted_here)) {
+              ++fo[found];
+            }
+          };
+          const size_t n = q.tokens.size();
+          for (size_t begin = 0; begin < n; ++begin) {
+            const size_t max_end =
+                std::min(n, begin + options.max_span_tokens);
+            for (size_t end = begin + 1; end <= max_end; ++end) {
+              count(begin, end);
+            }
+          }
+          // Long mentions can exceed max_span_tokens; make sure every valid
+          // match is also an occurrence so fv <= fo holds by construction.
+          for (const auto& [begin, end] : q.mention_spans) {
+            if (begin < end && end <= n &&
+                end - begin > options.max_span_tokens) {
+              count(begin, end);
+            }
+          }
+        }
+      });
+  for (const std::vector<uint32_t>& fo : shard_fo) {
+    for (uint32_t i = 0; i < fo.size(); ++i) admitted.stats(i).fo += fo[i];
   }
   return index;
 }

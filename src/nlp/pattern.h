@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/thread_pool.h"
+
 namespace kbqa::nlp {
 
 /// Placeholder token for the entity variable in a question pattern /
@@ -62,6 +64,11 @@ class PatternIndex {
   /// Builds the index over `questions` in the two passes described above.
   static PatternIndex Build(const std::vector<PatternQuestion>& questions,
                             const Options& options);
+  /// As above, with pass 2 sharded on `pool`: a fixed number of shards
+  /// count fo into their own arrays, summed in shard order, so the index
+  /// is the same for any pool size.
+  static PatternIndex Build(const std::vector<PatternQuestion>& questions,
+                            const Options& options, ThreadPool* pool);
   static PatternIndex Build(const std::vector<PatternQuestion>& questions) {
     return Build(questions, Options());
   }

@@ -154,6 +154,14 @@ Result<ExpandedKb> ExpandedKb::Build(
     const KnowledgeBase& kb, const std::vector<TermId>& seeds,
     const std::unordered_set<PredId>& name_like,
     const ExpansionOptions& options) {
+  ThreadPool pool(options.num_threads);  // < 1 clamps to 1
+  return Build(kb, seeds, name_like, options, &pool);
+}
+
+Result<ExpandedKb> ExpandedKb::Build(
+    const KnowledgeBase& kb, const std::vector<TermId>& seeds,
+    const std::unordered_set<PredId>& name_like,
+    const ExpansionOptions& options, ThreadPool* pool) {
   if (!kb.frozen()) {
     return Status::FailedPrecondition("ExpandedKb requires a frozen KB");
   }
@@ -162,7 +170,6 @@ Result<ExpandedKb> ExpandedKb::Build(
   }
 
   ExpandedKb ekb;
-  ThreadPool pool(options.num_threads);  // < 1 clamps to 1
   const std::vector<uint8_t> name_mask = NameMask(kb, name_like);
 
   std::vector<WalkEntry> frontier;
@@ -177,7 +184,12 @@ Result<ExpandedKb> ExpandedKb::Build(
       }
     }
   }
+  // Every origin is a seed.
+  ekb.by_s_.reserve(frontier.size());
 
+  // One discovery buffer per shard, kept across rounds so a buffer is
+  // allocated only when a round's bound outgrows it.
+  std::vector<std::vector<Discovery>> shard_discoveries(kBfsShards);
   size_t triples = 0;
   for (int round = 1; round <= options.max_length && !frontier.empty();
        ++round) {
@@ -185,11 +197,20 @@ Result<ExpandedKb> ExpandedKb::Build(
     KBQA_HISTOGRAM_RECORD("rdf.expand.frontier_size", frontier.size());
     const bool last_round = round == options.max_length;
     // Scan pass: shards read the (immutable) frontier and KB adjacency and
-    // emit shard-local discovery buffers, merged in shard order.
-    auto discoveries = ParallelReduce(
-        pool, frontier.size(), kBfsShards, std::vector<Discovery>{},
-        [&](size_t /*shard*/, size_t begin, size_t end) {
-          std::vector<Discovery> local;
+    // fill their own discovery buffers, committed below in shard order.
+    const size_t num_shards = std::min(kBfsShards, frontier.size());
+    ParallelFor(
+        *pool, frontier.size(), num_shards,
+        [&](size_t shard, size_t begin, size_t end) {
+          std::vector<Discovery>& local = shard_discoveries[shard];
+          // Each out-edge of a walk's node yields at most one discovery, so
+          // the shard's summed out-degree bounds its buffer.
+          size_t bound = 0;
+          for (size_t i = begin; i < end; ++i) {
+            bound += kb.Out(frontier[i].cur).size();
+          }
+          local.clear();
+          local.reserve(bound);
           for (size_t i = begin; i < end; ++i) {
             const WalkEntry& fe = frontier[i];
             for (const auto& [p, o] : kb.Out(fe.cur)) {
@@ -208,24 +229,23 @@ Result<ExpandedKb> ExpandedKb::Build(
               }
             }
           }
-          return local;
-        },
-        [](std::vector<Discovery>& acc, std::vector<Discovery>&& part) {
-          if (acc.empty()) {
-            acc = std::move(part);
-          } else {
-            acc.insert(acc.end(), part.begin(), part.end());
-          }
         });
 
+    size_t num_next = 0;
+    for (size_t shard = 0; shard < num_shards; ++shard) {
+      for (const Discovery& d : shard_discoveries[shard]) num_next += d.cont;
+    }
     std::vector<WalkEntry> next;
-    Status st = ekb.CommitDiscoveries(discoveries, &triples,
-                                      options.max_triples, &next);
-    if (!st.ok()) return st;
+    next.reserve(num_next);
+    for (size_t shard = 0; shard < num_shards; ++shard) {
+      Status st = ekb.CommitDiscoveries(shard_discoveries[shard], &triples,
+                                        options.max_triples, &next);
+      if (!st.ok()) return st;
+    }
     frontier = std::move(next);
   }
 
-  SortDedupBuckets(pool, ekb.by_s_, &ekb.num_triples_);
+  SortDedupBuckets(*pool, ekb.by_s_, &ekb.num_triples_);
   return ekb;
 }
 

@@ -13,6 +13,7 @@
 
 #include "rdf/knowledge_base.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace kbqa::rdf {
 
@@ -84,9 +85,10 @@ struct ExpansionOptions {
   /// reduction).
   size_t max_triples = std::numeric_limits<size_t>::max();
   /// Worker threads for the per-round frontier scan. Values < 1 mean 1
-  /// here; KbqaSystem maps 0 to its EM thread count. The produced triple
-  /// set AND the PathId numbering are bit-identical for any value (fixed
-  /// shard split, shard-ordered merge, serial commit).
+  /// here; KbqaSystem runs 0 on its Train pool, sized by its EM count.
+  /// The produced triple set AND the PathId numbering are bit-identical
+  /// for any value (fixed shard split, shard-ordered merge, serial
+  /// commit).
   int num_threads = 0;
 };
 
@@ -109,6 +111,11 @@ class ExpandedKb {
                                   const std::vector<TermId>& seeds,
                                   const std::unordered_set<PredId>& name_like,
                                   const ExpansionOptions& options);
+  /// As above, scanning on `pool` (options.num_threads is not read).
+  [[nodiscard]] static Result<ExpandedKb> Build(
+      const KnowledgeBase& kb, const std::vector<TermId>& seeds,
+      const std::unordered_set<PredId>& name_like,
+      const ExpansionOptions& options, ThreadPool* pool);
 
   /// §6.2 exactly as the paper runs it at the 1.1 TB scale: the KB's
   /// triples stay *on disk* (an N-Triples file) and are scanned k times;

@@ -8,6 +8,7 @@
 #include "core/kbqa_system.h"
 #include "corpus/qa_generator.h"
 #include "corpus/world_generator.h"
+#include "eval/experiment.h"
 #include "eval/runner.h"
 #include "nlp/tokenizer.h"
 
@@ -130,6 +131,33 @@ TEST_F(TrainedEdgeCaseTest, RetrainingResetsTheModel) {
   ASSERT_TRUE(
       system.Train(corpus::GenerateTrainingCorpus(world(), config)).ok());
   EXPECT_EQ(system.template_store().num_templates(), first);
+}
+
+TEST(RetrainTest, FailedRetrainKeepsTheTrainedModel) {
+  const eval::ExperimentConfig config = eval::ExperimentConfig::Small();
+  const corpus::World world = corpus::GenerateWorld(config.world);
+  const corpus::QaCorpus corpus =
+      corpus::GenerateTrainingCorpus(world, config.corpus);
+  core::KbqaSystem system(&world, config.kbqa);
+  ASSERT_TRUE(system.Train(corpus).ok());
+  const std::string& question = corpus.pairs.front().question;
+  const core::AnswerResult before = system.Answer(question);
+  ASSERT_TRUE(before.answered) << question;
+  const size_t templates = system.template_store().num_templates();
+
+  // The question's entities expand, but no value of theirs is in the
+  // answer, so EM has no observation and the retrain fails.
+  corpus::QaCorpus unmatched;
+  unmatched.pairs.push_back({question, "zzqx"});
+  EXPECT_EQ(system.Train(unmatched).code(), StatusCode::kFailedPrecondition);
+
+  EXPECT_TRUE(system.trained());
+  EXPECT_EQ(system.template_store().num_templates(), templates);
+  const core::AnswerResult after = system.Answer(question);
+  EXPECT_TRUE(after.answered);
+  EXPECT_EQ(after.value, before.value);
+  EXPECT_EQ(after.score, before.score);
+  EXPECT_EQ(after.sparql, before.sparql);
 }
 
 TEST_F(TrainedEdgeCaseTest, BenchmarkRunnerCountsDeclinesCorrectly) {

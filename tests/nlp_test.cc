@@ -19,6 +19,7 @@
 #include "nlp/tokenizer.h"
 #include "rdf/knowledge_base.h"
 #include "rdf/ntriples.h"
+#include "util/thread_pool.h"
 
 namespace kbqa::nlp {
 namespace {
@@ -482,8 +483,11 @@ std::map<std::string, PatternStats> BruteForceCounts(
 }
 
 void ExpectBruteForceCounts(const std::vector<PatternQuestion>& questions,
-                            const PatternIndex::Options& options = {}) {
-  const PatternIndex index = PatternIndex::Build(questions, options);
+                            const PatternIndex::Options& options = {},
+                            ThreadPool* pool = nullptr) {
+  const PatternIndex index =
+      pool == nullptr ? PatternIndex::Build(questions, options)
+                      : PatternIndex::Build(questions, options, pool);
   const std::map<std::string, PatternStats> want =
       BruteForceCounts(questions, options);
   EXPECT_EQ(index.num_patterns(), want.size());
@@ -509,10 +513,15 @@ TEST(PatternTest, CountsMatchBruteForceOnSmallCorpus) {
     questions.push_back(std::move(q));
   }
   ASSERT_GT(PatternIndex::Build(questions).num_patterns(), 10u);
-  ExpectBruteForceCounts(questions);
   PatternIndex::Options short_spans;
   short_spans.max_span_tokens = 2;
-  ExpectBruteForceCounts(questions, short_spans);
+  // The fo pass is sharded; any pool size must count the same.
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    ExpectBruteForceCounts(questions, {}, &pool);
+    ExpectBruteForceCounts(questions, short_spans, &pool);
+  }
 }
 
 TEST(PatternTest, PatternFromTwoSpansOfOneQuestionCountsOnce) {

@@ -145,17 +145,42 @@ class ParallelSystemTest : public ::testing::Test {
 
 TEST_F(ParallelSystemTest, TrainingIsBitIdenticalAcrossThreadCounts) {
   // The shared experiment trains with the default single thread; retrain
-  // with 2 and 8 threads and demand bit-identical θ, template ids,
-  // frequencies, and per-iteration log-likelihoods.
-  const core::TemplateStore& reference =
-      experiment().kbqa().template_store();
-  const core::EmStats& ref_stats = experiment().kbqa().em_stats();
+  // with 2 and 8 threads and demand the same seeds and pattern index,
+  // bit-identical θ, template ids, frequencies, and per-iteration
+  // log-likelihoods, and the same Table 15 decompositions.
+  const core::KbqaSystem& ref_kbqa = experiment().kbqa();
+  const core::TemplateStore& reference = ref_kbqa.template_store();
+  const core::EmStats& ref_stats = ref_kbqa.em_stats();
+  const char* const kComplexQuestions[] = {
+      "how many people live in the capital of japan",
+      "when was barack obama's wife born",
+      "what are books written by author of harry potter",
+      "what is the area of the capital of britain",
+      "how large is the capital of germany",
+      "what instrument do members of coldplay play",
+      "what is the birthday of the ceo of google",
+      "in which country is the headquarter of google located",
+  };
 
   for (int threads : {2, 8}) {
     core::KbqaOptions options = experiment().kbqa().options();
     options.em.num_threads = threads;
     core::KbqaSystem system(&experiment().world(), options);
     ASSERT_TRUE(system.Train(experiment().train_corpus()).ok());
+
+    EXPECT_EQ(system.expansion_seeds(), ref_kbqa.expansion_seeds())
+        << threads << " threads";
+    EXPECT_EQ(system.pattern_index()->num_patterns(),
+              ref_kbqa.pattern_index()->num_patterns())
+        << threads << " threads";
+    for (const char* question : kComplexQuestions) {
+      const core::ComplexAnswer complex = system.AnswerComplex(question);
+      const core::ComplexAnswer ref_complex = ref_kbqa.AnswerComplex(question);
+      EXPECT_EQ(complex.sequence, ref_complex.sequence) << question;
+      EXPECT_EQ(complex.decomposition_probability,
+                ref_complex.decomposition_probability)
+          << question << " (bit-exact)";
+    }
 
     const core::TemplateStore& store = system.template_store();
     const core::EmStats& stats = system.em_stats();
