@@ -183,7 +183,6 @@ int main() {
     serve::ServingOptions serve_options;
     serve_options.num_workers = 2;
     serve_options.max_queue_depth = 256;
-    serve_options.max_batch_size = 8;
     auto server = serve::Server::ForEngine(&engine, serve_options);
     // Warm both the answer cache and the serving workers before timing.
     obs::WideEvents::SetSamplePeriod(1);

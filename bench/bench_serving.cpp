@@ -4,17 +4,17 @@
 // Zipfian-skewed over a benchmark pool, and latency is measured from each
 // request's *scheduled* arrival time so queueing delay is never hidden by
 // a slow submitter (no coordinated omission); how late the submitters ran
-// behind that schedule is reported per phase as generator lag. Four
+// behind that schedule is reported per phase as generator lag. Three
 // phases:
 //
-//   1. capacity  — closed-loop single-thread run to estimate saturation
+//   1. capacity  — the bare engine on one thread, then closed-loop
+//                  saturation through the server
 //   2. steady    — open loop below saturation: throughput must track the
 //                  offered rate, p50/p99/p999 reported split into
 //                  queue-wait vs service time
 //   3. overload  — open loop at ~3x capacity against a tiny queue with a
 //                  deadline: admission control must reject (kUnavailable)
 //                  and expired queue residents must be shed
-//   4. batch A/B — closed-loop saturation at max_batch_size 1 vs 32
 //
 // Emits BENCH_serving.json. --smoke runs the Small experiment with short
 // phases for CI.
@@ -129,7 +129,6 @@ struct RunResult {
   bench::LatencyReservoir queue;    // ServeResponse::queue_ns
   bench::LatencyReservoir service;  // ServeResponse::service_ns
   bench::LatencyReservoir lag;      // actual - scheduled send, per Submit
-  double mean_batch = 0;
 };
 
 /// Drives `server` open-loop: `threads` submitters each generate arrivals
@@ -206,11 +205,6 @@ RunResult RunOpenLoop(serve::Server& server,
   result.stats = server.stats();
   result.throughput_qps =
       static_cast<double>(result.stats.completed) / result.wall_s;
-  result.mean_batch =
-      result.stats.batches == 0
-          ? 0
-          : static_cast<double>(result.stats.completed) /
-                static_cast<double>(result.stats.batches);
   return result;
 }
 
@@ -246,15 +240,14 @@ double RunClosedLoop(serve::Server& server,
 void PrintRun(const char* name, const RunResult& r) {
   std::printf(
       "[%s] offered %" PRIu64 " in %.1fs, completed %" PRIu64
-      " (%.0f qps), rejected %" PRIu64 ", shed %" PRIu64
-      "+%" PRIu64 ", mean batch %.1f\n"
+      " (%.0f qps), rejected %" PRIu64 ", shed %" PRIu64 "+%" PRIu64 "\n"
       "[%s]   total  p50 %.2fms  p99 %.2fms  p999 %.2fms\n"
       "[%s]   lag    p50 %.2fms  p99 %.2fms  max %.2fms (generator)\n"
       "[%s]   queue  p50 %.2fms  p99 %.2fms  p999 %.2fms\n"
       "[%s]   service p50 %.2fms  p99 %.2fms  p999 %.2fms\n",
       name, r.offered, r.wall_s, r.stats.completed, r.throughput_qps,
-      r.stats.rejected, r.stats.shed_expired, r.stats.shed_shutdown,
-      r.mean_batch, name, r.total.ValueAtQuantile(0.5) / 1e6,
+      r.stats.rejected, r.stats.shed_expired, r.stats.shed_shutdown, name,
+      r.total.ValueAtQuantile(0.5) / 1e6,
       r.total.ValueAtQuantile(0.99) / 1e6,
       r.total.ValueAtQuantile(0.999) / 1e6, name,
       r.lag.ValueAtQuantile(0.5) / 1e6, r.lag.ValueAtQuantile(0.99) / 1e6,
@@ -285,14 +278,14 @@ void EmitRun(std::FILE* out, const char* name, double target_qps,
                "    \"completed\": %" PRIu64 ", \"rejected\": %" PRIu64
                ", \"shed_expired\": %" PRIu64 ", \"shed_shutdown\": %" PRIu64
                ",\n"
-               "    \"throughput_qps\": %.1f, \"mean_batch_size\": %.2f,\n"
+               "    \"throughput_qps\": %.1f,\n"
                "    \"generator_lag\": {\"p50_ns\": %" PRIu64
                ", \"p99_ns\": %" PRIu64 ", \"max_ns\": %" PRIu64
                ", \"count\": %zu},\n"
                "    \"latency\": {\n",
                name, target_qps, r.offered, r.wall_s, r.stats.completed,
                r.stats.rejected, r.stats.shed_expired, r.stats.shed_shutdown,
-               r.throughput_qps, r.mean_batch, r.lag.ValueAtQuantile(0.5),
+               r.throughput_qps, r.lag.ValueAtQuantile(0.5),
                r.lag.ValueAtQuantile(0.99), r.lag.ValueAtQuantile(1.0),
                r.lag.count());
   EmitLatency(out, "total", r.total, ",");
@@ -393,7 +386,7 @@ int main(int argc, char** argv) {
   // cache warm, no queue, no workers) is an upper bound only; the number
   // that matters for picking an open-loop rate is saturation throughput
   // *through the server*, which pays queueing, wake-ups, and callback
-  // overhead per request. Doubles as the batching A/B. ----
+  // overhead per request. ----
   double engine_serial_qps;
   {
     Rng rng(7);
@@ -414,38 +407,23 @@ int main(int argc, char** argv) {
                 engine_serial_qps);
   }
 
-  // Enough concurrent blocking callers that a worker's take of up to 32
-  // can actually fill at saturation: a worker takes only what is already
-  // queued, so with fewer outstanding requests than the batch size both
-  // arms would take the same small batches.
-  const int ab_threads = std::max(64, 8 * args.workers);
-  const double ab_duration_s = args.smoke ? 0.5 : 3.0;
-  double batch1_qps, batch32_qps;
+  // Many more blocking callers than workers, so a worker that goes to the
+  // queue at saturation always finds a request waiting.
+  const int capacity_threads = std::max(64, 8 * args.workers);
+  double server_capacity_qps;
   {
     serve::ServingOptions options;
     options.num_workers = args.workers;
     options.slo = &slo;
     options.max_queue_depth = 4096;
-    options.max_batch_size = 1;
     auto server = serve::Server::ForEngine(&engine, options);
-    batch1_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
-                               ab_threads, 42);
+    server_capacity_qps =
+        RunClosedLoop(*server, pool, args.smoke ? 0.5 : 3.0, args.zipf_s,
+                      capacity_threads, 42);
   }
-  {
-    serve::ServingOptions options;
-    options.num_workers = args.workers;
-    options.slo = &slo;
-    options.max_queue_depth = 4096;
-    options.max_batch_size = 32;
-    auto server = serve::Server::ForEngine(&engine, options);
-    batch32_qps = RunClosedLoop(*server, pool, ab_duration_s, args.zipf_s,
-                                ab_threads, 42);
-  }
-  const double batch_speedup = batch1_qps > 0 ? batch32_qps / batch1_qps : 0;
-  const double server_capacity_qps = std::max(batch1_qps, batch32_qps);
-  std::printf("[batch A/B] batch=1: %.0f qps, batch=32: %.0f qps (%.2fx); "
-              "serving capacity ~%.0f qps\n",
-              batch1_qps, batch32_qps, batch_speedup, server_capacity_qps);
+  std::printf("[capacity] through the server, %d closed-loop callers: "
+              "%.0f qps\n",
+              capacity_threads, server_capacity_qps);
 
   // ---- Phase 2: steady state, open loop below saturation. ----
   const double steady_qps =
@@ -456,7 +434,6 @@ int main(int argc, char** argv) {
     options.num_workers = args.workers;
     options.slo = &slo;
     options.max_queue_depth = 4096;
-    options.max_batch_size = 32;
     auto server = serve::Server::ForEngine(&engine, options);
     steady = RunOpenLoop(*server, pool, steady_qps, args.duration_s,
                          args.zipf_s, args.threads, args.poisson, 1234);
@@ -480,7 +457,6 @@ int main(int argc, char** argv) {
     options.num_workers = args.workers;
     options.slo = &slo;
     options.max_queue_depth = 16;
-    options.max_batch_size = 8;
     options.default_timeout = std::chrono::milliseconds(20);
     auto server = serve::Server::ForEngine(&engine, options);
     overload = RunOpenLoop(*server, pool, overload_qps,
@@ -557,10 +533,6 @@ int main(int argc, char** argv) {
                engine_serial_qps, server_capacity_qps);
   EmitRun(out, "steady", steady_qps, steady, ",");
   EmitRun(out, "overload", overload_qps, overload, ",");
-  std::fprintf(out,
-               "  \"batch_ab\": {\"threads\": %d, \"batch1_qps\": %.1f, "
-               "\"batch32_qps\": %.1f, \"speedup\": %.3f},\n",
-               ab_threads, batch1_qps, batch32_qps, batch_speedup);
   std::fprintf(out,
                "  \"obs\": {\"sample_period\": %u, \"wide_events_recorded\": "
                "%" PRIu64 ", \"wide_events_drained\": %zu, "

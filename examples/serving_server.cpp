@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   obs::SloMonitor slo{obs::SloSpec{}};
   serve::ServingOptions serve_options;
   serve_options.num_workers = 2;
-  serve_options.max_batch_size = 8;
   serve_options.slo = &slo;
   auto server = serve::Server::ForEngine(&engine, serve_options);
 
@@ -98,9 +97,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf("  -> (no answer)\n");
     }
-    std::printf("     queue %.1f us, service %.1f us, batch %zu\n",
-                response.queue_ns / 1e3, response.service_ns / 1e3,
-                response.batch_size);
+    std::printf("     queue %.1f us, service %.1f us\n",
+                response.queue_ns / 1e3, response.service_ns / 1e3);
     std::fflush(stdout);
   }
 

@@ -82,9 +82,9 @@ def check_metrics_json(metrics):
 def check_wide_event(line):
     event = json.loads(line)
     for key in ("trace_id", "outcome", "admit_ns", "has_deadline",
-                "deadline_budget_ns", "batch_size", "question_bytes",
-                "queue_wait_ns", "batch_wait_ns", "service_ns", "total_ns",
-                "stages", "value_cache", "answer_cache"):
+                "deadline_budget_ns", "question_bytes", "queue_wait_ns",
+                "service_ns", "total_ns", "stages", "value_cache",
+                "answer_cache"):
         if key not in event:
             fail(f"wide event missing key {key}: {line[:200]}")
     if event["outcome"] not in OUTCOMES:

@@ -3,9 +3,9 @@
 bench_serving --obs-events) into a latency-attribution report.
 
 Each input line is one request's wide event (DESIGN.md §8): terminal
-outcome, end-to-end latency split into queue-wait / batch-wait / service,
-per-stage nanosecond attribution inside the service span, and cache
-traffic. The report answers "where did the time go" at the fleet level:
+outcome, end-to-end latency split into queue-wait / service, per-stage
+nanosecond attribution inside the service span, and cache traffic. The
+report answers "where did the time go" at the fleet level:
 
   - outcome mix (answered / shed / rejected / ...)
   - end-to-end and split latency percentiles
@@ -92,7 +92,6 @@ def summarize(events, top_k, out):
     out.write("\n== latency split (ms) ==\n")
     out.write(f"  {'split':<12} {'p50':>9} {'p99':>9} {'max':>9}\n")
     for label, key in (("total", "total_ns"), ("queue_wait", "queue_wait_ns"),
-                       ("batch_wait", "batch_wait_ns"),
                        ("service", "service_ns")):
         values = sorted(e.get(key, 0) for e in events)
         out.write(f"  {label:<12} {ms(percentile(values, 0.5)):>9.3f} "

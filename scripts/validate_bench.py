@@ -30,7 +30,6 @@ RUN_KEYS = (
     "shed_expired",
     "shed_shutdown",
     "throughput_qps",
-    "mean_batch_size",
     "generator_lag",
     "latency",
 )
@@ -105,7 +104,7 @@ def check_run(name, run):
 
 def validate_serving(doc):
     for key in ("hardware_threads", "config", "engine_serial_qps",
-                "capacity_estimate_qps", "steady", "overload", "batch_ab"):
+                "capacity_estimate_qps", "steady", "overload"):
         require(key in doc, f"top-level {key} missing")
     require(doc["hardware_threads"] >= 1, "hardware_threads < 1")
 
@@ -126,11 +125,8 @@ def validate_serving(doc):
         "overload run never hit admission control",
     )
 
-    ab = doc["batch_ab"]
-    for key in ("threads", "batch1_qps", "batch32_qps", "speedup"):
-        require(key in ab, f"batch_ab.{key} missing")
-    require(ab["batch1_qps"] > 0 and ab["batch32_qps"] > 0,
-            "batch A/B throughput is zero")
+    require(doc["capacity_estimate_qps"] > 0,
+            "closed-loop capacity through the server is zero")
 
     # obs section (wide-event sink + SLO accounting); optional for JSONs
     # emitted before the telemetry PR, required keys once present.

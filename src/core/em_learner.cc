@@ -55,6 +55,18 @@ void MakeTemplateText(const std::vector<std::string>& tokens,
   }
 }
 
+void CutTemplateCategories(std::vector<taxonomy::ScoredCategory>* categories) {
+  if (categories->size() > kMaxCategoriesPerEntity) {
+    categories->resize(kMaxCategoriesPerEntity);
+  }
+  std::erase_if(*categories, [](const taxonomy::ScoredCategory& sc) {
+    return sc.probability < kMinCategoryProb;
+  });
+  double mass = 0;
+  for (const taxonomy::ScoredCategory& sc : *categories) mass += sc.probability;
+  for (taxonomy::ScoredCategory& sc : *categories) sc.probability /= mass;
+}
+
 PreparedCorpus PrepareCorpus(const corpus::QaCorpus& corpus,
                              const nlp::GazetteerNer& ner, ThreadPool* pool,
                              std::vector<rdf::TermId>* seeds) {
@@ -169,22 +181,13 @@ void EmLearner::BuildObservations(ThreadPool* pool,
         }
         std::vector<taxonomy::ScoredCategory> categories =
             taxonomy_->Conceptualize(cand.entity, context);
-        if (categories.size() > options_.max_categories_per_entity) {
-          categories.resize(options_.max_categories_per_entity);
-        }
-        double cat_mass = 0;
-        for (const auto& sc : categories) {
-          if (sc.probability >= options_.min_category_prob) {
-            cat_mass += sc.probability;
-          }
-        }
-        if (cat_mass <= 0) continue;
+        CutTemplateCategories(&categories);
+        if (categories.empty()) continue;
 
         Observation obs;
         const std::span<const std::pair<rdf::PathId, rdf::TermId>> out_run =
             ekb_->Out(cand.entity);
         for (const auto& sc : categories) {
-          if (sc.probability < options_.min_category_prob) continue;
           std::string text = MakeTemplateText(
               tokens, cand.mention_begin, cand.mention_end,
               taxonomy_->CategoryName(sc.category));
@@ -198,7 +201,7 @@ void EmLearner::BuildObservations(ThreadPool* pool,
             out.frequency.push_back(0);
           }
           ++out.frequency[t];
-          const double p_t = sc.probability / cat_mass;
+          const double p_t = sc.probability;
           for (rdf::PathId path : cand.paths) {
             // |V(e, p)|: the length of p's stretch of e's (path, object)-
             // sorted run.

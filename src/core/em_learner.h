@@ -23,11 +23,6 @@ struct EmOptions {
   int max_iterations = 30;
   /// Stop when the largest per-parameter change drops below this.
   double tolerance = 1e-4;
-  /// Conceptualization truncation: templates are derived only from the top
-  /// categories of the entity (bounded, as the paper's complexity argument
-  /// requires — "the number of concepts for e is upper bounded").
-  size_t max_categories_per_entity = 3;
-  double min_category_prob = 0.02;
   /// When false, EM stops after the θ⁰ initialization (Eq. 23) — the
   /// initialization-only ablation.
   bool run_em = true;
@@ -132,6 +127,19 @@ std::string MakeTemplateText(const std::vector<std::string>& tokens,
 void MakeTemplateText(const std::vector<std::string>& tokens,
                       size_t mention_begin, size_t mention_end,
                       const std::string& category, std::string* out);
+
+/// Conceptualization truncation: templates are derived only from the top
+/// categories of an entity (bounded, as the paper's complexity argument
+/// requires — "the number of concepts for e is upper bounded"). Training
+/// and answering cut alike, or trained templates never match online.
+inline constexpr size_t kMaxCategoriesPerEntity = 3;
+inline constexpr double kMinCategoryProb = 0.02;
+
+/// Cuts `categories` (most probable first, as Taxonomy::Conceptualize
+/// returns them) to the first kMaxCategoriesPerEntity, drops those below
+/// kMinCategoryProb, and rescales each kept probability to P(t|e,q): its
+/// share of the kept mass. Empty when no category is kept.
+void CutTemplateCategories(std::vector<taxonomy::ScoredCategory>* categories);
 
 }  // namespace kbqa::core
 

@@ -31,16 +31,11 @@ Status KbqaSystem::Train(const corpus::QaCorpus& corpus) {
     prepared = PrepareCorpus(corpus, *ner_, &pool, &seeds);
   }
 
-  // 2. Predicate expansion (§6). An unset expansion thread count runs on
-  //    the EM pool, so one option drives every phase.
+  // 2. Predicate expansion (§6), on the same pool.
   auto built = [&] {
     KBQA_TRACE_SPAN("system.expand_predicates");
-    if (options_.expansion.num_threads == 0) {
-      return rdf::ExpandedKb::Build(world_->kb, seeds, world_->name_like,
-                                    options_.expansion, &pool);
-    }
     return rdf::ExpandedKb::Build(world_->kb, seeds, world_->name_like,
-                                  options_.expansion);
+                                  options_.expansion, &pool);
   }();
   if (!built.ok()) return built.status();
   auto ekb = std::make_unique<rdf::ExpandedKb>(std::move(built).value());
@@ -96,8 +91,7 @@ void KbqaSystem::BuildAnswering() {
       &world_->kb, &world_->taxonomy, ner_.get(), &store_, &model_paths(),
       options_.online);
   variants_ = std::make_unique<VariantSolver>(
-      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &model_paths(),
-      VariantSolver::Options());
+      &world_->kb, &world_->taxonomy, ner_.get(), &store_, &model_paths());
 }
 
 Status KbqaSystem::SaveModel(const std::string& path) const {

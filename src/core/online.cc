@@ -56,7 +56,6 @@ void MarkDeadlineExceeded(AnswerResult* result) {
 template <typename Visitor>
 void VisitTemplateCandidates(const taxonomy::Taxonomy& taxonomy,
                              const TemplateStore& store,
-                             const OnlineInference::Options& options,
                              const std::vector<std::string>& tokens,
                              const std::vector<nlp::Mention>& mentions,
                              obs::RequestContext* ctx, Visitor&& visit) {
@@ -74,25 +73,13 @@ void VisitTemplateCandidates(const taxonomy::Taxonomy& taxonomy,
       std::vector<taxonomy::ScoredCategory> categories =
           taxonomy.Conceptualize(entity, context);
       if (ctx != nullptr) ctx->Mark(obs::WideStage::kConceptualize);
-      if (categories.size() > options.max_categories_per_entity) {
-        categories.resize(options.max_categories_per_entity);
-      }
-      double cat_mass = 0;
+      CutTemplateCategories(&categories);
       for (const auto& sc : categories) {
-        if (sc.probability >= options.min_category_prob) {
-          cat_mass += sc.probability;
-        }
-      }
-      if (cat_mass <= 0) continue;
-
-      for (const auto& sc : categories) {
-        if (sc.probability < options.min_category_prob) continue;
         MakeTemplateText(tokens, mention.begin, mention.end,
                          taxonomy.CategoryName(sc.category), &template_text);
         auto t = store.Lookup(template_text);
         if (!t) continue;
-        const double p_t = sc.probability / cat_mass;
-        if (!visit(mention, entity, p_t, *t)) return;
+        if (!visit(mention, entity, sc.probability, *t)) return;
       }
     }
   }
@@ -442,7 +429,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   std::vector<rdf::TermId> scratch;
 
   VisitTemplateCandidates(
-      *taxonomy_, *store_, options_, tokens, mentions, ctx,
+      *taxonomy_, *store_, tokens, mentions, ctx,
       [&](const nlp::Mention&, rdf::TermId entity, double p_t,
           TemplateId t) {
         if (gate.Hit()) return false;
@@ -539,7 +526,7 @@ bool OnlineInference::IsPrimitiveBfq(
   std::vector<rdf::TermId> scratch;
   CacheTally tally;
   VisitTemplateCandidates(
-      *taxonomy_, *store_, options_, tokens, mentions, /*ctx=*/nullptr,
+      *taxonomy_, *store_, tokens, mentions, /*ctx=*/nullptr,
       [&](const nlp::Mention&, rdf::TermId entity, double, TemplateId t) {
         for (const PredicateProb& pp : store_->Distribution(t)) {
           if (pp.probability < options_.min_predicate_prob) continue;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/em_learner.h"
 #include "core/template_store.h"
 #include "nlp/ner.h"
 #include "obs/metrics.h"
@@ -118,8 +119,10 @@ struct AnswerResult {
 class OnlineInference {
  public:
   struct Options {
-    size_t max_categories_per_entity = 3;
-    double min_category_prob = 0.02;
+    /// The conceptualization cut (CutTemplateCategories), which training
+    /// shares; not settable.
+    static constexpr size_t max_categories_per_entity = kMaxCategoriesPerEntity;
+    static constexpr double min_category_prob = kMinCategoryProb;
     /// Predicates with P(p|t) below this are skipped (noise floor).
     double min_predicate_prob = 1e-3;
     /// Minimum posterior score to consider the question answered.

@@ -12,6 +12,11 @@ namespace kbqa::core {
 
 namespace {
 
+/// Maximum entities named in a listing answer.
+constexpr size_t kMaxListed = 10;
+/// Minimum P(p|t) for a template to vote during phrase resolution.
+constexpr double kMinTemplateProb = 0.3;
+
 /// True when `word` marks a "largest" superlative, false for "smallest";
 /// nullopt otherwise.
 std::optional<bool> SuperlativeDirection(const std::string& word) {
@@ -55,14 +60,8 @@ VariantSolver::VariantSolver(const rdf::KnowledgeBase* kb,
                              const taxonomy::Taxonomy* taxonomy,
                              const nlp::GazetteerNer* ner,
                              const TemplateStore* store,
-                             const rdf::PathDictionary* paths,
-                             const Options& options)
-    : kb_(kb),
-      taxonomy_(taxonomy),
-      ner_(ner),
-      store_(store),
-      paths_(paths),
-      options_(options) {}
+                             const rdf::PathDictionary* paths)
+    : kb_(kb), taxonomy_(taxonomy), ner_(ner), store_(store), paths_(paths) {}
 
 std::optional<taxonomy::CategoryId> VariantSolver::LookupCategoryWord(
     const std::string& word) const {
@@ -107,7 +106,7 @@ std::optional<rdf::PathId> VariantSolver::ResolvePredicate(
     }
     if (!covers) continue;
     auto best = store_->Best(t);
-    if (!best || best->probability < options_.min_template_prob) continue;
+    if (!best || best->probability < kMinTemplateProb) continue;
     votes[best->path] += best->probability *
                          static_cast<double>(1 + store_->Frequency(t));
   }
@@ -256,7 +255,7 @@ AnswerResult VariantSolver::AnswerListing(
   auto ranked = RankEntities(*category, *path);
   if (ranked.empty()) return result;
   std::string answer;
-  for (size_t i = 0; i < ranked.size() && i < options_.max_list; ++i) {
+  for (size_t i = 0; i < ranked.size() && i < kMaxListed; ++i) {
     if (!answer.empty()) answer += ", ";
     answer += kb_->EntityName(ranked[i].first);
   }

@@ -28,17 +28,10 @@ namespace kbqa::core {
 /// engine instead of relying on predicate-name keywords.
 class VariantSolver {
  public:
-  struct Options {
-    /// Maximum entities named in a listing answer.
-    size_t max_list = 10;
-    /// Minimum P(p|t) for a template to vote during phrase resolution.
-    double min_template_prob = 0.3;
-  };
-
   VariantSolver(const rdf::KnowledgeBase* kb,
                 const taxonomy::Taxonomy* taxonomy,
                 const nlp::GazetteerNer* ner, const TemplateStore* store,
-                const rdf::PathDictionary* paths, const Options& options);
+                const rdf::PathDictionary* paths);
 
   /// Attempts to answer a variant question; `answered == false` when the
   /// question matches no variant frame or resolution fails.
@@ -68,7 +61,6 @@ class VariantSolver {
   const nlp::GazetteerNer* ner_;
   const TemplateStore* store_;
   const rdf::PathDictionary* paths_;
-  Options options_;
 };
 
 /// Parses an English ordinal token: "1st"/"first" -> 1, "3rd"/"third" -> 3.

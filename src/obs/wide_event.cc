@@ -107,10 +107,8 @@ std::string WideEvent::ToJsonLine() const {
   out += has_deadline ? "true" : "false";
   out += ",\"deadline_budget_ns\":";
   out += std::to_string(deadline_budget_ns);
-  field("batch_size", batch_size);
   field("question_bytes", question_bytes);
   field("queue_wait_ns", queue_wait_ns);
-  field("batch_wait_ns", batch_wait_ns);
   field("service_ns", service_ns);
   field("total_ns", total_ns);
   out += ",\"stages\":{";

@@ -124,10 +124,8 @@ struct WideEvent {
   uint64_t admit_ns = 0;
   WideOutcome outcome = WideOutcome::kAnswered;
   bool has_deadline = false;
-  uint32_t batch_size = 0;     // requests served from the worker's take
   uint32_t question_bytes = 0;
-  uint64_t queue_wait_ns = 0;  // admission -> worker take
-  uint64_t batch_wait_ns = 0;  // worker take -> handler start
+  uint64_t queue_wait_ns = 0;  // admission -> worker take (handler start)
   uint64_t service_ns = 0;     // handler start -> handler return
   uint64_t total_ns = 0;       // admission -> terminal resolution
   /// Deadline budget remaining at the decision point (the worker's take

@@ -84,11 +84,12 @@ struct ExpansionOptions {
   /// materializes 21M triples for a 11.5B-triple KB thanks to seed
   /// reduction).
   size_t max_triples = std::numeric_limits<size_t>::max();
-  /// Worker threads for the per-round frontier scan. Values < 1 mean 1
-  /// here; KbqaSystem runs 0 on its Train pool, sized by its EM count.
-  /// The produced triple set AND the PathId numbering are bit-identical
-  /// for any value (fixed shard split, shard-ordered merge, serial
-  /// commit).
+  /// Worker threads for the per-round scan; read only by the builders
+  /// that take no pool (Build without one, and BuildFromDisk). Values < 1
+  /// mean 1. KbqaSystem::Train expands on its one pool, sized by
+  /// EmOptions::num_threads. The produced triple set AND the PathId
+  /// numbering are bit-identical for any value (fixed shard split,
+  /// shard-ordered merge, serial commit).
   int num_threads = 0;
 };
 

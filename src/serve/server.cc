@@ -1,11 +1,9 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <array>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "obs/obs.h"
 
@@ -77,7 +75,6 @@ void RecordStageHistograms(const obs::RequestContext& ctx) {
 ServingOptions Sanitize(ServingOptions options) {
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.max_queue_depth < 1) options.max_queue_depth = 1;
-  if (options.max_batch_size < 1) options.max_batch_size = 1;
   return options;
 }
 
@@ -108,7 +105,8 @@ Server::~Server() {
     shed_shutdown_.Add(1);
     KBQA_COUNTER_ADD("online.serve.shed_shutdown", 1);
     CompleteShed(&request, Status::Unavailable("server shutting down"),
-                 obs::WideOutcome::kShedShutdown);
+                 obs::WideOutcome::kShedShutdown,
+                 std::chrono::steady_clock::now());
   }
   // Workers finish the requests they already took, then exit.
   for (std::thread& worker : workers_) worker.join();
@@ -192,7 +190,7 @@ ServingStats Server::stats() const {
   stats.completed = completed_.Value();
   stats.shed_expired = shed_expired_.Value();
   stats.shed_shutdown = shed_shutdown_.Value();
-  stats.batches = batches_.Value();
+  stats.batches = stats.completed;
   {
     MutexLock lock(mu_);
     stats.queue_depth = queue_.size();
@@ -216,10 +214,10 @@ void Server::RecordRejected(const Request& request) {
 }
 
 void Server::CompleteShed(Request* request, Status status,
-                          obs::WideOutcome outcome) {
+                          obs::WideOutcome outcome,
+                          std::chrono::steady_clock::time_point now) {
   ServeResponse response;
   response.result.status = std::move(status);
-  const auto now = std::chrono::steady_clock::now();
   response.queue_ns = NanosBetween(request->enqueue_time, now);
   const uint64_t now_ns = ToNs(now);
   if (options_.slo != nullptr) {
@@ -240,8 +238,8 @@ void Server::CompleteShed(Request* request, Status status,
 }
 
 void Server::WorkerLoop() {
-  std::vector<Request> take;
   for (;;) {
+    Request request;
     {
       MutexLock lock(mu_);
       while (!stopping_ && queue_.empty()) {
@@ -252,99 +250,76 @@ void Server::WorkerLoop() {
       }
       // The destructor empties the queue when it sets stopping_.
       if (stopping_) return;
-      // Take what is queued now, up to max_batch_size; never wait for more.
-      const size_t n = std::min(queue_.size(), options_.max_batch_size);
-      for (size_t i = 0; i < n; ++i) {
-        take.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      request = std::move(queue_.front());
+      queue_.pop_front();
       KBQA_GAUGE_SET("online.serve.queue_depth", queue_.size());
     }
-    ServeTake(&take);
-    take.clear();
+    Serve(&request);
   }
 }
 
-void Server::ServeTake(std::vector<Request>* take) {
-  // Shed pass, before any handler call: a request whose deadline lapsed
-  // while queued never reaches the handler and never enters template
-  // matching. Outside mu_, since shed callbacks may re-enter Submit.
-  const auto take_time = std::chrono::steady_clock::now();
-  size_t kept = 0;
-  for (size_t i = 0; i < take->size(); ++i) {
-    Request& request = (*take)[i];
-    if (request.options.deadline && *request.options.deadline <= take_time) {
-      shed_expired_.Add(1);
-      KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
-      CompleteShed(&request,
-                   Status::DeadlineExceeded("deadline expired in queue"),
-                   obs::WideOutcome::kShedExpired);
+void Server::Serve(Request* request) {
+  // The take's one clock read, outside mu_: it ends the queue wait, decides
+  // the shed and starts the service, so queue + service is the whole time
+  // in the server.
+  const auto start = std::chrono::steady_clock::now();
+  // A request whose deadline lapsed while queued never reaches the handler
+  // and never enters template matching.
+  if (request->options.deadline && *request->options.deadline <= start) {
+    shed_expired_.Add(1);
+    KBQA_COUNTER_ADD("online.serve.shed_expired", 1);
+    CompleteShed(request, Status::DeadlineExceeded("deadline expired in queue"),
+                 obs::WideOutcome::kShedExpired, start);
+    return;
+  }
+  if (request->ctx.sampled) {
+    // Anchor the stage clock at the service start: stage intervals then
+    // live strictly inside [start, end), so their sum can never exceed the
+    // service_ns measured from the same readings.
+    request->ctx.StartClockAt(ToNs(start));
+    request->options.request_context = &request->ctx;
+  }
+  ServeResponse response;
+  response.queue_ns = NanosBetween(request->enqueue_time, start);
+  response.batch_size = 1;
+  response.result = handler_(request->question, request->options);
+  const auto end = std::chrono::steady_clock::now();
+  response.service_ns = NanosBetween(start, end);
+  completed_.Add(1);
+  KBQA_COUNTER_ADD("online.serve.completed", 1);
+  KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns", response.queue_ns);
+  KBQA_HISTOGRAM_RECORD("online.serve.service_ns", response.service_ns);
+  KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
+                        response.queue_ns + response.service_ns);
+  const Status& st = response.result.status;
+  if (options_.slo != nullptr) {
+    options_.slo->RecordRequest(
+        st.ok(), NanosBetween(request->enqueue_time, end), ToNs(end));
+  }
+  if (request->ctx.sampled) {
+    obs::WideOutcome outcome;
+    if (st.ok()) {
+      outcome = response.result.answered ? obs::WideOutcome::kAnswered
+                                         : obs::WideOutcome::kUnanswered;
+    } else if (st.code() == StatusCode::kDeadlineExceeded) {
+      outcome = obs::WideOutcome::kDeadlineExceeded;
     } else {
-      if (kept != i) (*take)[kept] = std::move(request);
-      ++kept;
+      outcome = obs::WideOutcome::kError;
     }
+    obs::WideEvent event =
+        BaseEvent(request->ctx, outcome, request->options.deadline.has_value(),
+                  request->question.size());
+    event.queue_wait_ns = response.queue_ns;
+    event.service_ns = response.service_ns;
+    event.total_ns = NanosBetween(request->enqueue_time, end);
+    // Budget at the decision point: what remained when the take looked.
+    event.deadline_budget_ns =
+        BudgetNsAt(request->options.deadline, ToNs(start));
+    event.StampFrom(request->ctx);
+    RecordStageHistograms(request->ctx);
+    obs::WideEvents::Record(event);
   }
-  take->resize(kept);
-  if (take->empty()) return;
-
-  batches_.Add(1);
-  KBQA_COUNTER_ADD("online.serve.batches", 1);
-  KBQA_HISTOGRAM_RECORD("online.serve.batch_size", take->size());
-  for (Request& request : *take) {
-    const auto start = std::chrono::steady_clock::now();
-    if (request.ctx.sampled) {
-      // Anchor the stage clock at the service-start reading the server
-      // already took: stage intervals then live strictly inside
-      // [start, end), so their sum can never exceed the service_ns
-      // measured from the same readings.
-      request.ctx.StartClockAt(ToNs(start));
-      request.options.request_context = &request.ctx;
-    }
-    ServeResponse response;
-    response.queue_ns = NanosBetween(request.enqueue_time, take_time);
-    response.batch_size = take->size();
-    response.result = handler_(request.question, request.options);
-    const auto end = std::chrono::steady_clock::now();
-    response.service_ns = NanosBetween(start, end);
-    completed_.Add(1);
-    KBQA_COUNTER_ADD("online.serve.completed", 1);
-    KBQA_HISTOGRAM_RECORD("online.serve.queue_wait_ns", response.queue_ns);
-    KBQA_HISTOGRAM_RECORD("online.serve.service_ns", response.service_ns);
-    KBQA_HISTOGRAM_RECORD("online.serve.latency_ns",
-                          response.queue_ns + response.service_ns);
-    const Status& st = response.result.status;
-    if (options_.slo != nullptr) {
-      options_.slo->RecordRequest(
-          st.ok(), NanosBetween(request.enqueue_time, end), ToNs(end));
-    }
-    if (request.ctx.sampled) {
-      obs::WideOutcome outcome;
-      if (st.ok()) {
-        outcome = response.result.answered ? obs::WideOutcome::kAnswered
-                                           : obs::WideOutcome::kUnanswered;
-      } else if (st.code() == StatusCode::kDeadlineExceeded) {
-        outcome = obs::WideOutcome::kDeadlineExceeded;
-      } else {
-        outcome = obs::WideOutcome::kError;
-      }
-      obs::WideEvent event =
-          BaseEvent(request.ctx, outcome, request.options.deadline.has_value(),
-                    request.question.size());
-      event.batch_size = static_cast<uint32_t>(take->size());
-      event.queue_wait_ns = response.queue_ns;
-      event.batch_wait_ns = NanosBetween(take_time, start);
-      event.service_ns = response.service_ns;
-      event.total_ns = NanosBetween(request.enqueue_time, end);
-      // Budget at the decision point: what remained when the shed pass
-      // last looked.
-      event.deadline_budget_ns =
-          BudgetNsAt(request.options.deadline, ToNs(take_time));
-      event.StampFrom(request.ctx);
-      RecordStageHistograms(request.ctx);
-      obs::WideEvents::Record(event);
-    }
-    request.done(std::move(response));
-  }
+  request->done(std::move(response));
 }
 
 }  // namespace kbqa::serve

@@ -32,10 +32,6 @@ struct ServingOptions {
   /// this is rejected with kUnavailable (backpressure to the caller
   /// instead of unbounded memory + doomed-to-expire latency).
   size_t max_queue_depth = 1024;
-  /// Each time a worker goes to the queue it takes whatever is queued, up
-  /// to this many requests, and answers them in order. It never waits for
-  /// more to arrive.
-  size_t max_batch_size = 32;
   /// Applied at admission to requests that carry no deadline of their own:
   /// deadline = arrival + default_timeout. Queue wait therefore counts
   /// against the budget — a request that expires while queued is shed
@@ -52,11 +48,13 @@ struct ServingOptions {
 struct ServeResponse {
   core::AnswerResult result;
   /// Admission to the worker's take (for shed requests: admission to
-  /// shed).
+  /// shed). The take is also the handler start, so queue_ns + service_ns
+  /// is the request's whole time in the server.
   uint64_t queue_ns = 0;
   /// Handler start to completion inside the worker (0 for shed requests).
   uint64_t service_ns = 0;
-  /// Requests served from the take this request rode in (0 if shed).
+  /// 1 when the handler ran, 0 when the request was shed. A worker takes
+  /// one request at a time; perfbench's serve probe reads 0 as shed.
   size_t batch_size = 0;
 };
 
@@ -68,15 +66,15 @@ struct ServingStats {
   uint64_t completed = 0;      // went through the answer pipeline
   uint64_t shed_expired = 0;   // deadline passed while queued
   uint64_t shed_shutdown = 0;  // queued at destruction (kUnavailable)
-  uint64_t batches = 0;        // worker takes that served a request
+  uint64_t batches = 0;        // equals completed: one request per take
   uint64_t queue_depth = 0;    // current
 };
 
 /// In-process async serving front door over the KBQA online engine: a
 /// bounded MPMC request queue with admission control, and num_workers
 /// threads that pull from it. Each time a worker goes to the queue it takes
-/// whatever is queued, up to max_batch_size, sheds the expired requests of
-/// that take, and answers the rest in order.
+/// the front request, sheds it if its deadline has passed, and otherwise
+/// answers it.
 ///
 /// Request lifecycle:
 ///   Submit -> [bounded queue] -> worker take -> {shed if expired}
@@ -106,7 +104,7 @@ class Server {
   /// newest snapshot per request, so merges land between requests without
   /// draining the server. The engine must outlive the server. Every
   /// request goes through AnswerCached, so the opt-in answer memo and
-  /// per-request deadlines compose with batching.
+  /// per-request deadlines compose with the queue.
   template <typename Engine>
   static std::unique_ptr<Server> ForEngine(const Engine* engine,
                                            const ServingOptions& options) {
@@ -161,13 +159,14 @@ class Server {
   /// sleeping worker should be notified.
   const char* Enqueue(Request* request, bool* wake);
   void WorkerLoop();
-  /// Sheds the expired requests of one take, then answers the rest in
-  /// order on the calling worker.
-  void ServeTake(std::vector<Request>* take);
+  /// Sheds a request the worker took if its deadline has passed, and
+  /// otherwise answers it on the calling worker.
+  void Serve(Request* request);
   /// Completes a request without entering the pipeline (expired in queue
-  /// or shutdown shed), emitting its terminal wide event and SLO record.
-  void CompleteShed(Request* request, Status status,
-                    obs::WideOutcome outcome);
+  /// or shutdown shed) at `now`, emitting its terminal wide event and SLO
+  /// record.
+  void CompleteShed(Request* request, Status status, obs::WideOutcome outcome,
+                    std::chrono::steady_clock::time_point now);
   /// Terminal accounting for an admission-rejected request (never queued,
   /// callback never invoked — but still exactly one wide event).
   void RecordRejected(const Request& request);
@@ -193,7 +192,6 @@ class Server {
   obs::ShardedCounter completed_;
   obs::ShardedCounter shed_expired_;
   obs::ShardedCounter shed_shutdown_;
-  obs::ShardedCounter batches_;
 
   // Declared after every member the workers touch: ~Server joins them
   // before those members are destroyed.

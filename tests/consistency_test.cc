@@ -99,8 +99,7 @@ TEST_F(ConsistencyTest, VariantPredicateResolution) {
   const core::KbqaSystem& kbqa = experiment().kbqa();
   core::VariantSolver solver(
       &experiment().world().kb, &experiment().world().taxonomy, &kbqa.ner(),
-      &kbqa.template_store(), &kbqa.expanded_kb().paths(),
-      core::VariantSolver::Options());
+      &kbqa.template_store(), &kbqa.expanded_kb().paths());
 
   // "people" resolves to population for $city through learned templates
   // even though no predicate is named "people".

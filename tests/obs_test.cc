@@ -292,12 +292,10 @@ TEST(WideEventTest, RecordDrainRoundTrip) {
   a.admit_ns = 100;
   a.outcome = obs::WideOutcome::kAnswered;
   a.has_deadline = true;
-  a.batch_size = 3;
   a.question_bytes = 42;
   a.queue_wait_ns = 1000;
-  a.batch_wait_ns = 200;
   a.service_ns = 5000;
-  a.total_ns = 6200;
+  a.total_ns = 6000;
   a.deadline_budget_ns = -1500;  // negative budgets survive the ring
   a.stages[static_cast<size_t>(obs::WideStage::kNer)] = {111, 1};
   a.stages[static_cast<size_t>(obs::WideStage::kRank)] = {222, 2};
@@ -320,12 +318,10 @@ TEST(WideEventTest, RecordDrainRoundTrip) {
   const obs::WideEvent& got = drained[1];
   EXPECT_EQ(got.outcome, obs::WideOutcome::kAnswered);
   EXPECT_TRUE(got.has_deadline);
-  EXPECT_EQ(got.batch_size, 3u);
   EXPECT_EQ(got.question_bytes, 42u);
   EXPECT_EQ(got.queue_wait_ns, 1000u);
-  EXPECT_EQ(got.batch_wait_ns, 200u);
   EXPECT_EQ(got.service_ns, 5000u);
-  EXPECT_EQ(got.total_ns, 6200u);
+  EXPECT_EQ(got.total_ns, 6000u);
   EXPECT_EQ(got.deadline_budget_ns, -1500);
   EXPECT_EQ(got.stages[static_cast<size_t>(obs::WideStage::kNer)].ns, 111u);
   EXPECT_EQ(got.stages[static_cast<size_t>(obs::WideStage::kNer)].count, 1u);
@@ -348,8 +344,8 @@ TEST(WideEventTest, JsonLineCarriesSchema) {
   const std::string json = e.ToJsonLine();
   for (const char* key :
        {"\"trace_id\":12", "\"outcome\":\"deadline_exceeded\"",
-        "\"deadline_budget_ns\":-5", "\"queue_wait_ns\":", "\"batch_wait_ns\":",
-        "\"service_ns\":", "\"total_ns\":", "\"stages\":{\"ner\":",
+        "\"deadline_budget_ns\":-5", "\"queue_wait_ns\":", "\"service_ns\":",
+        "\"total_ns\":", "\"stages\":{\"ner\":",
         "\"score\":{\"ns\":77,\"count\":3}", "\"value_cache\":{\"hits\":",
         "\"answer_cache\":", "\"kb_epoch\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;

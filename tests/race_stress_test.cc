@@ -162,10 +162,8 @@ obs::WideEvent EventCarrying(uint64_t id) {
   e.admit_ns = id;
   e.outcome = static_cast<obs::WideOutcome>(id % obs::kWideOutcomeCount);
   e.has_deadline = id % 2 == 1;
-  e.batch_size = id32;
   e.question_bytes = id32;
   e.queue_wait_ns = id;
-  e.batch_wait_ns = id;
   e.service_ns = id;
   e.total_ns = id;
   e.deadline_budget_ns = static_cast<int64_t>(id);
@@ -183,10 +181,8 @@ bool CarriesOneEvent(const obs::WideEvent& row) {
   bool same =
       row.admit_ns == want.admit_ns && row.outcome == want.outcome &&
       row.has_deadline == want.has_deadline &&
-      row.batch_size == want.batch_size &&
       row.question_bytes == want.question_bytes &&
       row.queue_wait_ns == want.queue_wait_ns &&
-      row.batch_wait_ns == want.batch_wait_ns &&
       row.service_ns == want.service_ns && row.total_ns == want.total_ns &&
       row.deadline_budget_ns == want.deadline_budget_ns &&
       row.value_cache_hits == want.value_cache_hits &&
@@ -416,7 +412,6 @@ TEST(RaceStressTest, ServeHammerSubmittersAgainstBatcherAndTeardown) {
       serve::ServingOptions options;
       options.num_workers = 3;
       options.max_queue_depth = 64;
-      options.max_batch_size = 4;
       serve::Server server(
           [](const std::string& question, const core::AnswerOptions&) {
             core::AnswerResult result;
@@ -479,7 +474,6 @@ TEST_F(RaceStressSystemTest, ServeEngineAnswersUnderConcurrentLoadCycles) {
   for (int round = 0; round < 5; ++round) {
     serve::ServingOptions serving;
     serving.num_workers = 3;
-    serving.max_batch_size = 4;
     const auto server = serve::Server::ForEngine(engine.get(), serving);
     std::vector<std::thread> callers;
     for (int t = 0; t < 3; ++t) {
@@ -691,7 +685,6 @@ TEST_F(RaceStressSystemTest, ServeLiveEngineWideEventsExactlyOnceAcrossSwaps) {
   {
     serve::ServingOptions serving;
     serving.num_workers = 3;
-    serving.max_batch_size = 4;
     const auto server = serve::Server::ForEngine(engine.get(), serving);
     std::atomic<bool> stop{false};
     std::promise<void> first_write;

@@ -2,9 +2,10 @@
 // rejects a saturated queue *at Submit* (never enqueue-then-expire),
 // requests that expire while queued are shed with kDeadlineExceeded when a
 // worker takes them, before the handler — and, engine-backed, before
-// template matching (online.answers stays flat) — a worker's take
-// coalesces what is queued, and teardown resolves every accepted callback
-// exactly once.
+// template matching (online.answers stays flat) — a worker takes one
+// request at a time, so a request is judged against its deadline when the
+// worker reaches it, and teardown resolves every accepted callback exactly
+// once.
 
 #include <gtest/gtest.h>
 
@@ -126,7 +127,7 @@ TEST(ServeTest, AnswerRoundTripsThroughHandler) {
   ServeResponse response = server.Answer("who is the spouse of alice?");
   EXPECT_TRUE(response.result.status.ok());
   EXPECT_EQ(response.result.value, "who is the spouse of alice?");
-  EXPECT_GE(response.batch_size, 1u);
+  EXPECT_EQ(response.batch_size, 1u);
   const ServingStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -137,7 +138,6 @@ TEST(ServeTest, SaturatedQueueRejectsAtAdmissionNotEnqueueThenExpire) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   options.max_queue_depth = 2;
   // A generous deadline: a wrongly-enqueued overflow request would sit in
   // the queue and eventually come back kDeadlineExceeded instead of the
@@ -188,7 +188,6 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
 
@@ -232,36 +231,57 @@ TEST(ServeTest, ExpiredInQueueIsShedWithoutInvokingHandler) {
             2u);
 }
 
-TEST(ServeTest, BatcherCoalescesQueuedRequests) {
+// A worker takes one request at a time, so a request queued behind another
+// is judged against its deadline when the worker reaches it: r1 is still
+// live when the worker takes r0, and has expired by the time r0 is done.
+// Runs in about 0.2 s.
+TEST(ServeTest, RequestExpiringBehindAnotherIsShedWithoutInvokingHandler) {
   GatedHandler gate;
+  const Server::Handler hold = gate.AsHandler();
+  // Generous, so that r1 is still live when the worker takes r0 even under
+  // the sanitizers.
+  const auto r1_deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  std::atomic<int> handled{0};
+  Collector collector;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 8;
-  Server server(gate.AsHandler(), options);
-  Collector collector;
+  Server server(
+      [&](const std::string& question,
+          const core::AnswerOptions& answer_options) {
+        handled.fetch_add(1);
+        if (question == "hold") return hold(question, answer_options);
+        std::this_thread::sleep_until(r1_deadline);  // r0 outlasts r1's budget
+        return EchoResult(question);
+      },
+      options);
 
-  ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
+  // "hold" keeps the worker busy while r0 and r1 queue behind it.
+  ASSERT_TRUE(server.Submit("hold", collector.Add()).ok());
   while (gate.entered.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Five requests pile up while the single worker is gated on r0; they
-  // must ride one coalesced batch.
-  for (int i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(server.Submit("r" + std::to_string(i), collector.Add()).ok());
-  }
+  ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
+  core::AnswerOptions expiring;
+  expiring.deadline = r1_deadline;
+  ASSERT_TRUE(server.Submit("r1", expiring, collector.Add()).ok());
   gate.Open();
-  ASSERT_TRUE(collector.WaitForCount(6));
-  ASSERT_EQ(collector.Count(), 6u);
-  size_t coalesced = 0;
+  ASSERT_TRUE(collector.WaitForCount(3));
+
+  EXPECT_EQ(handled.load(), 2);  // hold and r0: never r1
   {
     MutexLock lock(collector.mu);
-    for (const ServeResponse& response : collector.responses) {
-      ASSERT_TRUE(response.result.status.ok());
-      if (response.batch_size == 5u) ++coalesced;
-    }
+    ASSERT_EQ(collector.responses.size(), 3u);
+    EXPECT_EQ(collector.responses[0].result.value, "hold");
+    EXPECT_EQ(collector.responses[1].result.value, "r0");
+    const ServeResponse& shed = collector.responses[2];
+    EXPECT_EQ(shed.result.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(shed.result.answered);
+    EXPECT_EQ(shed.service_ns, 0u);
+    EXPECT_EQ(shed.batch_size, 0u);
   }
-  EXPECT_EQ(coalesced, 5u);
-  EXPECT_EQ(server.stats().batches, 2u);  // {r0}, {r1..r5}
+  EXPECT_EQ(server.stats().shed_expired, 1u);
+  EXPECT_EQ(server.stats().completed, 2u);
 }
 
 TEST(ServeTest, DefaultTimeoutBecomesRequestDeadline) {
@@ -286,7 +306,6 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
   {
     ServingOptions options;
     options.num_workers = 1;
-    options.max_batch_size = 1;
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -331,7 +350,6 @@ TEST(ServeTest, SubmitAfterShutdownStartsIsRejected) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   options.max_queue_depth = 1;
   Server server(gate.AsHandler(), options);
   Collector collector;
@@ -393,12 +411,11 @@ TEST(WideEventServeTest, EveryServedOutcomeEmitsExactlyOneEvent) {
     EXPECT_NE(e.trace_id, 0u);
     trace_ids.push_back(e.trace_id);
     // The latency decomposition invariants: stage sums live inside the
-    // handler's service time, and queue + batch + service fit inside the
-    // end-to-end total (all measured on one clock).
+    // handler's service time, and queue + service is the end-to-end total
+    // (the take's one clock read ends the one and starts the other).
     EXPECT_LE(e.StageNsSum(), e.service_ns);
-    EXPECT_LE(e.queue_wait_ns + e.batch_wait_ns + e.service_ns, e.total_ns);
+    EXPECT_EQ(e.queue_wait_ns + e.service_ns, e.total_ns);
     EXPECT_GT(e.total_ns, 0u);
-    EXPECT_GE(e.batch_size, 1u);
     EXPECT_FALSE(e.has_deadline);
   }
   std::sort(trace_ids.begin(), trace_ids.end());
@@ -413,7 +430,6 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   Collector collector;
   {
     Server server(gate.AsHandler(), options);
@@ -437,7 +453,6 @@ TEST(WideEventServeTest, InQueueShedCarriesQueueWaitAndZeroStages) {
     if (e.outcome != obs::WideOutcome::kShedExpired) continue;
     EXPECT_GT(e.queue_wait_ns, 0u);
     EXPECT_EQ(e.service_ns, 0u);
-    EXPECT_EQ(e.batch_wait_ns, 0u);
     EXPECT_EQ(e.total_ns, e.queue_wait_ns);
     EXPECT_TRUE(e.has_deadline);
     EXPECT_LE(e.deadline_budget_ns, 0);  // it was shed *because* it expired
@@ -455,7 +470,6 @@ TEST(WideEventServeTest, AdmissionRejectionEmitsRejectedEvent) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   options.max_queue_depth = 1;
   Collector collector;
   std::atomic<bool> rejected_callback_ran{false};
@@ -493,7 +507,6 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
   {
     ServingOptions options;
     options.num_workers = 1;
-    options.max_batch_size = 1;
     Server server(gate.AsHandler(), options);
     ASSERT_TRUE(server.Submit("r0", collector.Add()).ok());
     while (gate.entered.load() == 0) {
@@ -616,7 +629,6 @@ TEST(SloServeTest, TerminalOutcomesFeedTheSloMonitorUnsampled) {
   GatedHandler gate;
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch_size = 1;
   options.slo = &slo;
   Collector collector;
   {
