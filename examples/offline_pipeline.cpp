@@ -3,9 +3,8 @@
 //
 //   1. obtain an RDF dump (here: generated, exported to N-Triples)
 //   2. obtain a QA corpus (here: generated, exported to TSV)
-//   3. import both from disk
-//   4. run predicate expansion with the *disk-based* §6.2 BFS
-//   5. train, persist the model, answer from the reloaded model
+//   3. import the corpus from disk (training reads the world's in-memory KB)
+//   4. train, persist the model, answer from the reloaded model
 //
 // Run: ./build/examples/offline_pipeline
 
@@ -16,7 +15,6 @@
 #include "corpus/corpus_io.h"
 #include "corpus/qa_generator.h"
 #include "corpus/world_generator.h"
-#include "rdf/expanded_predicate.h"
 #include "rdf/ntriples.h"
 #include "util/timer.h"
 
@@ -49,7 +47,7 @@ int main() {
               kb_path.c_str(), world.kb.num_triples(), corpus_path.c_str(),
               generated.size());
 
-  // ---- 3: import from disk (gold annotations are gone, as in real life) --
+  // ---- 3: import the corpus (gold annotations are gone, as in real life) --
   auto corpus = corpus::ImportQaTsv(corpus_path);
   if (!corpus.ok()) {
     std::printf("corpus import failed: %s\n",
@@ -57,22 +55,8 @@ int main() {
     return 1;
   }
 
-  // ---- 4: disk-based predicate expansion (§6.2, the 1.1 TB codepath) ----
+  // ---- 4: train, persist, answer from the reloaded artifact ----
   Timer timer;
-  rdf::ExpansionOptions expansion;
-  auto disk_ekb = rdf::ExpandedKb::BuildFromDisk(
-      world.kb, kb_path, world.kb.AllEntities(), world.name_like, expansion);
-  if (!disk_ekb.ok()) {
-    std::printf("disk expansion failed: %s\n",
-                disk_ekb.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("disk-based BFS: %zu expanded triples in %.1fs (3 scans of "
-              "the on-disk KB)\n",
-              disk_ekb.value().num_triples(), timer.ElapsedSeconds());
-
-  // ---- 5: train, persist, answer from the reloaded artifact ----
-  timer.Reset();
   core::KbqaSystem trainer(&world);
   status = trainer.Train(corpus.value());
   if (!status.ok()) {

@@ -24,7 +24,9 @@ per workload one row per end-to-end metric of BENCHMARK.json: parent
 median and interquartile range, change median, the change's relative
 delta, and the pairs the change won (ties count for neither side). A
 metric whose change median is worse than the parent's by more than its
-BENCHMARK.json bound is flagged.
+BENCHMARK.json bound is flagged. Last comes each side's median and
+maximum first set-up Train, which train_s (a median of the set-ups'
+Trains) does not show.
 
 Exit status: 0 when every run reported `correct: true` and 0 failed
 operations and no metric is flagged; 1 otherwise; 2 on bad arguments or a
@@ -132,6 +134,12 @@ def report(workload, pairs, metrics):
         print(f"{name:<18} {fmt(pmed):>11} {fmt(q1):>10}-{fmt(q3):<10} "
               f"{fmt(cmed):>11} {delta:>+8.1%} {won:>3}/{len(both):<2} "
               f"{m['bound']:>6.2f}{'  WORSE THAN BOUND' if flag else ''}")
+    for side, index in (("parent", 0), ("change", 1)):
+        firsts = [float(pair[index]["trains"][0]) for pair in pairs
+                  if pair[index]["trains"]]
+        if firsts:
+            print(f"first Train {side}: median {statistics.median(firsts):.3f}"
+                  f" s, max {max(firsts):.3f} s over {len(firsts)} runs")
     return flagged
 
 

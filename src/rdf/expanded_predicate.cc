@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <fstream>
 
 #include "obs/obs.h"
-#include "rdf/ntriples.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace kbqa::rdf {
@@ -18,9 +15,25 @@ namespace {
 // after the shard-ordered merge) is identical for any pool size.
 constexpr size_t kBfsShards = 32;
 
-// Lines per parallel parse block in BuildFromDisk. Large enough to amortize
-// the per-block fork/join, small enough to keep raw line memory bounded.
-constexpr size_t kScanBlockLines = 4096;
+/// One frontier edge found by a scan shard. Shards record the *parent*
+/// path id plus the extending predicate instead of interning, so the
+/// dictionary is only touched by the serial commit — that is what makes
+/// PathId numbering independent of the thread count.
+struct Discovery {
+  TermId origin;
+  PathId parent;  // path walked before this edge; kInvalidPath at round 1
+  PredId p;
+  TermId o;
+  uint8_t admissible;  // record (origin, parent+p, o) as an expanded triple
+  uint8_t cont;        // o joins the next round's frontier
+};
+
+/// One walk in flight: origin seed, current node, interned path so far.
+struct WalkEntry {
+  TermId origin;
+  TermId cur;
+  PathId path;  // kInvalidPath for the empty path at round 0
+};
 
 /// Packs a trie extension edge (parent path, predicate) into one key;
 /// parent + 1 so the empty path (kInvalidPath) encodes as 0.
@@ -111,45 +124,6 @@ std::string PathDictionary::ToString(PathId id, const KnowledgeBase& kb) const {
   return out;
 }
 
-/// One frontier edge found by a scan shard. Shards record the *parent*
-/// path id plus the extending predicate instead of interning, so the
-/// dictionary is only touched by the serial commit — that is what makes
-/// PathId numbering independent of the thread count.
-struct ExpandedKb::Discovery {
-  TermId origin;
-  PathId parent;  // path walked before this edge; kInvalidPath at round 1
-  PredId p;
-  TermId o;
-  uint8_t admissible;  // record (origin, parent+p, o) as an expanded triple
-  uint8_t cont;        // o joins the next round's frontier
-};
-
-/// One walk in flight: origin seed, current node, interned path so far.
-struct ExpandedKb::WalkEntry {
-  TermId origin;
-  TermId cur;
-  PathId path;  // kInvalidPath for the empty path at round 0
-};
-
-Status ExpandedKb::CommitDiscoveries(const std::vector<Discovery>& discoveries,
-                                     size_t* triples, size_t max_triples,
-                                     std::vector<WalkEntry>* next) {
-  for (const Discovery& d : discoveries) {
-    PathId pid = paths_.InternExtension(d.parent, d.p);
-    if (d.admissible) {
-      if (*triples >= max_triples) {
-        return Status::OutOfRange(
-            "expanded-triple budget exhausted; raise "
-            "ExpansionOptions::max_triples or lower max_length");
-      }
-      by_s_[d.origin].push_back({pid, d.o});
-      ++*triples;
-    }
-    if (d.cont) next->push_back({d.origin, d.o, pid});
-  }
-  return Status::Ok();
-}
-
 Result<ExpandedKb> ExpandedKb::Build(
     const KnowledgeBase& kb, const std::vector<TermId>& seeds,
     const std::unordered_set<PredId>& name_like,
@@ -235,143 +209,29 @@ Result<ExpandedKb> ExpandedKb::Build(
     for (size_t shard = 0; shard < num_shards; ++shard) {
       for (const Discovery& d : shard_discoveries[shard]) num_next += d.cont;
     }
+    // Commit in shard order: intern paths, record admissible triples
+    // (enforcing the budget), and build the next frontier.
     std::vector<WalkEntry> next;
     next.reserve(num_next);
     for (size_t shard = 0; shard < num_shards; ++shard) {
-      Status st = ekb.CommitDiscoveries(shard_discoveries[shard], &triples,
-                                        options.max_triples, &next);
-      if (!st.ok()) return st;
+      for (const Discovery& d : shard_discoveries[shard]) {
+        PathId pid = ekb.paths_.InternExtension(d.parent, d.p);
+        if (d.admissible) {
+          if (triples >= options.max_triples) {
+            return Status::OutOfRange(
+                "expanded-triple budget exhausted; raise "
+                "ExpansionOptions::max_triples or lower max_length");
+          }
+          ekb.by_s_[d.origin].push_back({pid, d.o});
+          ++triples;
+        }
+        if (d.cont) next.push_back({d.origin, d.o, pid});
+      }
     }
     frontier = std::move(next);
   }
 
   SortDedupBuckets(*pool, ekb.by_s_, &ekb.num_triples_);
-  return ekb;
-}
-
-Result<ExpandedKb> ExpandedKb::BuildFromDisk(
-    const KnowledgeBase& kb, const std::string& ntriples_path,
-    const std::vector<TermId>& seeds,
-    const std::unordered_set<PredId>& name_like,
-    const ExpansionOptions& options) {
-  if (options.max_length < 1) {
-    return Status::InvalidArgument("max_length must be >= 1");
-  }
-
-  ExpandedKb ekb;
-  ThreadPool pool(options.num_threads);
-  const std::vector<uint8_t> name_mask = NameMask(kb, name_like);
-
-  // Frontier hash index: node -> walks that currently end at it. This is
-  // the in-memory side of the paper's index+scan+join rounds; S0 is the
-  // seed set. Strictly read-only while a round's blocks are in flight.
-  struct Walk {
-    TermId origin;
-    PathId path;  // kInvalidPath for the empty walk
-  };
-  std::unordered_map<TermId, std::vector<Walk>> frontier;
-  {
-    std::unordered_set<TermId> seen;
-    for (TermId s : seeds) {
-      if (!kb.IsEntity(s)) continue;
-      if (seen.insert(s).second) {
-        frontier[s].push_back(Walk{s, kInvalidPath});
-      }
-    }
-  }
-
-  // Per-shard scan result for one line block: discoveries plus the first
-  // parse error (merged in shard order = line order, so the reported error
-  // is the same one the serial scan would hit first).
-  struct Partial {
-    std::vector<ExpandedKb::Discovery> discoveries;
-    Status error = Status::Ok();
-  };
-
-  size_t triples = 0;
-  for (int round = 1; round <= options.max_length && !frontier.empty();
-       ++round) {
-    KBQA_TRACE_SPAN("rdf.expand.round");
-    KBQA_HISTOGRAM_RECORD("rdf.expand.frontier_size", frontier.size());
-    const bool last_round = round == options.max_length;
-    // Scan pass: stream the disk-resident KB once in line blocks; each
-    // block is parsed and joined against the frontier in parallel.
-    std::ifstream in(ntriples_path);
-    if (!in) {
-      return Status::IoError("cannot open KB file: " + ntriples_path);
-    }
-    std::vector<WalkEntry> next;
-    std::vector<std::string> block;
-    block.reserve(kScanBlockLines);
-    std::string line;
-    for (;;) {
-      block.clear();
-      while (block.size() < kScanBlockLines && std::getline(in, line)) {
-        block.push_back(std::move(line));
-      }
-      if (block.empty()) break;
-
-      Partial merged = ParallelReduce(
-          pool, block.size(), kBfsShards, Partial{},
-          [&](size_t /*shard*/, size_t begin, size_t end) {
-            Partial local;
-            for (size_t i = begin; i < end; ++i) {
-              std::string_view trimmed = Trim(block[i]);
-              if (trimmed.empty() || trimmed[0] == '#') continue;
-              auto parsed = ParseNTripleLine(block[i]);
-              if (!parsed.ok()) {
-                local.error = Status::InvalidArgument(
-                    "bad triple in " + ntriples_path + ": " +
-                    parsed.status().message());
-                break;
-              }
-              auto s = kb.LookupNode(parsed.value().subject);
-              auto p = kb.LookupPredicate(parsed.value().predicate);
-              auto o = kb.LookupNode(parsed.value().object);
-              if (!s || !p || !o) continue;  // term unknown to the dictionary
-              auto hit = frontier.find(*s);
-              if (hit == frontier.end()) continue;
-              for (const Walk& walk : hit->second) {
-                const bool name_p = name_mask[*p] != 0;
-                const bool admissible =
-                    round == 1 || !options.require_name_tail || name_p;
-                const bool cont = !last_round && kb.IsEntity(*o) && !name_p;
-                if (admissible || cont) {
-                  local.discoveries.push_back(
-                      {walk.origin, walk.path, *p, *o,
-                       static_cast<uint8_t>(admissible),
-                       static_cast<uint8_t>(cont)});
-                }
-              }
-            }
-            return local;
-          },
-          [](Partial& acc, Partial&& part) {
-            if (!acc.error.ok()) return;  // keep the earliest error
-            if (acc.discoveries.empty()) {
-              acc.discoveries = std::move(part.discoveries);
-            } else {
-              acc.discoveries.insert(acc.discoveries.end(),
-                                     part.discoveries.begin(),
-                                     part.discoveries.end());
-            }
-            if (!part.error.ok()) acc.error = std::move(part.error);
-          });
-      if (!merged.error.ok()) return merged.error;
-
-      Status st = ekb.CommitDiscoveries(merged.discoveries, &triples,
-                                        options.max_triples, &next);
-      if (!st.ok()) return st;
-    }
-
-    // Reindex the next frontier by node, in deterministic discovery order.
-    frontier.clear();
-    for (const WalkEntry& w : next) {
-      frontier[w.cur].push_back(Walk{w.origin, w.path});
-    }
-  }
-
-  SortDedupBuckets(pool, ekb.by_s_, &ekb.num_triples_);
   return ekb;
 }
 

@@ -84,12 +84,11 @@ struct ExpansionOptions {
   /// materializes 21M triples for a 11.5B-triple KB thanks to seed
   /// reduction).
   size_t max_triples = std::numeric_limits<size_t>::max();
-  /// Worker threads for the per-round scan; read only by the builders
-  /// that take no pool (Build without one, and BuildFromDisk). Values < 1
-  /// mean 1. KbqaSystem::Train expands on its one pool, sized by
-  /// EmOptions::num_threads. The produced triple set AND the PathId
-  /// numbering are bit-identical for any value (fixed shard split,
-  /// shard-ordered merge, serial commit).
+  /// Worker threads for the per-round scan; read only by the Build
+  /// overload that takes no pool. Values < 1 mean 1. KbqaSystem::Train
+  /// expands on its one pool, sized by EmOptions::num_threads. The
+  /// produced triple set AND the PathId numbering are bit-identical for
+  /// any value (fixed shard split, shard-ordered merge, serial commit).
   int num_threads = 0;
 };
 
@@ -118,20 +117,6 @@ class ExpandedKb {
       const std::unordered_set<PredId>& name_like,
       const ExpansionOptions& options, ThreadPool* pool);
 
-  /// §6.2 exactly as the paper runs it at the 1.1 TB scale: the KB's
-  /// triples stay *on disk* (an N-Triples file) and are scanned k times;
-  /// each round joins the streamed subjects against the in-memory frontier
-  /// hash index. Only the frontier and the discovered (s, p+, o) triples
-  /// are held in memory — O(#spo) memory, O(k·|K|) I/O. `kb` is used for
-  /// its dictionaries and node-kind flags only; its adjacency is never
-  /// touched. Line blocks are parsed and joined in parallel; produces
-  /// exactly the same triples as Build() (asserted by the property tests).
-  [[nodiscard]] static Result<ExpandedKb> BuildFromDisk(
-      const KnowledgeBase& kb, const std::string& ntriples_path,
-      const std::vector<TermId>& seeds,
-      const std::unordered_set<PredId>& name_like,
-      const ExpansionOptions& options);
-
   /// All expanded triples out of `s`, as (path, object) pairs sorted by
   /// (path, object): V(s, p+) is the stretch of this run whose path is p+.
   std::span<const std::pair<PathId, TermId>> Out(TermId s) const;
@@ -152,15 +137,6 @@ class ExpandedKb {
 
  private:
   ExpandedKb() = default;
-
-  /// Applies one round's discoveries in deterministic order: interns paths,
-  /// records admissible triples (enforcing the budget), and builds the next
-  /// frontier. Shared by Build and BuildFromDisk.
-  struct Discovery;
-  struct WalkEntry;
-  [[nodiscard]] Status CommitDiscoveries(const std::vector<Discovery>& discoveries,
-                           size_t* triples, size_t max_triples,
-                           std::vector<WalkEntry>* next);
 
   PathDictionary paths_;
   std::unordered_map<TermId, std::vector<std::pair<PathId, TermId>>> by_s_;

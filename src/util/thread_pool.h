@@ -2,81 +2,47 @@
 #define KBQA_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace kbqa {
 
-/// A fixed-size worker pool for the shared-memory parallelism layer.
+/// Fork-join runner for the shared-memory parallelism layer.
 ///
-/// Work is expressed as *jobs* of statically sharded tasks, submitted
-/// through one synchronous call: RunShards, where the caller participates
-/// as a worker and blocks until its job completes. Jobs from several
-/// calling threads queue FIFO and workers cooperatively drain the front
-/// job.
+/// Work is expressed as *jobs* of statically sharded tasks, run through one
+/// synchronous call: RunShards starts its helper threads, the caller works
+/// alongside them, and the call joins them before it returns. The pool
+/// holds only its thread count, so no thread outlives a call and nothing is
+/// shared between calls.
 ///
-/// Determinism contract (unchanged from the single-job pool): work is
-/// always a *fixed* number of statically sharded tasks (independent of the
-/// thread count), each shard writes only shard-local state, and shard
-/// results are merged in shard order by the caller (see ParallelFor /
-/// ParallelReduce below). Which thread runs which shard is therefore
-/// unobservable — results are bit-identical with 1, 2, or N threads.
+/// Determinism contract: work is always a *fixed* number of statically
+/// sharded tasks (independent of the thread count), each shard writes only
+/// shard-local state, and shard results are merged in shard order by the
+/// caller (see ParallelFor / ParallelReduce below). Which thread runs which
+/// shard is therefore unobservable — results are bit-identical with 1, 2,
+/// or N threads.
 ///
 /// Shard callables must not throw; the pool has no recovery path and
 /// terminates on an escaped exception (same policy as std::thread).
 class ThreadPool {
  public:
-  /// Creates `num_threads - 1` workers (the caller participates in every
-  /// RunShards call, so one thread means "no workers, run inline").
-  /// Values < 1 are clamped to 1.
+  /// Runs every job on up to `num_threads` threads, the caller included,
+  /// so one thread means "run inline". Values < 1 are clamped to 1.
   explicit ThreadPool(int num_threads);
-  /// Joins the workers. Every RunShards call must have returned.
-  ~ThreadPool();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  int num_threads() const { return num_threads_; }
 
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Runs fn(shard) for every shard in [0, num_shards), distributing
-  /// shards across the workers plus the calling thread. Blocks until all
-  /// shards complete. Safe to call repeatedly and from several threads at
-  /// once (jobs queue FIFO); not reentrant from inside a shard.
+  /// Runs fn(shard) for every shard in [0, num_shards) on the calling
+  /// thread plus min(num_threads, num_shards) - 1 helper threads started
+  /// for this call; the threads claim shards from one shared cursor.
+  /// Returns once every shard has run and every helper has been joined.
+  /// Safe to call repeatedly and from several threads at once (each call
+  /// runs its own job); not reentrant from inside a shard.
   void RunShards(size_t num_shards, const std::function<void(size_t)>& fn);
 
  private:
-  /// One queued job. `fn` points at the caller's callable, alive across
-  /// the blocking RunShards call.
-  struct Job {
-    const std::function<void(size_t)>* fn = nullptr;
-    size_t next_shard = 0;
-    size_t num_shards = 0;
-    size_t in_flight = 0;
-    bool done = false;
-  };
-
-  void WorkerLoop();
-  /// Claims and runs shards of `job` until none remain to hand out. The
-  /// thread that retires the last shard marks the job done and signals
-  /// job_done_.
-  void DrainJob(const std::shared_ptr<Job>& job);
-
-  std::vector<std::thread> workers_;
-
-  Mutex mu_;
-  CondVar work_ready_;
-  CondVar job_done_;
-  /// Jobs that still have unclaimed shards, FIFO. A job leaves the queue
-  /// the moment its last shard is claimed (it may still be running).
-  std::deque<std::shared_ptr<Job>> queue_ GUARDED_BY(mu_);
-  bool shutdown_ GUARDED_BY(mu_) = false;
+  int num_threads_;
 };
 
 /// Half-open index range of one static shard.

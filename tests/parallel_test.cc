@@ -43,13 +43,29 @@ TEST(ShardOfTest, PartitionsRangeContiguously) {
 
 TEST(ThreadPoolTest, RunsEveryShardExactlyOnce) {
   for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.num_threads(), threads);
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h = 0;
-    pool.RunShards(hits.size(), [&](size_t shard) { ++hits[shard]; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "shard " << i;
+    for (size_t num_shards : {size_t{1}, size_t{3}, size_t{257}}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(pool.num_threads(), threads);
+      std::vector<std::atomic<int>> hits(num_shards);
+      for (auto& h : hits) h = 0;
+      std::vector<std::thread::id> ran_on(num_shards);
+      pool.RunShards(num_shards, [&](size_t shard) {
+        ++hits[shard];
+        ran_on[shard] = std::this_thread::get_id();
+      });
+      for (size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "shard " << i;
+      }
+      // At most min(threads, shards) threads run shards, and a job that
+      // gets no helper runs on the caller.
+      std::sort(ran_on.begin(), ran_on.end());
+      const size_t distinct = static_cast<size_t>(
+          std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin());
+      EXPECT_LE(distinct, std::min(static_cast<size_t>(threads), num_shards))
+          << threads << " threads, " << num_shards << " shards";
+      if (threads == 1 || num_shards == 1) {
+        EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+      }
     }
   }
 }
@@ -61,6 +77,30 @@ TEST(ThreadPoolTest, ReusableAcrossJobs) {
     pool.RunShards(16, [&](size_t shard) { sum += static_cast<long>(shard); });
   }
   EXPECT_EQ(sum.load(), 50 * (15 * 16 / 2));
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunTheirOwnJob) {
+  // Two threads share one pool; each call must run exactly its own shards.
+  ThreadPool pool(4);
+  constexpr int kRounds = 50;
+  constexpr size_t kShards = 37;
+  std::atomic<int> arrived{0};
+  auto caller = [&](std::vector<std::atomic<int>>* hits) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < kRounds; ++round) {
+      pool.RunShards(kShards, [&](size_t shard) { ++(*hits)[shard]; });
+    }
+  };
+  std::vector<std::atomic<int>> hits_a(kShards), hits_b(kShards);
+  for (size_t i = 0; i < kShards; ++i) hits_a[i] = hits_b[i] = 0;
+  std::thread a(caller, &hits_a), b(caller, &hits_b);
+  a.join();
+  b.join();
+  for (size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << "caller a, shard " << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << "caller b, shard " << i;
+  }
 }
 
 TEST(ParallelForTest, CoversRangeWithLocalWrites) {

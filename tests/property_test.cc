@@ -25,7 +25,6 @@
 #include "nlp/tokenizer.h"
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
-#include "rdf/ntriples.h"
 #include "rdf/query.h"
 #include "util/rng.h"
 
@@ -158,56 +157,15 @@ TEST_P(ExpansionPropertyTest, MaterializedTriplesReplayThroughBaseKb) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExpansionPropertyTest,
                          ::testing::Values(11, 22, 33));
 
-TEST(DiskExpansionTest, DiskScanMatchesInMemoryExactly) {
-  // The paper's disk-based index+scan+join BFS must produce exactly the
-  // same expanded triples as the in-memory walk.
-  corpus::WorldConfig config;
-  config.schema.scale = 0.03;
-  config.schema.generic_attributes_per_type = 2;
-  config.schema.generic_relations_per_type = 2;
-  corpus::World world = corpus::GenerateWorld(config);
-  std::string path = ::testing::TempDir() + "/disk_kb.nt";
-  ASSERT_TRUE(rdf::ExportNTriples(world.kb, path).ok());
-
-  std::vector<rdf::TermId> seeds = world.kb.AllEntities();
-  seeds.resize(std::min<size_t>(seeds.size(), 150));
-  rdf::ExpansionOptions options;
-  options.max_length = 3;
-
-  auto memory =
-      rdf::ExpandedKb::Build(world.kb, seeds, world.name_like, options);
-  auto disk = rdf::ExpandedKb::BuildFromDisk(world.kb, path, seeds,
-                                             world.name_like, options);
-  ASSERT_TRUE(memory.ok());
-  ASSERT_TRUE(disk.ok()) << disk.status();
-  EXPECT_EQ(memory.value().num_triples(), disk.value().num_triples());
-
-  // Triple-for-triple equality, comparing by resolved predicate paths
-  // (path ids may be interned in different orders).
-  auto materialize = [&](const rdf::ExpandedKb& ekb) {
-    std::set<std::string> out;
-    ekb.ForEachTriple([&](const rdf::ExpandedTriple& triple) {
-      out.insert(std::to_string(triple.s) + "|" +
-                 ekb.paths().ToString(triple.path, world.kb) + "|" +
-                 std::to_string(triple.o));
-    });
-    return out;
-  };
-  EXPECT_EQ(materialize(memory.value()), materialize(disk.value()));
-  std::remove(path.c_str());
-}
-
 TEST(DiskExpansionTest, ExpansionIsBitIdenticalAcrossThreadCounts) {
   // The sharded BFS commits discoveries serially in shard order, so the
   // triple set AND the PathId numbering must be byte-identical for any
-  // thread count — for both the in-memory and the disk-scan variant.
+  // thread count.
   corpus::WorldConfig config;
   config.schema.scale = 0.03;
   config.schema.generic_attributes_per_type = 2;
   config.schema.generic_relations_per_type = 2;
   corpus::World world = corpus::GenerateWorld(config);
-  std::string path = ::testing::TempDir() + "/threaded_kb.nt";
-  ASSERT_TRUE(rdf::ExportNTriples(world.kb, path).ok());
 
   std::vector<rdf::TermId> seeds = world.kb.AllEntities();
   seeds.resize(std::min<size_t>(seeds.size(), 150));
@@ -222,49 +180,30 @@ TEST(DiskExpansionTest, ExpansionIsBitIdenticalAcrossThreadCounts) {
     return out;
   };
 
-  for (bool from_disk : {false, true}) {
-    auto run = [&](int threads) {
-      rdf::ExpansionOptions options;
-      options.max_length = 3;
-      options.num_threads = threads;
-      return from_disk
-                 ? rdf::ExpandedKb::BuildFromDisk(world.kb, path, seeds,
-                                                  world.name_like, options)
-                 : rdf::ExpandedKb::Build(world.kb, seeds, world.name_like,
-                                          options);
-    };
-    auto base = run(1);
-    ASSERT_TRUE(base.ok()) << base.status();
-    auto base_triples = raw_triples(base.value());
-    ASSERT_GT(base_triples.size(), 100u);
-    for (int threads : {2, 4}) {
-      auto other = run(threads);
-      ASSERT_TRUE(other.ok()) << other.status();
-      // Same dictionary: same size and the same PredPath behind every id.
-      ASSERT_EQ(other.value().paths().size(), base.value().paths().size())
-          << "from_disk=" << from_disk << " threads=" << threads;
-      for (rdf::PathId id = 0; id < base.value().paths().size(); ++id) {
-        ASSERT_EQ(other.value().paths().GetPath(id),
-                  base.value().paths().GetPath(id))
-            << "from_disk=" << from_disk << " threads=" << threads;
-      }
-      EXPECT_EQ(raw_triples(other.value()), base_triples)
-          << "from_disk=" << from_disk << " threads=" << threads;
+  auto run = [&](int threads) {
+    rdf::ExpansionOptions options;
+    options.max_length = 3;
+    options.num_threads = threads;
+    return rdf::ExpandedKb::Build(world.kb, seeds, world.name_like, options);
+  };
+  auto base = run(1);
+  ASSERT_TRUE(base.ok()) << base.status();
+  auto base_triples = raw_triples(base.value());
+  ASSERT_GT(base_triples.size(), 100u);
+  for (int threads : {2, 4}) {
+    auto other = run(threads);
+    ASSERT_TRUE(other.ok()) << other.status();
+    // Same dictionary: same size and the same PredPath behind every id.
+    ASSERT_EQ(other.value().paths().size(), base.value().paths().size())
+        << "threads=" << threads;
+    for (rdf::PathId id = 0; id < base.value().paths().size(); ++id) {
+      ASSERT_EQ(other.value().paths().GetPath(id),
+                base.value().paths().GetPath(id))
+          << "threads=" << threads;
     }
+    EXPECT_EQ(raw_triples(other.value()), base_triples)
+        << "threads=" << threads;
   }
-  std::remove(path.c_str());
-}
-
-TEST(DiskExpansionTest, MissingFileFailsCleanly) {
-  corpus::WorldConfig config;
-  config.schema.scale = 0.01;
-  corpus::World world = corpus::GenerateWorld(config);
-  rdf::ExpansionOptions options;
-  auto disk = rdf::ExpandedKb::BuildFromDisk(
-      world.kb, "/no/such/kb.nt", world.kb.AllEntities(), world.name_like,
-      options);
-  ASSERT_FALSE(disk.ok());
-  EXPECT_EQ(disk.status().code(), StatusCode::kIoError);
 }
 
 // ---------- EM invariants across seeds ----------

@@ -47,30 +47,6 @@ TEST(RaceStressTest, ThreadPoolHammerSharedCounter) {
   EXPECT_EQ(sum.load(), 200L * (31 * 32 / 2));
 }
 
-TEST(RaceStressTest, ThreadPoolShutdownWithIdleWorkers) {
-  // Construct-and-destroy: workers park in the wait loop and must observe
-  // shutdown_ under the mutex — the teardown handshake TSan verifies.
-  for (int i = 0; i < 50; ++i) {
-    ThreadPool pool(4);
-  }
-}
-
-TEST(RaceStressTest, ThreadPoolDeterministicShutdownAfterQueuedWork) {
-  // Destruction immediately after a job drains: the queued shards were
-  // being pulled by workers moments before ~ThreadPool sets shutdown_, so
-  // the join must synchronize with the last DrainShards of every worker.
-  for (int i = 0; i < 50; ++i) {
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    pool.RunShards(64, [&](size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    ASSERT_EQ(ran.load(), 64);
-    // ~ThreadPool here, with workers potentially still inside their final
-    // bookkeeping section.
-  }
-}
-
 TEST(RaceStressTest, ThreadPoolDrivenFromAnotherThread) {
   // The pool's owner and the thread calling RunShards differ; destruction
   // happens after join, the contract every engine follows.
