@@ -1,9 +1,9 @@
 // File-based offline pipeline — the workflow a team operating KBQA on real
 // dumps would run:
 //
-//   1. obtain an RDF dump (here: generated, exported to N-Triples)
+//   1. obtain a KB (here: generated in memory, where training reads it)
 //   2. obtain a QA corpus (here: generated, exported to TSV)
-//   3. import the corpus from disk (training reads the world's in-memory KB)
+//   3. import the corpus from disk
 //   4. train, persist the model, answer from the reloaded model
 //
 // Run: ./build/examples/offline_pipeline
@@ -15,16 +15,14 @@
 #include "corpus/corpus_io.h"
 #include "corpus/qa_generator.h"
 #include "corpus/world_generator.h"
-#include "rdf/ntriples.h"
 #include "util/timer.h"
 
 int main() {
   using namespace kbqa;
-  const std::string kb_path = "/tmp/kbqa_pipeline_kb.nt";
   const std::string corpus_path = "/tmp/kbqa_pipeline_corpus.tsv";
   const std::string model_path = "/tmp/kbqa_pipeline_model.bin";
 
-  // ---- 1+2: produce the on-disk artifacts (stand-ins for real dumps) ----
+  // ---- 1+2: the KB and the on-disk corpus (stand-ins for real dumps) ----
   corpus::WorldConfig world_config;
   world_config.schema.scale = 0.15;
   corpus::World world = corpus::GenerateWorld(world_config);
@@ -33,19 +31,13 @@ int main() {
   corpus::QaCorpus generated =
       corpus::GenerateTrainingCorpus(world, corpus_config);
 
-  Status status = rdf::ExportNTriples(world.kb, kb_path);
+  Status status = corpus::ExportQaTsv(generated, corpus_path);
   if (!status.ok()) {
     std::printf("export failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  status = corpus::ExportQaTsv(generated, corpus_path);
-  if (!status.ok()) {
-    std::printf("export failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu triples) and %s (%zu QA pairs)\n",
-              kb_path.c_str(), world.kb.num_triples(), corpus_path.c_str(),
-              generated.size());
+  std::printf("KB of %zu triples in memory; wrote %s (%zu QA pairs)\n",
+              world.kb.num_triples(), corpus_path.c_str(), generated.size());
 
   // ---- 3: import the corpus (gold annotations are gone, as in real life) --
   auto corpus = corpus::ImportQaTsv(corpus_path);

@@ -24,13 +24,18 @@ per workload one row per end-to-end metric of BENCHMARK.json: parent
 median and interquartile range, change median, the change's relative
 delta, and the pairs the change won (ties count for neither side). A
 metric whose change median is worse than the parent's by more than its
-BENCHMARK.json bound is flagged. Last comes each side's median and
+BENCHMARK.json bound is flagged. A metric is marked unresolved when the
+parent's own spread (the width of its IQR) is wider than the bound times
+the parent median, unless every change run reads better than every parent
+run: such a delta cannot tell a change from noise, so it shows neither a
+gain nor the absence of a regression. Last comes each side's median and
 maximum first set-up Train, which train_s (a median of the set-ups'
 Trains) does not show.
 
 Exit status: 0 when every run reported `correct: true` and 0 failed
 operations and no metric is flagged; 1 otherwise; 2 on bad arguments or a
-parent revision git cannot export.
+parent revision git cannot export. An unresolved metric is listed but does
+not change the exit status.
 """
 
 import argparse
@@ -110,11 +115,12 @@ def fmt(x):
 
 
 def report(workload, pairs, metrics):
-    """Prints the per-metric table; returns the names of flagged metrics."""
+    """Prints the per-metric table; returns the names of the flagged
+    metrics and of the unresolved ones."""
     print(f"\n== {workload}: {len(pairs)} pairs ==")
     print(f"{'metric':<18} {'parent med':>11} {'parent IQR':>21} "
           f"{'change med':>11} {'delta':>8} {'won':>6} {'bound':>6}")
-    flagged = []
+    flagged, unresolved = [], []
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         both = [(value(p, name), value(c, name)) for p, c in pairs]
@@ -131,16 +137,22 @@ def report(workload, pairs, metrics):
         flag = worse > m["bound"]
         if flag:
             flagged.append(name)
+        separated = (min(change) > max(parent) if higher
+                     else max(change) < min(parent))
+        noisy = q3 - q1 > m["bound"] * abs(pmed) and not separated
+        if noisy:
+            unresolved.append(name)
         print(f"{name:<18} {fmt(pmed):>11} {fmt(q1):>10}-{fmt(q3):<10} "
               f"{fmt(cmed):>11} {delta:>+8.1%} {won:>3}/{len(both):<2} "
-              f"{m['bound']:>6.2f}{'  WORSE THAN BOUND' if flag else ''}")
+              f"{m['bound']:>6.2f}{'  WORSE THAN BOUND' if flag else ''}"
+              f"{'  UNRESOLVED' if noisy else ''}")
     for side, index in (("parent", 0), ("change", 1)):
         firsts = [float(pair[index]["trains"][0]) for pair in pairs
                   if pair[index]["trains"]]
         if firsts:
             print(f"first Train {side}: median {statistics.median(firsts):.3f}"
                   f" s, max {max(firsts):.3f} s over {len(firsts)} runs")
-    return flagged
+    return flagged, unresolved
 
 
 def main(argv):
@@ -181,16 +193,20 @@ def main(argv):
                           f"failed={result['failed']} {shown} "
                           f"trains={','.join(result['trains'])}", flush=True)
                 results[workload].append((got["parent"], got["change"]))
-        flagged = []
+        flagged, unresolved = [], []
         for workload, pairs in results.items():
-            flagged += [f"{workload}.{n}"
-                        for n in report(workload, pairs, metrics)]
+            worse, noisy = report(workload, pairs, metrics)
+            flagged += [f"{workload}.{n}" for n in worse]
+            unresolved += [f"{workload}.{n}" for n in noisy]
         if not ok:
             print("\nperf_ab: a run reported correct: false or failed "
                   "operations")
         if flagged:
             print("\nperf_ab: worse than the BENCHMARK.json bound: " +
                   ", ".join(flagged))
+        if unresolved:
+            print("\nperf_ab: unresolved (parent IQR wider than the bound): " +
+                  ", ".join(unresolved))
         return 0 if ok and not flagged else 1
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)

@@ -22,11 +22,6 @@ void SortUnique(std::vector<rdf::TermId>* ids) {
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
-void Append(const std::vector<rdf::TermId>& ids,
-            std::vector<rdf::TermId>* out) {
-  out->insert(out->end(), ids.begin(), ids.end());
-}
-
 /// Stateful deadline check for one answer: at most one clock read per
 /// probe, none at all when no deadline was requested, and sticky once
 /// exceeded (the pipeline never un-exceeds mid-request).
@@ -159,9 +154,8 @@ OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
       value_cache_(options.value_cache_budget_bytes),
       answer_cache_(options.answer_cache_budget_bytes) {}
 
-template <typename T>
 bool OnlineInference::Revalidate(const rdf::KbSnapshot& snapshot,
-                                 Validated<T>* entry) {
+                                 ValidatedAnswer* entry) {
   if (entry->reads == nullptr) return snapshot.overlay->empty();
   ReadSet& reads = *entry->reads;
   if (reads.version == snapshot.version) return true;
@@ -179,52 +173,28 @@ const std::vector<rdf::TermId>& OnlineInference::CachedObjects(
     const rdf::KbSnapshot& snapshot, rdf::TermId entity, rdf::PathId path,
     std::vector<rdf::TermId>* scratch, CacheTally* tally,
     obs::RequestContext* ctx) const {
-  if (!options_.enable_value_cache) {
-    *scratch =
-        snapshot.ObjectsViaPath(entity, paths_->GetPath(path), tally->reads);
-    return *scratch;
-  }
-  using Entry = Validated<std::vector<rdf::TermId>>;
+  const bool cached = options_.enable_value_cache && IsOwn(snapshot);
   const uint64_t key = EntityPathKey(entity, path);
-  if (value_cache_.Visit(key, [&](Entry& entry) {
-        // An entry without a read set cannot extend the answer's.
-        if (tally->reads != nullptr && entry.reads == nullptr) return false;
-        if (!Revalidate(snapshot, &entry)) return false;
-        *scratch = entry.value;
-        if (tally->reads != nullptr) {
-          Append(entry.reads->subjects, tally->reads);
-        }
-        return true;
-      })) {
-    ++tally->hits;
-    return *scratch;
-  }
-  ++tally->misses;
-  // Misses are the slow path (a KB walk), so per-request attribution times
-  // them individually; hits are counted but not timed — their cost stays
-  // inside the surrounding stage.
-  const uint64_t miss_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
-  Entry entry;
-  uint64_t charge = 0;
-  if (IsOwn(snapshot)) {
-    *scratch = snapshot.ObjectsViaPath(entity, paths_->GetPath(path));
-  } else {
-    entry.reads = std::make_unique<ReadSet>(ReadSet{snapshot.version, {}});
-    *scratch = snapshot.ObjectsViaPath(entity, paths_->GetPath(path),
-                                       &entry.reads->subjects);
-    SortUnique(&entry.reads->subjects);
-    charge = entry.reads->subjects.size() * sizeof(rdf::TermId);
-    if (tally->reads != nullptr) {
-      Append(entry.reads->subjects, tally->reads);
+  if (cached) {
+    if (value_cache_.Get(key, scratch)) {
+      ++tally->hits;
+      return *scratch;
     }
+    ++tally->misses;
   }
-  entry.value = *scratch;
-  charge += entry.value.size() * sizeof(rdf::TermId);
-  // A concurrent miss on the same key replaces this entry or is replaced
-  // by it; either carries the version its own walk saw.
-  tally->evictions += value_cache_.Insert(key, std::move(entry), charge);
+  // Walks are the slow path, so per-request attribution times each one;
+  // hits are counted but not timed — their cost stays inside the
+  // surrounding stage.
+  const uint64_t walk_begin = ctx != nullptr ? obs::NowSteadyNs() : 0;
+  *scratch =
+      snapshot.ObjectsViaPath(entity, paths_->GetPath(path), tally->reads);
+  if (cached) {
+    // A concurrent miss on the same key inserts the same walk.
+    tally->evictions += value_cache_.Insert(
+        key, *scratch, scratch->size() * sizeof(rdf::TermId));
+  }
   if (ctx != nullptr) {
-    ctx->AddTimedSince(obs::WideStage::kValueLookup, miss_begin);
+    ctx->AddTimedSince(obs::WideStage::kValueLookup, walk_begin);
   }
   return *scratch;
 }
@@ -315,9 +285,9 @@ AnswerResult OnlineInference::AnswerCachedAt(
   // must be the same entry to the memo.
   const std::string key = nlp::NormalizeText(question);
   AnswerResult result;
-  if (answer_cache_.Visit(key, [&](Validated<AnswerResult>& entry) {
+  if (answer_cache_.Visit(key, [&](ValidatedAnswer& entry) {
         if (!Revalidate(snapshot, &entry)) return false;
-        result = entry.value;
+        result = entry.result;
         return true;
       })) {
     answer_cache_hits_.Add(1);
@@ -327,7 +297,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
     }
     return result;
   }
-  Validated<AnswerResult> entry;
+  ValidatedAnswer entry;
   if (!IsOwn(snapshot)) {
     entry.reads = std::make_unique<ReadSet>(ReadSet{snapshot.version, {}});
   }
@@ -350,7 +320,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
       SortUnique(&entry.reads->subjects);
       bytes += entry.reads->subjects.size() * sizeof(rdf::TermId);
     }
-    entry.value = result;
+    entry.result = result;
     const uint64_t evictions =
         answer_cache_.Insert(key, std::move(entry), bytes);
     if (evictions != 0) {
@@ -505,7 +475,7 @@ AnswerResult OnlineInference::AnswerTokensImpl(
   result.predicate = paths_->ToString(best.best_path, *snapshot.base);
   // Emit the equivalent structured query. The winning entity was tracked
   // with best_term during scoring, so no re-query over the candidate
-  // entities is needed; its value set comes straight from the cache.
+  // entities is needed; its value set is one more value lookup.
   result.sparql = rdf::QueryToString(rdf::BuildPathQuery(
       *snapshot.base, best.best_entity, paths_->GetPath(best.best_path)));
   for (rdf::TermId v : CachedObjects(snapshot, best.best_entity,

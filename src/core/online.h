@@ -23,8 +23,9 @@
 namespace kbqa::core {
 
 /// Accounting for the per-instance V(e, p+) memo cache. `hits`/`misses`
-/// count CachedObjects lookups with the cache enabled; `entries` is the
-/// number of currently resident (entity, path) pairs, `bytes` their summed
+/// count CachedObjects lookups on the engine's own snapshot with the cache
+/// enabled (a caller's snapshot walks and counts as neither); `entries` is
+/// the number of currently resident (entity, path) pairs, `bytes` their summed
 /// byte charges (key + value-vector payload), `evictions` the entries
 /// dropped so far to stay under `budget_bytes` (0 = unbounded, never
 /// evicts). With the cache disabled every field stays zero.
@@ -114,8 +115,8 @@ struct AnswerResult {
 /// Thread safety: all answering methods are const and safe to call
 /// concurrently. The only mutable state is the two memo caches (V(e, p+)
 /// values and whole answers), per-instance memory-budgeted sharded LRUs
-/// (see util/lru_cache.h) — lookups validate and copy values out under a
-/// per-shard mutex, so evictions never invalidate anything a caller holds.
+/// (see util/lru_cache.h) — lookups copy values out under a per-shard
+/// mutex, so evictions never invalidate anything a caller holds.
 class OnlineInference {
  public:
   struct Options {
@@ -127,10 +128,11 @@ class OnlineInference {
     double min_predicate_prob = 1e-3;
     /// Minimum posterior score to consider the question answered.
     double min_answer_score = 1e-6;
-    /// Memoize (entity, path) -> values lookups across questions. Results
-    /// are identical either way (each hit is checked against the snapshot
-    /// the request reads; DESIGN.md §10); disabling exists for regression
-    /// tests and cache-benefit measurements.
+    /// Memoize (entity, path) -> values lookups on the engine's own
+    /// snapshot across questions; a caller's snapshot always walks.
+    /// Results are identical either way (the own snapshot's base never
+    /// changes); disabling exists for regression tests and cache-benefit
+    /// measurements.
     bool enable_value_cache = true;
     /// Upper bound on the value cache's byte accounting (key + payload per
     /// entry). 0 = unbounded (the pre-budget behavior, for benchmarks and
@@ -149,16 +151,18 @@ class OnlineInference {
   };
 
   /// All pointees must outlive the inference engine; `kb` is the base it
-  /// answers over. V(e, p+) is computed online (§6.1): a value-cache miss
-  /// walks p+ from e over the snapshot the request reads.
+  /// answers over. V(e, p+) is computed online (§6.1) by walking p+ from e
+  /// over the snapshot the request reads. The value cache memoizes walks
+  /// over the engine's own snapshot only, whose base never changes; a
+  /// caller's snapshot always walks.
   ///
-  /// Entries computed against a caller's snapshot carry the sorted
+  /// Answer entries computed against a caller's snapshot carry the sorted
   /// subjects their computation read, and a hit there is served only if
   /// none of those subjects changed after the version the entry was last
   /// validated at, so a post-mutation query never sees a pre-mutation
-  /// entry. Entries computed against the engine's own snapshot carry none
-  /// and are served to a caller's snapshot only while its overlay is
-  /// empty.
+  /// answer. Answer entries computed against the engine's own snapshot
+  /// carry none and are served to a caller's snapshot only while its
+  /// overlay is empty.
   OnlineInference(const rdf::KnowledgeBase* kb,
                   const taxonomy::Taxonomy* taxonomy,
                   const nlp::GazetteerNer* ner, const TemplateStore* store,
@@ -201,8 +205,9 @@ class OnlineInference {
   /// indicator of the decomposition DP (§5.3).
   bool IsPrimitiveBfq(const std::vector<std::string>& tokens) const;
 
-  /// Hit/miss/size accounting for the value memo cache. The counters are
-  /// per-instance (sharded relaxed atomics plus the cache's own shard
+  /// Hit/miss/size accounting for the value memo cache; lookups against a
+  /// caller's snapshot never consult it and count as neither. The counters
+  /// are per-instance (sharded relaxed atomics plus the cache's own shard
   /// books, not the global registry) so two engines — e.g. a cached and an
   /// uncached one in a regression test — never contaminate each other's
   /// numbers.
@@ -222,50 +227,48 @@ class OnlineInference {
     uint64_t evictions = 0;
     /// When the answer will be memoized against a caller's snapshot:
     /// collects every subject whose out-edges the answer read — each value
-    /// lookup's walk, whether walked now or served from the value cache,
-    /// plus every non-literal value materialized through EntityName. Null
-    /// otherwise.
+    /// lookup's walk plus every non-literal value materialized through
+    /// EntityName. Null otherwise.
     std::vector<rdf::TermId>* reads = nullptr;
   };
 
-  /// What an entry computed against a caller's snapshot is re-validated
-  /// by: the snapshot version it was last validated at and the sorted
-  /// subjects whose out-edges computing it read.
+  /// What an answer entry computed against a caller's snapshot is
+  /// re-validated by: the snapshot version it was last validated at and
+  /// the sorted subjects whose out-edges computing it read.
   struct ReadSet {
     uint64_t version = 0;
     std::vector<rdf::TermId> subjects;
   };
 
-  /// A memoized result plus, when it was computed against a caller's
+  /// A memoized answer plus, when it was computed against a caller's
   /// snapshot, its read set. Entries computed against the engine's own
   /// snapshot leave `reads` null, so they cost what a bare result costs.
-  template <typename T>
-  struct Validated {
-    T value;
+  struct ValidatedAnswer {
+    AnswerResult result;
     std::unique_ptr<ReadSet> reads;
   };
 
-  /// The hit rule, run under the cache shard lock. An entry without a read
-  /// set is current for a reader whose overlay is empty: that reader sees
-  /// exactly the base the entry was computed over. An entry with one is
-  /// current for a reader at `snapshot` if it was last validated at the
-  /// reader's version, or at an earlier one and no subject it read changed
-  /// since. A passing entry is re-stamped forward to the reader's version,
-  /// so later hits there skip the subject scan; an entry stamped after the
-  /// reader's version is a miss.
-  template <typename T>
-  static bool Revalidate(const rdf::KbSnapshot& snapshot, Validated<T>* entry);
+  /// The answer hit rule, run under the cache shard lock. An entry without
+  /// a read set is current for a reader whose overlay is empty: that
+  /// reader sees exactly the base the entry was computed over. An entry
+  /// with one is current for a reader at `snapshot` if it was last
+  /// validated at the reader's version, or at an earlier one and no
+  /// subject it read changed since. A passing entry is re-stamped forward
+  /// to the reader's version, so later hits there skip the subject scan;
+  /// an entry stamped after the reader's version is a miss.
+  static bool Revalidate(const rdf::KbSnapshot& snapshot,
+                         ValidatedAnswer* entry);
 
-  /// V(e, p+) through the memo cache. The result always lands in
-  /// `*scratch` — copied out of the cache on a hit, computed by the path
-  /// walk on a miss (then inserted, evicting LRU entries if over budget) —
-  /// and the returned reference points there, valid until the next call
-  /// with the same `scratch`. Copy-out is what makes eviction safe: no
-  /// caller ever holds a reference into the cache. Hits pass Revalidate,
-  /// so entries never serve a world their walk did not see. The walk's
-  /// read set lands in `tally->reads` when that is set; an entry without a
-  /// read set cannot supply one, so it is a miss there. `ctx` (nullable)
-  /// is charged the miss walk as its value_lookup stage.
+  /// V(e, p+) from `snapshot`. The result always lands in `*scratch` and
+  /// the returned reference points there, valid until the next call with
+  /// the same `scratch`. On the engine's own snapshot with the value cache
+  /// enabled, a hit is copied out of the cache and a miss walks p+ and
+  /// inserts the walk, evicting LRU entries if over budget; copy-out is
+  /// what makes eviction safe, as no caller ever holds a reference into
+  /// the cache. Any other snapshot, or a disabled cache, walks without
+  /// consulting it, and the walk's reads land in `tally->reads` when that
+  /// is set. `ctx` (nullable) is charged every walk as its value_lookup
+  /// stage.
   const std::vector<rdf::TermId>& CachedObjects(
       const rdf::KbSnapshot& snapshot, rdf::TermId entity, rdf::PathId path,
       std::vector<rdf::TermId>* scratch, CacheTally* tally,
@@ -297,8 +300,8 @@ class OnlineInference {
   void FlushAnswerStats(const AnswerResult* result,
                         const CacheTally& tally) const;
 
-  /// Whether `snapshot` is the engine's own, whose entries carry no read
-  /// set.
+  /// Whether `snapshot` is the engine's own: the only one the value cache
+  /// serves, and the one whose answer entries carry no read set.
   bool IsOwn(const rdf::KbSnapshot& snapshot) const {
     return &snapshot == &snapshot_;
   }
@@ -314,10 +317,10 @@ class OnlineInference {
   /// count.
   const rdf::KbSnapshot snapshot_;
 
-  /// Keyed by entity « 32 | path: an engine reads one base, so no key
-  /// needs an epoch.
-  mutable ShardedLruCache<uint64_t, Validated<std::vector<rdf::TermId>>>
-      value_cache_;
+  /// V(e, p+) over the engine's own snapshot, keyed by entity « 32 | path.
+  /// That snapshot's base never changes, so an entry needs no epoch and
+  /// no read set.
+  mutable ShardedLruCache<uint64_t, std::vector<rdf::TermId>> value_cache_;
   mutable obs::ShardedCounter cache_hits_;
   mutable obs::ShardedCounter cache_misses_;
 
@@ -326,7 +329,7 @@ class OnlineInference {
   /// tokenize identically hit one entry. Internally synchronized (sharded
   /// LRU) like the value cache; results are copied out, so eviction never
   /// invalidates callers.
-  mutable ShardedLruCache<std::string, Validated<AnswerResult>> answer_cache_;
+  mutable ShardedLruCache<std::string, ValidatedAnswer> answer_cache_;
   mutable obs::ShardedCounter answer_cache_hits_;
   mutable obs::ShardedCounter answer_cache_misses_;
 };

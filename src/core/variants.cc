@@ -65,17 +65,22 @@ VariantSolver::VariantSolver(const rdf::KnowledgeBase* kb,
 
 std::optional<taxonomy::CategoryId> VariantSolver::LookupCategoryWord(
     const std::string& word) const {
-  auto category = taxonomy_->LookupCategory("$" + word);
+  // Category names carry a '$' prefix.
+  const auto lookup = [this](const std::string& stem) {
+    std::string name = "$";
+    name += stem;
+    return taxonomy_->LookupCategory(name);
+  };
+  auto category = lookup(word);
   if (category) return category;
   // Plural forms: "citys ..." (generator form), "cities ..." (-ies -> -y),
   // "books ..." (bare -s).
   if (word.size() > 3 && word.ends_with("ies")) {
-    category =
-        taxonomy_->LookupCategory("$" + word.substr(0, word.size() - 3) + "y");
+    category = lookup(word.substr(0, word.size() - 3) + "y");
     if (category) return category;
   }
   if (word.size() > 1 && word.back() == 's') {
-    category = taxonomy_->LookupCategory("$" + word.substr(0, word.size() - 1));
+    category = lookup(word.substr(0, word.size() - 1));
     if (category) return category;
   }
   return std::nullopt;

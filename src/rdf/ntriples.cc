@@ -205,7 +205,9 @@ Result<NTriple> ParseNTripleLine(const std::string& line) {
 std::string FormatNTripleLine(const NTriple& triple) {
   std::string out = "<" + triple.subject + "> <" + triple.predicate + "> ";
   if (triple.object_is_literal) {
-    out += "\"" + EscapeLiteral(triple.object) + "\"";
+    out += '"';
+    out += EscapeLiteral(triple.object);
+    out += '"';
   } else {
     out += "<" + triple.object + ">";
   }

@@ -7,8 +7,9 @@
 // and (d) answer identically before and after the background merge folds
 // the overlay into a fresh frozen base (id stability makes the trained
 // model valid across merges). An OnlineInference reads one base: it
-// refuses snapshots of any other, and entries computed against its own
-// snapshot serve a live snapshot only while that overlay is empty.
+// refuses snapshots of any other, answer entries computed against its own
+// snapshot serve a live snapshot only while that overlay is empty, and its
+// value cache serves its own snapshot alone.
 
 #include <gtest/gtest.h>
 
@@ -332,10 +333,11 @@ TEST_F(LiveEngineTest, RenamingTheWinningValueChangesTheCachedAnswer) {
 }
 
 TEST_F(LiveEngineTest, OwnSnapshotEntriesServeOnlyAnEmptyOverlay) {
-  // Entries computed against the engine's own snapshot carry no read set,
-  // so no write can invalidate them: they may serve a live snapshot only
-  // while its overlay is empty, i.e. while it reads exactly the base, and
-  // a value entry may not feed an answer entry that needs a read set.
+  // Answer entries computed against the engine's own snapshot carry no
+  // read set, so no write can invalidate them: they may serve a live
+  // snapshot only while its overlay is empty, i.e. while it reads exactly
+  // the base. Value entries serve the engine's own snapshot alone, so a
+  // live answer walks every lookup and its read set is always complete.
   const rdf::KnowledgeBase& base = experiment().world().kb;
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
   const auto answers = MakeLiveOnline(live, /*cached=*/true);
@@ -352,8 +354,8 @@ TEST_F(LiveEngineTest, OwnSnapshotEntriesServeOnlyAnEmptyOverlay) {
   const uint64_t hits = answers->answer_cache_stats().hits;
   ExpectSameAnswer(AnswerLive(*answers, live, q), winner.answer, q);
   EXPECT_EQ(answers->answer_cache_stats().hits, hits + 1);
-  // `values` memoizes only V(e, p+) on its own snapshot, then the answer
-  // on the live snapshot.
+  // `values` memoizes V(e, p+) on its own snapshot; the live answer walks
+  // past those entries and is memoized with its full read set.
   ExpectSameAnswer(values->Answer(q), winner.answer, q);
   ExpectSameAnswer(AnswerLive(*values, live, q), winner.answer, q);
 
@@ -371,6 +373,55 @@ TEST_F(LiveEngineTest, OwnSnapshotEntriesServeOnlyAnEmptyOverlay) {
   // The engine's own snapshot still reads the unmutated base.
   ExpectSameAnswer(answers->AnswerCached(q, core::AnswerOptions{}),
                    winner.answer, q);
+}
+
+TEST_F(LiveEngineTest, LiveReadsNeverEnterTheValueCache) {
+  // A snapshot the caller pinned walks every V(e, p+) lookup, so the
+  // answer cache is the only memo a live read has: the value cache
+  // memoizes walks over the engine's own snapshot alone.
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto online = MakeLiveOnline(live, /*cached=*/true);
+  const auto uncached = MakeLiveOnline(live, /*cached=*/false);
+  const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
+  ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
+  const auto expect_untouched = [&](const char* when) {
+    const core::ValueCacheStats stats = online->value_cache_stats();
+    EXPECT_EQ(stats.entries, 0u) << when;
+    EXPECT_EQ(stats.hits, 0u) << when;
+    EXPECT_EQ(stats.misses, 0u) << when;
+  };
+
+  for (const std::string& q : BenchmarkQuestions(20, 1357)) {
+    AnswerLive(*online, live, q);
+  }
+  ExpectSameAnswer(AnswerLive(*online, live, winner.question), winner.answer,
+                   winner.question);
+  expect_untouched("before the write");
+
+  // The rewrite sends the winner's answer entry back through the
+  // pipeline; the fresh questions and the uncached-answer overload miss
+  // the answer cache outright.
+  ReplaceObjects(&live, base.NodeString(winner.entity),
+                 base.PredicateString(winner.path[0]), "rewritten value",
+                 /*object_is_literal=*/true);
+  ASSERT_EQ(live.epoch(), 0u);
+  EXPECT_EQ(AnswerLive(*online, live, winner.question).value,
+            "rewritten value");
+  const auto snapshot = live.Pin();
+  for (const std::string& q : BenchmarkQuestions(20, 9753)) {
+    AnswerLive(*online, live, q);
+    online->Answer(q, core::AnswerOptions{}, *snapshot);
+  }
+  expect_untouched("after the write");
+
+  // One answer on the engine's own snapshot, which still reads the
+  // unmutated base, fills the value cache.
+  ExpectSameAnswer(online->Answer(winner.question), winner.answer,
+                   winner.question);
+  const core::ValueCacheStats own = online->value_cache_stats();
+  EXPECT_GT(own.entries, 0u);
+  EXPECT_GT(own.misses, 0u);
 }
 
 TEST_F(LiveEngineTest, EngineRefusesSnapshotsOfAMergedBase) {

@@ -438,8 +438,9 @@ TEST(MutableKbTest, MergeIsBitIdenticalToFromScratchFreezeAtEveryThreadCount) {
   EXPECT_EQ(merged->epoch, 3u);
   for (int threads : {1, 2, 4}) {
     KnowledgeBase reference = BuildReference(base, ground_truth, threads);
-    ExpectBitIdentical(*merged->base, reference,
-                       "t" + std::to_string(threads));
+    std::string label = "t";
+    label += std::to_string(threads);
+    ExpectBitIdentical(*merged->base, reference, label);
   }
 
   // Pre-merge equivalence too: apply more ops WITHOUT merging and check

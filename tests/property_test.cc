@@ -520,6 +520,13 @@ std::set<std::vector<rdf::TermId>> BruteForceQuery(
   return rows;
 }
 
+/// `prefix` followed by `n`, e.g. "e3".
+std::string Numbered(const char* prefix, uint64_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 class QueryEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryEquivalenceTest, PlannerMatchesBruteForce) {
@@ -528,15 +535,15 @@ TEST_P(QueryEquivalenceTest, PlannerMatchesBruteForce) {
   rdf::KnowledgeBase kb;
   std::vector<rdf::PredId> preds;
   for (int p = 0; p < 4; ++p) {
-    preds.push_back(kb.AddPredicate("p" + std::to_string(p)));
+    preds.push_back(kb.AddPredicate(Numbered("p", p)));
   }
   std::vector<rdf::TermId> entities;
   for (int e = 0; e < 8; ++e) {
-    entities.push_back(kb.AddEntity("e" + std::to_string(e)));
+    entities.push_back(kb.AddEntity(Numbered("e", e)));
   }
   std::vector<rdf::TermId> literals;
   for (int l = 0; l < 4; ++l) {
-    literals.push_back(kb.AddLiteral("v" + std::to_string(l)));
+    literals.push_back(kb.AddLiteral(Numbered("v", l)));
   }
   for (int t = 0; t < 24; ++t) {
     rdf::TermId s = entities[rng.Uniform(entities.size())];
@@ -559,17 +566,14 @@ TEST_P(QueryEquivalenceTest, PlannerMatchesBruteForce) {
       pattern.subject =
           rng.Bernoulli(0.7)
               ? rdf::PatternTerm{true, subject_vars[rng.Uniform(2)]}
-              : rdf::PatternTerm{false,
-                                 "e" + std::to_string(rng.Uniform(8))};
-      pattern.predicate = "p" + std::to_string(rng.Uniform(4));
+              : rdf::PatternTerm{false, Numbered("e", rng.Uniform(8))};
+      pattern.predicate = Numbered("p", rng.Uniform(4));
       pattern.object =
           rng.Bernoulli(0.7)
               ? rdf::PatternTerm{true, subject_vars[rng.Uniform(2)]}
               : (rng.Bernoulli(0.5)
-                     ? rdf::PatternTerm{false,
-                                        "e" + std::to_string(rng.Uniform(8))}
-                     : rdf::PatternTerm{false,
-                                        "v" + std::to_string(rng.Uniform(4))});
+                     ? rdf::PatternTerm{false, Numbered("e", rng.Uniform(8))}
+                     : rdf::PatternTerm{false, Numbered("v", rng.Uniform(4))});
       query.where.push_back(std::move(pattern));
     }
     auto rows = rdf::ExecuteQuery(kb, query);

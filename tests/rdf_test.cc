@@ -417,7 +417,9 @@ TEST_F(ToyKbTest, FreezeIsBitIdenticalAcrossThreadCounts) {
     PredId q = kb.AddPredicate("q");
     std::vector<TermId> ents;
     for (int i = 0; i < 64; ++i) {
-      ents.push_back(kb.AddEntity("e" + std::to_string(i)));
+      std::string entity = "e";
+      entity += std::to_string(i);
+      ents.push_back(kb.AddEntity(entity));
     }
     TermId lit = kb.AddLiteral("shared name");
     // Deliberately unsorted insertion order with duplicates.

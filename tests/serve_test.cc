@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/online.h"
@@ -312,8 +313,9 @@ TEST(ServeTest, DestructionResolvesEveryAcceptedCallbackExactlyOnce) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (int i = 1; i <= 3; ++i) {
-      ASSERT_TRUE(
-          server.Submit("r" + std::to_string(i), collector.Add()).ok());
+      std::string question = "r";
+      question += std::to_string(i);
+      ASSERT_TRUE(server.Submit(std::move(question), collector.Add()).ok());
     }
     // Tear down with the worker still gated; open the gate mid-teardown.
     opener = std::thread([&] {
@@ -513,8 +515,9 @@ TEST(WideEventServeTest, ShutdownShedsEmitShedShutdownEvents) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (int i = 1; i <= 3; ++i) {
-      ASSERT_TRUE(
-          server.Submit("r" + std::to_string(i), collector.Add()).ok());
+      std::string question = "r";
+      question += std::to_string(i);
+      ASSERT_TRUE(server.Submit(std::move(question), collector.Add()).ok());
     }
     opener = std::thread([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
