@@ -17,8 +17,9 @@
 //                     over that reference, question by question
 //
 // Emits BENCH_mutation.json (scripts/validate_bench.py checks the merge
-// count, the equivalence bits, the p99 bound, and that both hit rates are
-// present). --smoke runs the Small experiment with short phases for CI.
+// count, the equivalence bits, the p99 bound, and that both hit rates and
+// the hardware thread count are present). --smoke runs the Small
+// experiment with short phases for CI.
 
 #include <atomic>
 #include <array>
@@ -397,8 +398,10 @@ int main(int argc, char** argv) {
   // ---- JSON ----
   std::FILE* out = std::fopen("BENCH_mutation.json", "w");
   Check(out != nullptr, "open BENCH_mutation.json");
+  std::fprintf(out, "{\n  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out,
-               "{\n  \"config\": {\"smoke\": %s, \"duration_s\": %.1f, "
+               "  \"config\": {\"smoke\": %s, \"duration_s\": %.1f, "
                "\"threads\": %d, \"pool_size\": %zu, \"batch_ops\": 16},\n"
                "  \"base\": {\"num_triples\": %zu, \"num_entities\": %zu},\n",
                args.smoke ? "true" : "false", args.duration_s, args.threads,

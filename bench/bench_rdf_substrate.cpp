@@ -1,12 +1,11 @@
 // RDF substrate benchmark: CSR freeze scaling, parallel expanded-predicate
-// BFS scaling, N-Triples import scaling, snapshot save/load bandwidth vs
-// the 1-thread re-import, and Out()/ObjectsRange() per-op latency. Emits
-// BENCH_rdf.json.
+// BFS scaling, snapshot save/load bandwidth vs N-Triples re-import, and
+// Out()/ObjectsRange() per-op latency. Emits BENCH_rdf.json.
 //
 // Also asserts (via a global allocation counter) that the hot-path lookups
 // — PathDictionary::Lookup and Dictionary::Lookup — perform zero heap
-// allocations, and that Freeze(), Build() and ImportNTriples() are
-// bit-identical across thread counts.
+// allocations, and that Freeze() and Build() are bit-identical across
+// thread counts.
 
 #include <algorithm>
 #include <atomic>
@@ -248,28 +247,16 @@ int main() {
   Check(SameAdjacency(loaded.value(), kb), "snapshot round-trips the CSR");
 
   Check(rdf::ExportNTriples(kb, nt_path).ok(), "ntriples export");
-  std::vector<double> import_seconds;
-  rdf::KnowledgeBase import_reference;
-  for (int threads : kThreads) {
-    Timer t;
-    auto imported = rdf::ImportNTriples(nt_path, "name", threads);
-    import_seconds.push_back(t.ElapsedSeconds());
-    Check(imported.ok(), "ntriples import");
-    std::printf("[import] threads=%d: %.3fs\n", threads,
-                import_seconds.back());
-    if (threads == 1) {
-      import_reference = std::move(imported).value();
-    } else {
-      Check(SameAdjacency(import_reference, imported.value()),
-            "ImportNTriples() bit-identical across thread counts");
-    }
-  }
+  Timer import_timer;
+  auto imported = rdf::ImportNTriples(nt_path, "name");
+  const double import_seconds = import_timer.ElapsedSeconds();
+  Check(imported.ok(), "ntriples import");
   std::printf(
       "[snapshot] save %.3fs (%.1f MB, %.0f MB/s), load %.3fs (%.0f MB/s), "
-      "1-thread ntriples import %.3fs -> load speedup %.1fx\n",
+      "ntriples import %.3fs -> load speedup %.1fx\n",
       save_seconds, snapshot_mb, snapshot_mb / save_seconds, load_seconds,
-      snapshot_mb / load_seconds, import_seconds[0],
-      import_seconds[0] / load_seconds);
+      snapshot_mb / load_seconds, import_seconds,
+      import_seconds / load_seconds);
 
   // ---- Point-lookup latency on the loaded (bulk-slurped) store ----
   const rdf::KnowledgeBase& probe_kb = loaded.value();
@@ -342,22 +329,15 @@ int main() {
                  i ? "," : "", kThreads[i], expand_seconds[i],
                  expand_seconds[0] / expand_seconds[i]);
   }
-  std::fprintf(out, "\n  ]},\n  \"ntriples_import\": {\"runs\": [");
-  for (size_t i = 0; i < kThreads.size(); ++i) {
-    std::fprintf(out,
-                 "%s\n    {\"threads\": %d, \"seconds\": %.3f, "
-                 "\"speedup\": %.2f}",
-                 i ? "," : "", kThreads[i], import_seconds[i],
-                 import_seconds[0] / import_seconds[i]);
-  }
   std::fprintf(out,
                "\n  ]},\n  \"snapshot\": {\"size_mb\": %.1f, "
                "\"save_seconds\": %.3f, \"save_mb_per_sec\": %.1f, "
                "\"load_seconds\": %.3f, \"load_mb_per_sec\": %.1f, "
+               "\"ntriples_import_seconds\": %.3f, "
                "\"load_vs_import_speedup\": %.1f},\n",
                snapshot_mb, save_seconds, snapshot_mb / save_seconds,
-               load_seconds, snapshot_mb / load_seconds,
-               import_seconds[0] / load_seconds);
+               load_seconds, snapshot_mb / load_seconds, import_seconds,
+               import_seconds / load_seconds);
   std::fprintf(out,
                "  \"point_lookup\": {\"out_ns_per_op\": %.1f, "
                "\"objects_range_ns_per_op\": %.1f},\n",

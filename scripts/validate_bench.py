@@ -12,6 +12,9 @@ One validator per artifact family, dispatched on file name:
       metrics registry AND of wide-event telemetry through the serving
       front door, both gated under their 2% budgets, plus the bare-engine
       context-propagation delta (informational) and metric coverage.
+  BENCH_mutation.json — the live-mutation bench: read percentiles and
+      answer-cache hit rates before and during merges, the merge count,
+      the equivalence bits, and the hardware thread count of the run.
 
 Usage: validate_bench.py <BENCH_*.json> [more...]
 """
@@ -203,9 +206,10 @@ def validate_observability(doc):
 
 
 def validate_mutation(doc):
-    for key in ("config", "base", "quiescent", "during_merge", "final",
-                "equivalence"):
+    for key in ("hardware_threads", "config", "base", "quiescent",
+                "during_merge", "final", "equivalence"):
         require(key in doc, f"top-level {key} missing")
+    require(doc["hardware_threads"] >= 1, "hardware_threads < 1")
 
     for phase_name in ("quiescent", "during_merge"):
         phase = doc[phase_name]

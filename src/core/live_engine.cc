@@ -40,15 +40,15 @@ AnswerResult LiveKbqaEngine::Answer(const std::string& question) const {
 
 AnswerResult LiveKbqaEngine::Answer(
     const std::string& question, const AnswerOptions& answer_options) const {
-  const std::shared_ptr<const rdf::KbSnapshot> snapshot = live_->Pin();
-  return StateOf(*snapshot).online.Answer(question, answer_options, *snapshot);
+  const rdf::KbSnapshot& snapshot = live_->PinLocal();
+  return StateOf(snapshot).online.Answer(question, answer_options, snapshot);
 }
 
 AnswerResult LiveKbqaEngine::AnswerCached(
     const std::string& question, const AnswerOptions& answer_options) const {
-  const std::shared_ptr<const rdf::KbSnapshot> snapshot = live_->Pin();
-  return StateOf(*snapshot).online.AnswerCached(question, answer_options,
-                                                *snapshot);
+  const rdf::KbSnapshot& snapshot = live_->PinLocal();
+  return StateOf(snapshot).online.AnswerCached(question, answer_options,
+                                               snapshot);
 }
 
 }  // namespace kbqa::core

@@ -26,13 +26,17 @@ namespace kbqa::core {
 /// snapshot's state against that same snapshot — one pin, and never a new
 /// base paired with an old epoch's engine, whose caches therefore never
 /// need to tell epochs apart; in-flight answers keep their state alive
-/// through their snapshot. Within an epoch, every Answer pins the newest
-/// snapshot, so overlay mutations on already-known entities (value
-/// adds/deletes, renames) are visible immediately — only *linkability of
-/// new entity names* waits for the next merge.
+/// through their snapshot. Every Answer pins the newest snapshot through
+/// the calling thread's local pin (MutableKb::PinLocal), which re-pins
+/// only after a publish, so overlay mutations on already-known entities
+/// (value adds/deletes, renames) are visible immediately — only
+/// *linkability of new entity names* waits for the next merge. Each
+/// thread that reads keeps its last snapshot, and with it that epoch's
+/// state, alive until its next read or its exit.
 ///
 /// Freshness contract: an answer computed after Apply(B) returns reflects
-/// B (a cache entry is served only if no subject it read changed after the
+/// B (the read's publish-count load sees B's publish, so it re-pins; and
+/// a cache entry is served only if no subject it read changed after the
 /// version it was last validated at, so no pre-B entry can be served).
 /// Answers already in flight may still reflect the pre-B world — they
 /// pinned their snapshot at start.

@@ -284,10 +284,10 @@ AnswerResult OnlineInference::AnswerCachedAt(
   // the same sequence, so they are the same question to the pipeline and
   // must be the same entry to the memo.
   const std::string key = nlp::NormalizeText(question);
-  AnswerResult result;
+  std::shared_ptr<const AnswerResult> hit;
   if (answer_cache_.Visit(key, [&](ValidatedAnswer& entry) {
         if (!Revalidate(snapshot, &entry)) return false;
-        result = entry.result;
+        hit = entry.result;
         return true;
       })) {
     answer_cache_hits_.Add(1);
@@ -295,7 +295,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
     if (answer_options.request_context != nullptr) {
       ++answer_options.request_context->answer_cache_hits;
     }
-    return result;
+    return *hit;
   }
   ValidatedAnswer entry;
   if (!IsOwn(snapshot)) {
@@ -303,7 +303,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
   }
   // The tokens are the canonical text's pieces: TokenizeQuestion would
   // scan the question a second time for the same sequence.
-  result = AnswerTokensAt(
+  AnswerResult result = AnswerTokensAt(
       nlp::SplitTokens(key), answer_options, snapshot,
       entry.reads != nullptr ? &entry.reads->subjects : nullptr);
   answer_cache_misses_.Add(1);
@@ -320,7 +320,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
       SortUnique(&entry.reads->subjects);
       bytes += entry.reads->subjects.size() * sizeof(rdf::TermId);
     }
-    entry.result = result;
+    entry.result = std::make_shared<const AnswerResult>(result);
     const uint64_t evictions =
         answer_cache_.Insert(key, std::move(entry), bytes);
     if (evictions != 0) {

@@ -115,8 +115,10 @@ struct AnswerResult {
 /// Thread safety: all answering methods are const and safe to call
 /// concurrently. The only mutable state is the two memo caches (V(e, p+)
 /// values and whole answers), per-instance memory-budgeted sharded LRUs
-/// (see util/lru_cache.h) — lookups copy values out under a per-shard
-/// mutex, so evictions never invalidate anything a caller holds.
+/// (see util/lru_cache.h). A value lookup copies its vector out under the
+/// per-shard mutex; an answer hit copies a shared pointer there and the
+/// result after the lock is released. Either way, evictions never
+/// invalidate anything a caller holds.
 class OnlineInference {
  public:
   struct Options {
@@ -243,8 +245,10 @@ class OnlineInference {
   /// A memoized answer plus, when it was computed against a caller's
   /// snapshot, its read set. Entries computed against the engine's own
   /// snapshot leave `reads` null, so they cost what a bare result costs.
+  /// The result is immutable and shared, so a hit holds the shard lock
+  /// only to revalidate and copy the pointer, and copies the result after.
   struct ValidatedAnswer {
-    AnswerResult result;
+    std::shared_ptr<const AnswerResult> result;
     std::unique_ptr<ReadSet> reads;
   };
 
@@ -327,8 +331,8 @@ class OnlineInference {
   /// Whole-question memo for AnswerCached: normalized question
   /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
   /// tokenize identically hit one entry. Internally synchronized (sharded
-  /// LRU) like the value cache; results are copied out, so eviction never
-  /// invalidates callers.
+  /// LRU) like the value cache; a hit shares the entry's result, so
+  /// eviction never invalidates callers.
   mutable ShardedLruCache<std::string, ValidatedAnswer> answer_cache_;
   mutable obs::ShardedCounter answer_cache_hits_;
   mutable obs::ShardedCounter answer_cache_misses_;

@@ -10,6 +10,17 @@ namespace kbqa::rdf {
 
 namespace {
 
+/// One thread's last PinLocal: the kb it pinned (0 when none), the
+/// publish count it read first, and the snapshot.
+struct LocalPin {
+  uint64_t owner = 0;
+  uint64_t publishes = 0;
+  std::shared_ptr<const KbSnapshot> snapshot;
+};
+thread_local LocalPin local_pin;
+
+std::atomic<uint64_t> next_kb_id{1};
+
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point begin) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -304,7 +315,8 @@ KnowledgeBase RebuildKb(const KnowledgeBase& base, const DeltaOverlay& overlay,
 // ---------- MutableKb ----------
 
 MutableKb::MutableKb(KnowledgeBase base, Options options)
-    : options_(options) {
+    : options_(options),
+      id_(next_kb_id.fetch_add(1, std::memory_order_relaxed)) {
   auto initial = std::make_shared<KbSnapshot>();
   initial->base =
       std::make_shared<const KnowledgeBase>(std::move(base));
@@ -325,6 +337,31 @@ MutableKb::~MutableKb() {
     work_cv_.NotifyAll();
   }
   merge_thread_.join();
+  // Only this thread's pin can be released here; every other thread that
+  // read this kb keeps its last snapshot until its next PinLocal or exit.
+  if (local_pin.owner == id_) local_pin = LocalPin{};
+}
+
+const KbSnapshot& MutableKb::PinLocal() const {
+  LocalPin& local = local_pin;
+  const uint64_t publishes = publishes_.load(std::memory_order_acquire);
+  if (local.owner != id_ || local.publishes != publishes) {
+    // Pin() runs after the load, so the snapshot is at least as new as
+    // `publishes` says; a publish in between only costs a re-pin later.
+    local.snapshot = Pin();
+    local.owner = id_;
+    local.publishes = publishes;
+  }
+  return *local.snapshot;
+}
+
+void MutableKb::Publish(std::shared_ptr<const KbSnapshot> next) {
+  {
+    MutexLock snapshot_lock(snapshot_mu_);
+    snapshot_.swap(next);
+  }
+  publishes_.fetch_add(1, std::memory_order_release);
+  // `next` now holds the replaced snapshot, dropped here off the lock.
 }
 
 void MutableKb::Apply(std::span<const MutationOp> batch) {
@@ -341,7 +378,6 @@ void MutableKb::Apply(std::span<const MutationOp> batch) {
       ops_.push_back(op);
     }
     new_version = version_;
-    version_atomic_.store(version_, std::memory_order_release);
     auto next = std::make_shared<KbSnapshot>();
     next->base = current->base;
     next->overlay = std::make_shared<const DeltaOverlay>(builder_);
@@ -350,10 +386,7 @@ void MutableKb::Apply(std::span<const MutationOp> batch) {
     next->version = version_;
     overlay_adds = builder_.num_adds;
     overlay_tombstones = builder_.tombstones.size();
-    {
-      MutexLock snapshot_lock(snapshot_mu_);
-      snapshot_ = std::move(next);
-    }
+    Publish(std::move(next));
     if (options_.auto_merge && !merge_in_progress_ &&
         ops_.size() >= options_.merge_trigger_ops) {
       merge_requested_ = true;
@@ -413,8 +446,8 @@ void MutableKb::SetStateFactory(StateFactory factory) {
   MutexLock lock(mu_);
   auto next = std::make_shared<KbSnapshot>(*Pin());
   next->state = std::move(state);
-  MutexLock snapshot_lock(snapshot_mu_);
-  snapshot_ = std::move(next);
+  // Same epoch and version: only the publish count tells readers.
+  Publish(std::move(next));
 }
 
 size_t MutableKb::pending_ops() const {
@@ -470,8 +503,6 @@ void MutableKb::MergeLoop() {
       ++epoch_;
       ++version_;
       builder_ = CompileOverlay(*next_base, ops_, version_);
-      epoch_atomic_.store(epoch_, std::memory_order_release);
-      version_atomic_.store(version_, std::memory_order_release);
       auto next = std::make_shared<KbSnapshot>();
       next->base = next_base;
       next->overlay = std::make_shared<const DeltaOverlay>(builder_);
@@ -479,8 +510,7 @@ void MutableKb::MergeLoop() {
       next->epoch = epoch_;
       next->version = version_;
       published_epoch = epoch_;
-      MutexLock snapshot_lock(snapshot_mu_);
-      snapshot_ = std::move(next);
+      Publish(std::move(next));
     }
     KBQA_COUNTER_ADD("kb.live.merges", 1);
     KBQA_HISTOGRAM_RECORD("kb.live.merge_ns", ElapsedNs(merge_begin));

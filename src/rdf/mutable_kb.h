@@ -98,8 +98,9 @@ struct DeltaOverlay {
 
 /// An immutable, pinnable view of the live KB: a frozen base plus the
 /// delta overlay that was current when the snapshot was published. Readers
-/// pin one snapshot (shared_ptr) for the duration of one Answer and see a
-/// consistent world no matter how many Applies or merges land meanwhile.
+/// pin one snapshot (MutableKb::Pin or PinLocal) for the duration of one
+/// Answer and see a consistent world no matter how many Applies or merges
+/// land meanwhile.
 ///
 /// `version` increments on every Apply and every merge publish; the
 /// overlay stamps each subject it touched with one (ChangedSince).
@@ -178,14 +179,17 @@ KnowledgeBase RebuildKb(const KnowledgeBase& base, const DeltaOverlay& overlay,
 /// thread rebuilds a fresh CSR base off-lock via RebuildKb, builds the
 /// installed factory's state for it, then publishes both — epoch+1 — with
 /// the residual overlay compiled from ops that arrived during the
-/// rebuild, their subjects stamped with the publish version. Readers pin
-/// via Pin() and keep their snapshot alive for one request; old snapshots
-/// die when the last reader drops them.
+/// rebuild, their subjects stamped with the publish version. Every publish
+/// bumps a publish count after its swap. Readers pin via PinLocal(), which
+/// re-pins only after a publish, or via Pin(). Old snapshots die when the
+/// last pin drops them, and a thread's local pin is dropped only at its
+/// next PinLocal, at its exit, or when it destroys this kb.
 ///
 /// Thread safety: all methods are safe to call concurrently. `Pin` takes
 /// a leaf mutex for one shared_ptr copy and never waits on a writer's
-/// work; writers serialize on one mutex; the merge rebuild and the state
-/// factory run outside it.
+/// work; `PinLocal` between publishes takes no lock and writes nothing
+/// shared; writers serialize on one mutex; the merge rebuild and the
+/// state factory run outside it.
 class MutableKb {
  public:
   struct Options {
@@ -214,13 +218,25 @@ class MutableKb {
   MutableKb(const MutableKb&) = delete;
   MutableKb& operator=(const MutableKb&) = delete;
 
-  /// The current snapshot: one uncontended lock + shared_ptr copy. Hold
-  /// the returned pointer for the duration of one logical read (one
-  /// Answer); publishers never block on readers.
+  /// The current snapshot: a leaf-mutex lock plus a shared_ptr copy, so
+  /// concurrent callers contend on the lock and on the snapshot's
+  /// reference count. Hold the returned pointer for the duration of one
+  /// logical read (one Answer); publishers never block on readers.
   std::shared_ptr<const KbSnapshot> Pin() const {
     MutexLock lock(snapshot_mu_);
     return snapshot_;
   }
+
+  /// The current snapshot through this thread's local pin: the thread
+  /// keeps its last pin with the publish count it read, and re-pins
+  /// through Pin() only when the count has moved or the pin is another
+  /// kb's. Between publishes a call is one acquire load and writes no
+  /// memory that other threads share. A read that starts after a
+  /// publish has returned loads a count at least that new, so it sees
+  /// the publish. The reference is valid until this thread's next
+  /// PinLocal of any MutableKb or this kb's destruction on this thread,
+  /// and the thread keeps that snapshot alive until then or its exit.
+  const KbSnapshot& PinLocal() const;
 
   /// Applies a batch of ops atomically: readers see either none or all of
   /// the batch. Publishes a new snapshot (version+1) whose overlay stamps
@@ -250,18 +266,22 @@ class MutableKb {
   /// or WaitForMergeIdle.
   void SetStateFactory(StateFactory factory);
 
-  uint64_t epoch() const { return epoch_atomic_.load(std::memory_order_acquire); }
-  uint64_t version() const {
-    return version_atomic_.load(std::memory_order_acquire);
-  }
+  uint64_t epoch() const { return Pin()->epoch; }
+  uint64_t version() const { return Pin()->version; }
   /// Ops applied since the last epoch publish (0 right after a merge).
   size_t pending_ops() const;
   uint64_t merges_completed() const;
 
  private:
   void MergeLoop();
+  /// Swaps in `next` and then bumps the publish count. Callers hold mu_,
+  /// so swaps and bumps keep one order.
+  void Publish(std::shared_ptr<const KbSnapshot> next) REQUIRES(mu_);
 
   Options options_;
+  /// Process-unique, so a thread's local pin never mistakes a later
+  /// MutableKb at this address for this one.
+  const uint64_t id_;
 
   /// Held across every factory call and the publish that carries its
   /// result, so an install never interleaves with a merge's. Taken before
@@ -285,14 +305,17 @@ class MutableKb {
   CondVar idle_cv_;
 
   /// RCU publication point: a dedicated leaf lock around the shared_ptr
-  /// copy, acquired after mu_ and never held across any work. (Not
-  /// std::atomic<shared_ptr>: libstdc++ implements that as a per-object
-  /// spinlock whose plain-pointer internals TSan cannot model — the
-  /// annotated mutex costs the same and keeps tsan.supp empty.)
+  /// copy, acquired after mu_ and never held across any work; readers
+  /// take it only through Pin(), which PinLocal calls after a publish.
+  /// (Not std::atomic<shared_ptr>: libstdc++ implements that as a
+  /// per-object spinlock whose plain-pointer internals TSan cannot model
+  /// — the annotated mutex costs the same and keeps tsan.supp empty.)
   mutable Mutex snapshot_mu_;
   std::shared_ptr<const KbSnapshot> snapshot_ GUARDED_BY(snapshot_mu_);
-  std::atomic<uint64_t> epoch_atomic_{0};
-  std::atomic<uint64_t> version_atomic_{0};
+  /// Publishes so far: bumped with release order after every swap of
+  /// snapshot_, so a reader that acquire-loads a count and then pins
+  /// sees a snapshot at least as new as the publish that made it.
+  std::atomic<uint64_t> publishes_{0};
 
   std::thread merge_thread_;
 };

@@ -1,14 +1,11 @@
 #include "rdf/ntriples.h"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
-#include <vector>
+#include <string_view>
 
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace kbqa::rdf {
 
@@ -240,70 +237,25 @@ Status ExportNTriples(const KnowledgeBase& kb, const std::string& path) {
 }
 
 Result<KnowledgeBase> ImportNTriples(const std::string& path,
-                                     const std::string& name_predicate,
-                                     int num_threads) {
+                                     const std::string& name_predicate) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for read: " + path);
   KnowledgeBase kb;
-  ThreadPool pool(num_threads);
-
-  // Lines are read in blocks, parsed in parallel (each shard writes only
-  // its own disjoint slots of `parsed`), then interned serially in file
-  // order — dictionary ids never depend on the thread count.
-  constexpr size_t kBlockLines = 4096;
-  constexpr size_t kShards = 32;
-  struct ParseError {
-    size_t line_index;  // within the current block
-    std::string message;
-  };
-  std::vector<std::string> block;
-  block.reserve(kBlockLines);
-  std::vector<std::optional<NTriple>> parsed;
   std::string line;
-  size_t lines_before_block = 0;
-  for (;;) {
-    block.clear();
-    while (block.size() < kBlockLines && std::getline(in, line)) {
-      block.push_back(std::move(line));
+  for (size_t line_number = 1; std::getline(in, line); ++line_number) {
+    const std::string_view trimmed = Trim(line);
+    if (trimmed.empty() || trimmed[0] == '#') continue;
+    auto triple = ParseNTripleLine(line);
+    if (!triple.ok()) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_number) +
+                                     ": " + triple.status().message());
     }
-    if (block.empty()) break;
-    parsed.assign(block.size(), std::nullopt);
-    auto error = ParallelReduce(
-        pool, block.size(), kShards, std::optional<ParseError>{},
-        [&](size_t /*shard*/, size_t begin,
-            size_t end) -> std::optional<ParseError> {
-          for (size_t i = begin; i < end; ++i) {
-            std::string_view trimmed = Trim(block[i]);
-            if (trimmed.empty() || trimmed[0] == '#') continue;
-            auto triple = ParseNTripleLine(block[i]);
-            if (!triple.ok()) {
-              return ParseError{i, triple.status().message()};
-            }
-            parsed[i] = std::move(triple).value();
-          }
-          return std::nullopt;
-        },
-        [](std::optional<ParseError>& acc, std::optional<ParseError>&& part) {
-          // Shards cover contiguous line ranges in order, so the first
-          // error in shard order is the first error in file order.
-          if (!acc && part) acc = std::move(part);
-        });
-    if (error) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(lines_before_block + error->line_index +
-                                      1) +
-          ": " + error->message);
-    }
-    for (std::optional<NTriple>& triple : parsed) {
-      if (!triple) continue;
-      kb.AddTriple(triple->subject, triple->predicate, triple->object,
-                   triple->object_is_literal);
-    }
-    lines_before_block += block.size();
+    const NTriple& t = triple.value();
+    kb.AddTriple(t.subject, t.predicate, t.object, t.object_is_literal);
   }
   auto name_pred = kb.LookupPredicate(name_predicate);
   if (name_pred) kb.SetNamePredicate(*name_pred);
-  kb.Freeze(num_threads);
+  kb.Freeze();
   return kb;
 }
 

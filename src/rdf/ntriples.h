@@ -26,15 +26,13 @@ namespace kbqa::rdf {
 /// Writes a frozen KB as N-Triples text.
 [[nodiscard]] Status ExportNTriples(const KnowledgeBase& kb, const std::string& path);
 
-/// Parses an N-Triples file into a fresh, frozen knowledge base.
-/// `name_predicate` (default "name") is declared as the KB's name
-/// predicate when it occurs in the data. Lines are parsed in parallel
-/// blocks on `num_threads` workers and committed serially in file order,
-/// so the resulting id assignment (and the reported error for a bad file)
-/// is identical for any thread count.
-[[nodiscard]] Result<KnowledgeBase> ImportNTriples(const std::string& path,
-                                     const std::string& name_predicate = "name",
-                                     int num_threads = 1);
+/// Parses an N-Triples file into a fresh, frozen knowledge base, one line
+/// at a time in file order: ids are assigned in first-seen order, and a
+/// bad line fails the import with its file line number. `name_predicate`
+/// (default "name") is declared as the KB's name predicate when it occurs
+/// in the data.
+[[nodiscard]] Result<KnowledgeBase> ImportNTriples(
+    const std::string& path, const std::string& name_predicate = "name");
 
 /// Single-line parse/format helpers (exposed for tests and tooling).
 struct NTriple {

@@ -44,7 +44,8 @@ namespace kbqa {
 /// pin entries against eviction (or dangle after one); copying keeps the
 /// locking trivial and the eviction policy exact. Values are expected to
 /// be small (e.g. the per-(entity, path) value vectors of the online
-/// engine).
+/// engine) or cheap to copy (its answer entries share an immutable
+/// result, so a hit copies one pointer under the lock).
 ///
 /// Thread safety: all methods are safe to call concurrently. Eviction
 /// never holds two shard locks at once, so borrowing cannot deadlock.

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 namespace kbqa {
 
@@ -19,7 +17,7 @@ namespace kbqa {
 /// Determinism contract: work is always a *fixed* number of statically
 /// sharded tasks (independent of the thread count), each shard writes only
 /// shard-local state, and shard results are merged in shard order by the
-/// caller (see ParallelFor / ParallelReduce below). Which thread runs which
+/// caller (see ParallelFor below). Which thread runs which
 /// shard is therefore unobservable — results are bit-identical with 1, 2,
 /// or N threads.
 ///
@@ -73,28 +71,6 @@ void ParallelFor(ThreadPool& pool, size_t n, size_t num_shards, Fn&& fn) {
     ShardRange r = ShardOf(n, shard, num_shards);
     fn(shard, r.begin, r.end);
   });
-}
-
-/// Map-reduce over a fixed static split of [0, n): `map(shard, begin,
-/// end)` produces one partial result per shard; partials are merged into
-/// `acc` strictly in shard order via `merge(acc, std::move(partial))`.
-/// Because the shard count is fixed by the caller (not derived from the
-/// thread count), the merged result is bit-identical for any pool size.
-template <typename Acc, typename MapFn, typename MergeFn>
-Acc ParallelReduce(ThreadPool& pool, size_t n, size_t num_shards, Acc acc,
-                   MapFn&& map, MergeFn&& merge) {
-  if (n == 0) return acc;
-  if (num_shards > n) num_shards = n;
-  using Partial = decltype(map(size_t{0}, size_t{0}, size_t{0}));
-  std::vector<Partial> partials(num_shards);
-  pool.RunShards(num_shards, [&](size_t shard) {
-    ShardRange r = ShardOf(n, shard, num_shards);
-    partials[shard] = map(shard, r.begin, r.end);
-  });
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    merge(acc, std::move(partials[shard]));
-  }
-  return acc;
 }
 
 }  // namespace kbqa

@@ -2,7 +2,8 @@
 // a MutableKb must (a) answer exactly like the frozen engine while no
 // mutation has happened, (b) never serve a pre-mutation answer after a
 // mutation — whether the write touched the question's entity, an
-// intermediate node of its winning path, or the winning value's name —
+// intermediate node of its winning path, or the winning value's name, and
+// whether it was made on the reading thread or another one —
 // while (c) keeping every cached answer whose read set no write touched,
 // and (d) answer identically before and after the background merge folds
 // the overlay into a fresh frozen base (id stability makes the trained
@@ -15,7 +16,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -330,6 +333,69 @@ TEST_F(LiveEngineTest, RenamingTheWinningValueChangesTheCachedAnswer) {
   EXPECT_EQ(renamed.values, std::vector<std::string>{"second name"});
   ExpectSameAnswer(renamed, AnswerLive(*uncached, live, winner.question),
                    winner.question);
+}
+
+TEST_F(LiveEngineTest, ReaderThreadSeesAnApplyFromAnotherThread) {
+  // A reader thread keeps its local pin and its warm answer entry while
+  // it waits. Once a write made on another thread has returned, the
+  // reader's next read must see it, after an Apply and after a merge.
+  const core::KbqaSystem& kbqa = experiment().kbqa();
+  const rdf::KnowledgeBase& base = experiment().world().kb;
+  rdf::MutableKb live(CopyBaseKb(), ManualMerge());
+  const auto uncached = MakeLiveOnline(live, /*cached=*/false);
+  const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
+  ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
+  core::LiveKbqaEngine::Options options;
+  options.alias_predicates = experiment().world().alias_predicates;
+  options.online = kbqa.options().online;
+  options.online.enable_answer_cache = true;
+  core::LiveKbqaEngine engine(&live, &experiment().world().taxonomy,
+                              &kbqa.template_store(),
+                              &kbqa.expanded_kb().paths(), options);
+  const std::string s = base.NodeString(winner.entity);
+  const std::string p = base.PredicateString(winner.path[0]);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int released = 0;                // rounds the main thread has let run
+  std::vector<std::string> seen;  // the reader's answer in each round
+  std::thread reader([&] {
+    for (int round = 0; round < 3; ++round) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return released >= round; });
+      }
+      core::AnswerResult r =
+          engine.AnswerCached(winner.question, core::AnswerOptions{});
+      if (round == 0) {  // a hit on the entry the first read inserted
+        r = engine.AnswerCached(winner.question, core::AnswerOptions{});
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      seen.push_back(r.value);
+      cv.notify_all();
+    }
+  });
+  const auto release_and_wait = [&](int round) {
+    std::unique_lock<std::mutex> lock(mu);
+    released = round;
+    cv.notify_all();
+    cv.wait(lock, [&] { return seen.size() > static_cast<size_t>(round); });
+  };
+  release_and_wait(0);
+  ReplaceObjects(&live, s, p, "value written on another thread",
+                 /*object_is_literal=*/true);
+  release_and_wait(1);
+  ReplaceObjects(&live, s, p, "value merged on another thread",
+                 /*object_is_literal=*/true);
+  live.ForceMerge();
+  ASSERT_EQ(live.epoch(), 1u);
+  release_and_wait(2);
+  reader.join();
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], winner.answer.value) << winner.question;
+  EXPECT_EQ(seen[1], "value written on another thread") << winner.question;
+  EXPECT_EQ(seen[2], "value merged on another thread") << winner.question;
 }
 
 TEST_F(LiveEngineTest, OwnSnapshotEntriesServeOnlyAnEmptyOverlay) {

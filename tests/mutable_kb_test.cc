@@ -586,6 +586,68 @@ TEST(MutableKbTest, ReplacingTheStateFactoryWaitsForItsCallInFlight) {
   live.SetStateFactory(nullptr);
 }
 
+TEST(MutableKbTest, LocalPinFollowsEveryPublish) {
+  MutableKb live(BuildToyKb(), ManualMerge());
+  std::atomic<int> factory_calls{0};
+  const MutableKb::StateFactory factory =
+      [&](const std::shared_ptr<const KnowledgeBase>&) {
+        return std::make_shared<const int>(factory_calls.fetch_add(1) + 1);
+      };
+  // The local pin must report what Pin() reports after every publish. An
+  // install and a clear keep the version and the epoch, so only the
+  // publish count can tell a reader about them.
+  const auto expect_current = [&](const char* after) {
+    const auto pinned = live.Pin();
+    const KbSnapshot& local = live.PinLocal();
+    EXPECT_EQ(local.version, pinned->version) << after;
+    EXPECT_EQ(local.epoch, pinned->epoch) << after;
+    EXPECT_EQ(local.base, pinned->base) << after;
+    EXPECT_EQ(local.overlay, pinned->overlay) << after;
+    EXPECT_EQ(local.state, pinned->state) << after;
+  };
+  expect_current("construction");
+  live.AddTriple("person/a", "dob", "1962", true);
+  expect_current("an Apply");
+  live.SetStateFactory(factory);
+  ASSERT_EQ(factory_calls.load(), 1);
+  expect_current("a factory install");
+  live.AddTriple("person/a", "dob", "1963", true);
+  expect_current("an Apply with a factory");
+  live.ForceMerge();
+  ASSERT_EQ(live.epoch(), 1u);
+  ASSERT_EQ(factory_calls.load(), 2);
+  expect_current("a merge");
+  live.SetStateFactory(factory);
+  ASSERT_EQ(factory_calls.load(), 3);
+  expect_current("a second install at the same version");
+  live.SetStateFactory(nullptr);
+  expect_current("a factory clear");
+  EXPECT_EQ(live.PinLocal().state, nullptr);
+
+  // Two kbs read alternately on one thread each return their own snapshot,
+  // also when both have published equally often.
+  MutableKb first(BuildToyKb(), ManualMerge());
+  MutableKb second(BuildToyKb(), ManualMerge());
+  first.AddTriple("person/a", "dob", "1970", true);
+  second.AddTriple("person/a", "dob", "1971", true);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(first.PinLocal().overlay, first.Pin()->overlay);
+    EXPECT_EQ(second.PinLocal().overlay, second.Pin()->overlay);
+    EXPECT_EQ(live.PinLocal().base, live.Pin()->base);
+  }
+}
+
+TEST(MutableKbTest, DestroyingAMutableKbReleasesThisThreadsLocalPin) {
+  std::weak_ptr<const KnowledgeBase> base;
+  {
+    MutableKb live(BuildToyKb(), ManualMerge());
+    base = live.PinLocal().base;
+    ASSERT_FALSE(base.expired());
+  }
+  EXPECT_TRUE(base.expired())
+      << "this thread's local pin kept a destroyed kb's base alive";
+}
+
 TEST(MutableKbTest, AutoMergeTriggersInBackground) {
   MutableKb::Options options;
   options.merge_trigger_ops = 4;

@@ -112,26 +112,6 @@ TEST(ParallelForTest, CoversRangeWithLocalWrites) {
   EXPECT_EQ(std::accumulate(marks.begin(), marks.end(), 0), 1000);
 }
 
-TEST(ParallelReduceTest, MergesInShardOrderForAnyPoolSize) {
-  // The merged sequence must be 0..n-1 in order regardless of threads —
-  // the property the EM reduction's bit-identity rests on.
-  for (int threads : {1, 3, 8}) {
-    ThreadPool pool(threads);
-    std::vector<size_t> merged = ParallelReduce(
-        pool, size_t{500}, size_t{13}, std::vector<size_t>{},
-        [](size_t, size_t begin, size_t end) {
-          std::vector<size_t> part;
-          for (size_t i = begin; i < end; ++i) part.push_back(i);
-          return part;
-        },
-        [](std::vector<size_t>& acc, std::vector<size_t>&& part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-        });
-    ASSERT_EQ(merged.size(), 500u);
-    for (size_t i = 0; i < merged.size(); ++i) EXPECT_EQ(merged[i], i);
-  }
-}
-
 // ---------- End-to-end determinism over a trained system ----------
 
 class ParallelSystemTest : public ::testing::Test {

@@ -246,6 +246,69 @@ TEST(RaceStressTest, ParallelFreezeAndExpandedKbBuild) {
   EXPECT_GT(built.value().num_triples(), 0u);
 }
 
+// ---------- Local snapshot pins ----------
+
+TEST(RaceStressTest, LocalPinsAgainstApplyMergeAndFactoryInstall) {
+  // Readers loop on PinLocal() while a writer applies batches, forces
+  // merges and installs a state factory again, so every publish races a
+  // reader's publish-count load and re-pin. Each state records the base
+  // it was built for.
+  rdf::KnowledgeBase kb;
+  kb.SetNamePredicate(kb.AddPredicate("name"));
+  for (int i = 0; i < 40; ++i) {
+    kb.AddTriple("pin/entity" + std::to_string(i), "name",
+                 "entity " + std::to_string(i), /*object_is_literal=*/true);
+  }
+  kb.Freeze();
+  rdf::MutableKb::Options options;
+  options.auto_merge = false;
+  rdf::MutableKb live(std::move(kb), options);
+  const rdf::MutableKb::StateFactory factory =
+      [](const std::shared_ptr<const rdf::KnowledgeBase>& base) {
+        return std::make_shared<const rdf::KnowledgeBase*>(base.get());
+      };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      uint64_t epoch = 0;
+      uint64_t version = 0;
+      do {
+        const rdf::KbSnapshot& snap = live.PinLocal();
+        ASSERT_GE(snap.epoch, epoch);
+        ASSERT_GE(snap.version, version);
+        epoch = snap.epoch;
+        version = snap.version;
+        if (snap.state != nullptr) {
+          ASSERT_EQ(*static_cast<const rdf::KnowledgeBase* const*>(
+                        snap.state.get()),
+                    snap.base.get());
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  for (int round = 0; round < 40; ++round) {
+    const std::string tag = std::to_string(round);
+    std::vector<rdf::MutationOp> batch;
+    batch.push_back({false, "pin/entity" + tag, "likes", "value " + tag,
+                     /*object_is_literal=*/true});
+    batch.push_back({true, "pin/entity" + tag, "name", "entity " + tag,
+                     /*object_is_literal=*/true});
+    live.Apply(batch);
+    if (round % 4 == 1) live.ForceMerge();
+    if (round % 4 == 3) live.SetStateFactory(factory);
+  }
+  live.SetStateFactory(nullptr);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(live.merges_completed(), 10u);
+  EXPECT_EQ(live.PinLocal().version, live.version());
+}
+
 // ---------- One engine, many answering threads ----------
 
 class RaceStressSystemTest : public ::testing::Test {
