@@ -14,6 +14,11 @@ Static checks that encode repository conventions the compiler can't:
   cout          Library code (src/) never writes to std::cout/std::cerr;
                 printing belongs to tools/, bench/, and tests/. Functions
                 that format take an std::ostream&.
+  raw-lock      Outside util/mutex.h, library code (src/) locks only
+                through the annotated Mutex / SharedMutex and their scoped
+                locks, never std::mutex / std::shared_mutex /
+                std::lock_guard / std::unique_lock / std::shared_lock, so
+                clang's -Wthread-safety sees every lock.
   metric-name   Metric/span name literals passed to the KBQA_* macros and
                 registry Get* calls follow snake.dot convention:
                 lowercase [a-z0-9_] segments joined by single dots
@@ -190,6 +195,20 @@ def check_cout(path, raw_lines, stripped_lines, findings):
               findings)
 
 
+RAW_LOCK_PATTERN = (
+    r"std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock)\b")
+
+
+def check_raw_lock(path, raw_lines, stripped_lines, findings):
+    rel = os.path.relpath(path, REPO).replace(os.sep, "/")
+    if rel == "src/util/mutex.h":
+        return  # the annotated wrappers themselves
+    grep_rule(path, raw_lines, stripped_lines, RAW_LOCK_PATTERN, "raw-lock",
+              "unannotated std lock in library code; use Mutex/SharedMutex "
+              "and their scoped locks (util/mutex.h) so -Wthread-safety "
+              "checks it", findings)
+
+
 METRIC_CALL_RE = re.compile(
     r"(?:KBQA_COUNTER_ADD|KBQA_GAUGE_SET|KBQA_HISTOGRAM_RECORD"
     r"|KBQA_TRACE_SPAN"
@@ -229,6 +248,7 @@ IWYU_SYMBOLS = {
     "<functional>": [r"std::function\b", r"std::hash\b", r"std::less\b"],
     "<list>": [r"std::list\b"],
     "<mutex>": [r"std::mutex\b", r"std::lock_guard\b", r"std::unique_lock\b"],
+    "<shared_mutex>": [r"std::shared_mutex\b", r"std::shared_lock\b"],
     "<optional>": [r"std::optional\b", r"std::nullopt\b"],
     "<ostream>": [r"std::ostream\b"],
     "<string>": [r"std::string\b(?!_view)"],
@@ -403,6 +423,7 @@ def main():
         if rel.startswith("src/"):
             check_naked_new(path, raw_lines, stripped_lines, findings)
             check_cout(path, raw_lines, stripped_lines, findings)
+            check_raw_lock(path, raw_lines, stripped_lines, findings)
 
     compiler = None if args.no_compile else find_compiler()
     if not args.no_compile and compiler is None:

@@ -155,17 +155,25 @@ OnlineInference::OnlineInference(const rdf::KnowledgeBase* kb,
       answer_cache_(options.answer_cache_budget_bytes) {}
 
 bool OnlineInference::Revalidate(const rdf::KbSnapshot& snapshot,
-                                 ValidatedAnswer* entry) {
-  if (entry->reads == nullptr) return snapshot.overlay->empty();
-  ReadSet& reads = *entry->reads;
-  if (reads.version == snapshot.version) return true;
+                                 const ValidatedAnswer& entry) {
+  if (entry.reads == nullptr) return snapshot.overlay->empty();
+  ReadSet& reads = *entry.reads;
+  // The stamp is only a version number, and a version names one published
+  // snapshot, so relaxed loads and stores carry all it says.
+  uint64_t stamped = reads.version.load(std::memory_order_relaxed);
+  if (stamped == snapshot.version) return true;
   // An entry stamped after the reader's pin may hold values interned
   // after it, which the reader's snapshot cannot even name: a miss.
-  if (reads.version > snapshot.version ||
-      snapshot.ChangedSince(reads.subjects, reads.version)) {
+  if (stamped > snapshot.version ||
+      snapshot.ChangedSince(reads.subjects, stamped)) {
     return false;
   }
-  reads.version = snapshot.version;
+  // A hit at a later version may have moved the stamp past ours since the
+  // load; keep the later one.
+  while (stamped < snapshot.version &&
+         !reads.version.compare_exchange_weak(stamped, snapshot.version,
+                                              std::memory_order_relaxed)) {
+  }
   return true;
 }
 
@@ -284,9 +292,9 @@ AnswerResult OnlineInference::AnswerCachedAt(
   // the same sequence, so they are the same question to the pipeline and
   // must be the same entry to the memo.
   const std::string key = nlp::NormalizeText(question);
-  std::shared_ptr<const AnswerResult> hit;
-  if (answer_cache_.Visit(key, [&](ValidatedAnswer& entry) {
-        if (!Revalidate(snapshot, &entry)) return false;
+  AnswerResult hit;
+  if (answer_cache_.Visit(key, [&](const ValidatedAnswer& entry) {
+        if (!Revalidate(snapshot, entry)) return false;
         hit = entry.result;
         return true;
       })) {
@@ -295,11 +303,12 @@ AnswerResult OnlineInference::AnswerCachedAt(
     if (answer_options.request_context != nullptr) {
       ++answer_options.request_context->answer_cache_hits;
     }
-    return *hit;
+    return hit;
   }
   ValidatedAnswer entry;
   if (!IsOwn(snapshot)) {
-    entry.reads = std::make_unique<ReadSet>(ReadSet{snapshot.version, {}});
+    entry.reads = std::make_unique<ReadSet>();
+    entry.reads->version.store(snapshot.version, std::memory_order_relaxed);
   }
   // The tokens are the canonical text's pieces: TokenizeQuestion would
   // scan the question a second time for the same sequence.
@@ -320,7 +329,7 @@ AnswerResult OnlineInference::AnswerCachedAt(
       SortUnique(&entry.reads->subjects);
       bytes += entry.reads->subjects.size() * sizeof(rdf::TermId);
     }
-    entry.result = std::make_shared<const AnswerResult>(result);
+    entry.result = result;
     const uint64_t evictions =
         answer_cache_.Insert(key, std::move(entry), bytes);
     if (evictions != 0) {

@@ -1,6 +1,7 @@
 #ifndef KBQA_CORE_ONLINE_H_
 #define KBQA_CORE_ONLINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -116,9 +117,9 @@ struct AnswerResult {
 /// concurrently. The only mutable state is the two memo caches (V(e, p+)
 /// values and whole answers), per-instance memory-budgeted sharded LRUs
 /// (see util/lru_cache.h). A value lookup copies its vector out under the
-/// per-shard mutex; an answer hit copies a shared pointer there and the
-/// result after the lock is released. Either way, evictions never
-/// invalidate anything a caller holds.
+/// shard lock held exclusively; an answer hit copies its result out under
+/// the shard lock held shared, so hits on one question run side by side.
+/// Either way, evictions never invalidate anything a caller holds.
 class OnlineInference {
  public:
   struct Options {
@@ -148,7 +149,8 @@ class OnlineInference {
     bool enable_answer_cache = false;
     /// Byte budget for the answer memo cache (question + result payload per
     /// entry), same semantics as value_cache_budget_bytes: 0 = unbounded,
-    /// anything else bounds the footprint via per-shard LRU eviction.
+    /// anything else bounds the footprint via eviction, which gives an
+    /// entry hit since it last reached the tail a second chance.
     uint64_t answer_cache_budget_bytes = 0;
   };
 
@@ -235,33 +237,37 @@ class OnlineInference {
   };
 
   /// What an answer entry computed against a caller's snapshot is
-  /// re-validated by: the snapshot version it was last validated at and
-  /// the sorted subjects whose out-edges computing it read.
+  /// re-validated by: the latest snapshot version it was validated at and
+  /// the sorted subjects whose out-edges computing it read. The subjects
+  /// never change after insertion; the version is atomic because hits
+  /// stamp it forward concurrently, under the shard lock held shared.
   struct ReadSet {
-    uint64_t version = 0;
+    std::atomic<uint64_t> version{0};
     std::vector<rdf::TermId> subjects;
   };
 
   /// A memoized answer plus, when it was computed against a caller's
   /// snapshot, its read set. Entries computed against the engine's own
   /// snapshot leave `reads` null, so they cost what a bare result costs.
-  /// The result is immutable and shared, so a hit holds the shard lock
-  /// only to revalidate and copy the pointer, and copies the result after.
+  /// Nothing but the read set's version changes after insertion, so hits
+  /// copy the result out concurrently under the shard lock held shared.
   struct ValidatedAnswer {
-    std::shared_ptr<const AnswerResult> result;
+    AnswerResult result;
     std::unique_ptr<ReadSet> reads;
   };
 
-  /// The answer hit rule, run under the cache shard lock. An entry without
-  /// a read set is current for a reader whose overlay is empty: that
-  /// reader sees exactly the base the entry was computed over. An entry
-  /// with one is current for a reader at `snapshot` if it was last
-  /// validated at the reader's version, or at an earlier one and no
-  /// subject it read changed since. A passing entry is re-stamped forward
-  /// to the reader's version, so later hits there skip the subject scan;
-  /// an entry stamped after the reader's version is a miss.
+  /// The answer hit rule, run under the cache shard lock held shared, so
+  /// concurrently with other hits on the entry. An entry without a read
+  /// set is current for a reader whose overlay is empty: that reader sees
+  /// exactly the base the entry was computed over. An entry with one is
+  /// current for a reader at `snapshot` if it was last validated at the
+  /// reader's version, or at an earlier one and no subject it read
+  /// changed since. A passing entry's stamp moves forward to the reader's
+  /// version by a compare-exchange maximum, never below a version another
+  /// hit validated it at, so later hits there skip the subject scan; an
+  /// entry stamped after the reader's version is a miss.
   static bool Revalidate(const rdf::KbSnapshot& snapshot,
-                         ValidatedAnswer* entry);
+                         const ValidatedAnswer& entry);
 
   /// V(e, p+) from `snapshot`. The result always lands in `*scratch` and
   /// the returned reference points there, valid until the next call with
@@ -331,7 +337,7 @@ class OnlineInference {
   /// Whole-question memo for AnswerCached: normalized question
   /// text (NormalizeText) → full AnswerResult, so surface paraphrases that
   /// tokenize identically hit one entry. Internally synchronized (sharded
-  /// LRU) like the value cache; a hit shares the entry's result, so
+  /// LRU) like the value cache; a hit copies the entry's result out, so
   /// eviction never invalidates callers.
   mutable ShardedLruCache<std::string, ValidatedAnswer> answer_cache_;
   mutable obs::ShardedCounter answer_cache_hits_;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -18,20 +19,30 @@ namespace kbqa {
 /// Memory-budgeted, sharded LRU cache.
 ///
 /// The key space is hash-partitioned over N independent shards (N rounded
-/// up to a power of two), each guarded by its own mutex and holding its own
-/// recency list, so concurrent lookups on different shards never contend.
+/// up to a power of two), each guarded by its own shared mutex and holding
+/// its own recency list, so concurrent lookups on different shards never
+/// contend.
 /// Every entry is byte-accounted as `sizeof(Key) + payload_bytes` (the
 /// caller states the payload size at insert time).
 ///
 /// The budget is enforced *globally*, not per shard: an atomic byte total
 /// is reserved before an entry is admitted, and when the reservation does
-/// not fit the inserter evicts LRU tails starting from its own shard and
+/// not fit the inserter evicts tail entries starting from its own shard and
 /// borrowing round-robin from siblings. A key-skewed workload can therefore
 /// fill the entire budget from one hot shard instead of thrashing that
-/// shard's 1/N slice while the others sit empty. Eviction order is LRU
-/// within a shard and approximately LRU across shards. A budget of 0 means
+/// shard's 1/N slice while the others sit empty. A budget of 0 means
 /// unbounded: nothing is ever evicted and the cache degenerates to a
 /// sharded memo table.
+///
+/// Recency: `Get` takes its shard lock exclusively and promotes the entry
+/// to the front of the list. `Visit` takes it shared, so hits on one hot
+/// shard run side by side; it cannot splice the list there, so it marks
+/// the entry instead (a reference bit, written only when clear, so a hot
+/// entry's line is not re-dirtied on every hit). Eviction, under the
+/// exclusive lock, gives a marked tail one second chance: it clears the
+/// mark, moves the entry to the front and looks at the next tail. Order is
+/// therefore exact LRU for a shard read only through `Get`, CLOCK-like for
+/// one read through `Visit`, and approximate across shards.
 ///
 /// Accounting invariant: shard byte counters are only incremented after a
 /// successful global reservation and decremented before the global counter
@@ -40,12 +51,10 @@ namespace kbqa {
 ///
 /// Lookups are copy-out: `Get` copies the stored value into the caller's
 /// buffer under the shard lock, and `Visit` lets the caller check the
-/// entry and copy out just what it needs there. Returning references would
-/// pin entries against eviction (or dangle after one); copying keeps the
-/// locking trivial and the eviction policy exact. Values are expected to
-/// be small (e.g. the per-(entity, path) value vectors of the online
-/// engine) or cheap to copy (its answer entries share an immutable
-/// result, so a hit copies one pointer under the lock).
+/// entry and copy out what it needs there. Returning references would pin
+/// entries against eviction (or dangle after one); copying keeps the
+/// locking trivial. Values are expected to be small (e.g. the
+/// per-(entity, path) value vectors and the answers of the online engine).
 ///
 /// Thread safety: all methods are safe to call concurrently. Eviction
 /// never holds two shard locks at once, so borrowing cannot deadlock.
@@ -68,36 +77,43 @@ class ShardedLruCache {
   }
 
   /// Copies the value for `key` into `*out` and promotes the entry to
-  /// most-recently-used. Returns false (leaving `*out` untouched) when the
-  /// key is absent.
+  /// most-recently-used, under the exclusive shard lock. Returns false
+  /// (leaving `*out` untouched) when the key is absent.
   bool Get(const Key& key, Value* out) {
-    return Visit(key, [out](const Value& value) {
-      *out = value;
-      return true;
-    });
-  }
-
-  /// Calls `visit(value)` on the entry for `key` under its shard lock —
-  /// one lookup to check an entry, update it in place and copy out what
-  /// the caller needs. When `visit` returns true the entry is promoted to
-  /// most-recently-used and Visit returns true; it returns false when the
-  /// key is absent or `visit` rejected the entry. `visit` must not change
-  /// the entry's byte charge or call back into the cache.
-  template <typename Visitor>
-  bool Visit(const Key& key, Visitor&& visit) {
     Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
+    WriterMutexLock lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) return false;
-    if (!visit(it->second->value)) return false;
+    *out = it->second->value;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return true;
   }
 
+  /// Calls `visit(const Value&)` on the entry for `key` under its shard
+  /// lock held shared, so visits of one key run concurrently — one lookup
+  /// to check an entry and copy out what the caller needs. When `visit`
+  /// returns true the entry is marked for a second chance at eviction and
+  /// Visit returns true; it returns false when the key is absent or
+  /// `visit` rejected the entry. `visit` may run on several threads at
+  /// once and must not call back into the cache.
+  template <typename Visitor>
+  bool Visit(const Key& key, Visitor&& visit) {
+    Shard& shard = ShardFor(key);
+    ReaderMutexLock lock(shard.mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return false;
+    Entry& entry = *it->second;
+    if (!visit(std::as_const(entry.value))) return false;
+    if (!entry.referenced.load(std::memory_order_relaxed)) {
+      entry.referenced.store(true, std::memory_order_relaxed);
+    }
+    return true;
+  }
+
   /// Inserts `value` under `key`, charging `sizeof(Key) + payload_bytes`
-  /// against the global budget and evicting least-recently-used entries —
-  /// from this key's shard first, then borrowing from sibling shards — as
-  /// needed; returns how many entries were evicted. If the key is already
+  /// against the global budget and evicting tail entries — from this key's
+  /// shard first, then borrowing from sibling shards — as needed; returns
+  /// how many entries were evicted. If the key is already
   /// present its value is REPLACED and the books are re-charged by the
   /// size delta (the new reservation is kept, the old entry's charge is
   /// released), so a same-key insert with a different-sized value leaves
@@ -130,7 +146,7 @@ class ShardedLruCache {
       }
     }
     Shard& shard = shards_[home];
-    MutexLock lock(shard.mu);
+    WriterMutexLock lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // Replace in place: promote, swap the value, re-book the charge
@@ -148,7 +164,7 @@ class ShardedLruCache {
       }
       return evicted;
     }
-    shard.lru.push_front(Entry{key, std::move(value), charge});
+    shard.lru.emplace_front(key, std::move(value), charge);
     shard.index.emplace(key, shard.lru.begin());
     shard.bytes += charge;
     return evicted;
@@ -158,7 +174,7 @@ class ShardedLruCache {
   /// and the global reservation. Returns true when an entry was removed.
   bool Erase(const Key& key) {
     Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
+    WriterMutexLock lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) return false;
     const uint64_t charge = it->second->charge;
@@ -177,7 +193,7 @@ class ShardedLruCache {
   /// across shards. Cleared entries do not count as evictions.
   void Clear() {
     for (Shard& shard : shards_) {
-      MutexLock lock(shard.mu);
+      WriterMutexLock lock(shard.mu);
       const uint64_t released = shard.bytes;
       shard.lru.clear();
       shard.index.clear();
@@ -193,7 +209,7 @@ class ShardedLruCache {
   Stats GetStats() const {
     Stats stats;
     for (const Shard& shard : shards_) {
-      MutexLock lock(shard.mu);
+      ReaderMutexLock lock(shard.mu);
       stats.entries += shard.index.size();
       stats.bytes += shard.bytes;
       stats.evictions += shard.evictions;
@@ -214,15 +230,23 @@ class ShardedLruCache {
 
  private:
   struct Entry {
+    Entry(const Key& k, Value v, uint64_t c)
+        : key(k), value(std::move(v)), charge(c) {}
+
     Key key;
     Value value;
     uint64_t charge = 0;
+    /// Set by a Visit hit under the shared lock (so it is atomic: readers
+    /// race to set it); read and cleared by eviction under the exclusive
+    /// lock.
+    std::atomic<bool> referenced{false};
   };
 
   struct Shard {
-    mutable Mutex mu;
-    /// Front = most recently used. std::list keeps iterators stable across
-    /// splice, so the index maps keys straight to list nodes.
+    mutable SharedMutex mu;
+    /// Front = most recently promoted or inserted. std::list keeps
+    /// iterators stable across splice, so the index maps keys straight to
+    /// list nodes.
     std::list<Entry> lru GUARDED_BY(mu);
     std::unordered_map<Key, typename std::list<Entry>::iterator> index
         GUARDED_BY(mu);
@@ -242,15 +266,22 @@ class ShardedLruCache {
 
   Shard& ShardFor(const Key& key) { return shards_[ShardIndexFor(key)]; }
 
-  /// Evicts one LRU tail, preferring `home` and then borrowing round-robin
-  /// from sibling shards, taking one shard lock at a time. Returns false
-  /// when every shard is empty (nothing left to evict).
+  /// Evicts one tail entry, preferring `home` and then borrowing
+  /// round-robin from sibling shards, taking one shard lock at a time.
+  /// Returns false when every shard is empty (nothing left to evict).
   bool EvictOne(size_t home) {
     const size_t n = shards_.size();
     for (size_t i = 0; i < n; ++i) {
       Shard& shard = shards_[(home + i) & (n - 1)];
-      MutexLock lock(shard.mu);
+      WriterMutexLock lock(shard.mu);
       if (shard.lru.empty()) continue;
+      // Second chance: a marked tail moves to the front unmarked. Every
+      // entry passed is left unmarked, so this ends within one pass.
+      while (shard.lru.back().referenced.load(std::memory_order_relaxed)) {
+        shard.lru.back().referenced.store(false, std::memory_order_relaxed);
+        shard.lru.splice(shard.lru.begin(), shard.lru,
+                         std::prev(shard.lru.end()));
+      }
       Entry& victim = shard.lru.back();
       shard.bytes -= victim.charge;
       const uint64_t charge = victim.charge;

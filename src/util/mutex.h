@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -41,6 +42,55 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
+};
+
+/// std::shared_mutex as a capability: many holders in shared mode, or one
+/// in exclusive mode. The analysis lets a shared holder read GUARDED_BY
+/// members and only an exclusive holder write them. Hold it through
+/// ReaderMutexLock or WriterMutexLock below.
+class CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void lock() ACQUIRE() { mu_.lock(); }
+  void unlock() RELEASE() { mu_.unlock(); }
+  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
+
+ private:
+  std::shared_mutex mu_;
+};
+
+/// Holds a SharedMutex in shared mode until end of scope.
+class SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_.lock_shared();
+  }
+  ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
+
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex& mu_;
+};
+
+/// Holds a SharedMutex in exclusive mode until end of scope.
+class SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
+    mu_.lock();
+  }
+  ~WriterMutexLock() RELEASE() { mu_.unlock(); }
+
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex& mu_;
 };
 
 /// Condition variable paired with Mutex. Wait takes the mutex the caller

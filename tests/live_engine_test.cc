@@ -29,6 +29,7 @@
 #include "core/online.h"
 #include "corpus/qa_generator.h"
 #include "eval/experiment.h"
+#include "obs/wide_event.h"
 #include "rdf/expanded_predicate.h"
 #include "rdf/knowledge_base.h"
 #include "rdf/mutable_kb.h"
@@ -106,6 +107,21 @@ class LiveEngineTest : public ::testing::Test {
     return std::make_unique<core::OnlineInference>(
         live.Pin()->base.get(), &experiment().world().taxonomy, &kbqa.ner(),
         &kbqa.template_store(), &kbqa.expanded_kb().paths(), options);
+  }
+
+  /// A LiveKbqaEngine over `live` with the trained system's online
+  /// options and the answer cache on (KbqaSystem::MakeLiveEngine leaves
+  /// it off, as the system's options do).
+  static std::unique_ptr<core::LiveKbqaEngine> MakeCachedLiveEngine(
+      rdf::MutableKb* live) {
+    const core::KbqaSystem& kbqa = experiment().kbqa();
+    core::LiveKbqaEngine::Options options;
+    options.alias_predicates = experiment().world().alias_predicates;
+    options.online = kbqa.options().online;
+    options.online.enable_answer_cache = true;
+    return std::make_unique<core::LiveKbqaEngine>(
+        live, &experiment().world().taxonomy, &kbqa.template_store(),
+        &kbqa.expanded_kb().paths(), options);
   }
 
   /// `online`'s cached answer against the newest snapshot of `live`.
@@ -189,11 +205,10 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
   rdf::MutableKb::Options live_options;
   live_options.auto_merge = false;  // merge only when the test says so
   rdf::MutableKb live(CopyBaseKb(), live_options);
-  const auto engine = kbqa.MakeLiveEngine(&live);
+  // The answer cache on: the whole point is that read-set validation
+  // keeps a warm cache from replaying the pre-mutation world.
+  const auto engine = MakeCachedLiveEngine(&live);
   ASSERT_NE(engine, nullptr);
-
-  // Both cache tiers on: the whole point is that read-set validation keeps
-  // a warm cache from replaying the pre-mutation world.
   core::AnswerOptions answer_options;
 
   // Pick a question answered through a single-hop path, so the winning
@@ -217,8 +232,12 @@ TEST_F(LiveEngineTest, PostMutationQueryNeverReturnsPreMutationAnswer) {
 
   // Warm the answer cache at the current version, then rewrite the
   // winning fact: delete every value of (entity, pred), add a sentinel.
-  ExpectSameAnswer(engine->AnswerCached(question, answer_options), before,
+  obs::RequestContext warm;
+  core::AnswerOptions warm_options;
+  warm_options.request_context = &warm;
+  ExpectSameAnswer(engine->AnswerCached(question, warm_options), before,
                    question);
+  EXPECT_EQ(warm.answer_cache_hits, 1u) << "the warm read missed the cache";
   const std::string s = base.NodeString(entity);
   const std::string p = base.PredicateString(pred);
   for (const rdf::TermId v : base.Objects(entity, pred)) {
@@ -339,19 +358,12 @@ TEST_F(LiveEngineTest, ReaderThreadSeesAnApplyFromAnotherThread) {
   // A reader thread keeps its local pin and its warm answer entry while
   // it waits. Once a write made on another thread has returned, the
   // reader's next read must see it, after an Apply and after a merge.
-  const core::KbqaSystem& kbqa = experiment().kbqa();
   const rdf::KnowledgeBase& base = experiment().world().kb;
   rdf::MutableKb live(CopyBaseKb(), ManualMerge());
   const auto uncached = MakeLiveOnline(live, /*cached=*/false);
   const Winner winner = FindStrictWinner(*uncached, /*hops=*/1);
   ASSERT_FALSE(winner.question.empty()) << "no strict single-hop winner";
-  core::LiveKbqaEngine::Options options;
-  options.alias_predicates = experiment().world().alias_predicates;
-  options.online = kbqa.options().online;
-  options.online.enable_answer_cache = true;
-  core::LiveKbqaEngine engine(&live, &experiment().world().taxonomy,
-                              &kbqa.template_store(),
-                              &kbqa.expanded_kb().paths(), options);
+  const auto engine = MakeCachedLiveEngine(&live);
   const std::string s = base.NodeString(winner.entity);
   const std::string p = base.PredicateString(winner.path[0]);
 
@@ -366,9 +378,9 @@ TEST_F(LiveEngineTest, ReaderThreadSeesAnApplyFromAnotherThread) {
         cv.wait(lock, [&] { return released >= round; });
       }
       core::AnswerResult r =
-          engine.AnswerCached(winner.question, core::AnswerOptions{});
+          engine->AnswerCached(winner.question, core::AnswerOptions{});
       if (round == 0) {  // a hit on the entry the first read inserted
-        r = engine.AnswerCached(winner.question, core::AnswerOptions{});
+        r = engine->AnswerCached(winner.question, core::AnswerOptions{});
       }
       std::lock_guard<std::mutex> lock(mu);
       seen.push_back(r.value);

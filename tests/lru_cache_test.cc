@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -62,30 +63,71 @@ TEST(ShardedLruCacheTest, EvictionFollowsLruOrder) {
   EXPECT_EQ(stats.bytes, 3 * charge);
 }
 
-TEST(ShardedLruCacheTest, VisitUpdatesInPlaceAndPromotesOnlyAcceptedEntries) {
+TEST(ShardedLruCacheTest, VisitMarksOnlyAcceptedEntriesForASecondChance) {
   const uint64_t charge = ChargeOf(4);
   Cache cache(3 * charge, /*num_shards=*/1);
   cache.Insert(1, PayloadFor(1, 4), 4 * sizeof(uint32_t));
   cache.Insert(2, PayloadFor(2, 4), 4 * sizeof(uint32_t));
   cache.Insert(3, PayloadFor(3, 4), 4 * sizeof(uint32_t));
 
-  // An accepted visit may rewrite the value in place (same byte charge)
-  // and promotes the entry; a rejected one reports a miss and leaves the
-  // entry where it was.
-  EXPECT_TRUE(cache.Visit(1, [](std::vector<uint32_t>& value) {
-    value[0] = 42;
+  // An accepted visit sees the stored value and marks the entry; a
+  // rejected one reports a miss and leaves the entry unmarked.
+  std::vector<uint32_t> seen;
+  EXPECT_TRUE(cache.Visit(1, [&seen](const std::vector<uint32_t>& value) {
+    seen = value;
     return true;
   }));
-  EXPECT_FALSE(cache.Visit(2, [](std::vector<uint32_t>&) { return false; }));
-  EXPECT_FALSE(cache.Visit(9, [](std::vector<uint32_t>&) { return true; }));
+  EXPECT_EQ(seen, PayloadFor(1, 4));
+  EXPECT_FALSE(
+      cache.Visit(2, [](const std::vector<uint32_t>&) { return false; }));
+  EXPECT_FALSE(
+      cache.Visit(9, [](const std::vector<uint32_t>&) { return true; }));
 
-  // Recency is 1 > 3 > 2: the rejected visit did not save 2.
+  // The tail 1 is marked, so it moves to the front and 2 is evicted: the
+  // rejected visit did not save 2.
   cache.Insert(4, PayloadFor(4, 4), 4 * sizeof(uint32_t));
   std::vector<uint32_t> out;
   EXPECT_FALSE(cache.Get(2, &out));
   ASSERT_TRUE(cache.Get(1, &out));
-  EXPECT_EQ(out[0], 42u);
+  EXPECT_EQ(out, PayloadFor(1, 4));
+  EXPECT_TRUE(cache.Get(3, &out));
+  EXPECT_TRUE(cache.Get(4, &out));
+  EXPECT_EQ(cache.GetStats().evictions, 1u);
   EXPECT_EQ(cache.GetStats().bytes, 3 * charge);
+}
+
+// Thread A's visitor parks inside Visit(k) until thread B's Visit(k) has
+// returned. Under a shared shard lock B runs alongside A; under an
+// exclusive one B waits for A, and A gives up after its bounded wait.
+TEST(ShardedLruCacheTest, VisitsOfOneKeyDoNotWaitForEachOther) {
+  Cache cache(/*budget_bytes=*/0, /*num_shards=*/1);
+  cache.Insert(7, PayloadFor(7, 4), 4 * sizeof(uint32_t));
+  std::atomic<bool> a_inside{false};
+  std::atomic<bool> b_returned{false};
+  bool a_saw_b = false;
+  std::thread a([&] {
+    cache.Visit(7, [&](const std::vector<uint32_t>&) {
+      a_inside.store(true);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!b_returned.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      a_saw_b = b_returned.load();
+      return true;
+    });
+  });
+  while (!a_inside.load()) std::this_thread::yield();
+  std::vector<uint32_t> seen;
+  const bool b_hit = cache.Visit(7, [&](const std::vector<uint32_t>& value) {
+    seen = value;
+    return true;
+  });
+  b_returned.store(true);
+  a.join();
+  EXPECT_TRUE(b_hit);
+  EXPECT_EQ(seen, PayloadFor(7, 4));
+  EXPECT_TRUE(a_saw_b) << "a second Visit of the key waited for the first";
 }
 
 TEST(ShardedLruCacheTest, ByteAccountingNeverExceedsBudget) {
@@ -376,10 +418,12 @@ TEST(ShardedLruCacheTest, BorrowsFromSiblingShardWhenOwnShardEmpty) {
   EXPECT_EQ(cache.GetStats().entries, 2u);
 }
 
-// Multi-threaded stress: concurrent Get/Insert over a keyspace several
-// times the budget. Run under the ASAN=ON configuration this doubles as a
-// data-race / lifetime check on the shard books; value integrity is
-// asserted on every hit.
+// Multi-threaded stress: concurrent Get/Visit/Insert over a keyspace
+// several times the budget, so shared-lock visits race inserts and
+// second-chance evictions. Run under the ASAN=ON and TSAN=ON
+// configurations this doubles as a data-race / lifetime check on the
+// shard books and reference marks; value integrity is asserted on every
+// hit.
 TEST(ShardedLruCacheTest, ConcurrentMixedLoadKeepsBooksAndValuesIntact) {
   const uint64_t budget = 64 * 1024;
   const uint64_t keyspace = 4096;
@@ -395,7 +439,16 @@ TEST(ShardedLruCacheTest, ConcurrentMixedLoadKeepsBooksAndValuesIntact) {
       for (int i = 0; i < 20000; ++i) {
         const uint64_t key = rng.Uniform(keyspace);
         const size_t len = 1 + key % 16;
-        if (cache.Get(key, &out)) {
+        // Half the threads read through Visit, half through Get.
+        const bool hit =
+            t % 2 == 0
+                ? cache.Visit(key,
+                              [&out](const std::vector<uint32_t>& value) {
+                                out = value;
+                                return true;
+                              })
+                : cache.Get(key, &out);
+        if (hit) {
           if (out != PayloadFor(key, len)) corrupt_hits.fetch_add(1);
         } else {
           cache.Insert(key, PayloadFor(key, len), len * sizeof(uint32_t));
