@@ -140,7 +140,9 @@ class OnlineInference {
     /// Upper bound on the value cache's byte accounting (key + payload per
     /// entry). 0 = unbounded (the pre-budget behavior, for benchmarks and
     /// short-lived processes); any other value keeps a long-running
-    /// serving process's cache footprint bounded via LRU eviction.
+    /// serving process's cache footprint bounded via LRU eviction. Each of
+    /// the cache's 16 shards holds budget/16, and an entry larger than
+    /// that is not cached.
     uint64_t value_cache_budget_bytes = 0;
     /// Memoize whole-question AnswerResults across AnswerCached calls:
     /// repeat questions (head-heavy serving traffic) skip the pipeline
@@ -150,7 +152,8 @@ class OnlineInference {
     /// Byte budget for the answer memo cache (question + result payload per
     /// entry), same semantics as value_cache_budget_bytes: 0 = unbounded,
     /// anything else bounds the footprint via eviction, which gives an
-    /// entry hit since it last reached the tail a second chance.
+    /// entry hit since it last reached the tail a second chance. Each of
+    /// the 16 shards holds budget/16, and a larger answer is not cached.
     uint64_t answer_cache_budget_bytes = 0;
   };
 

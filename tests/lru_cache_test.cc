@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,40 @@ std::vector<uint32_t> PayloadFor(uint64_t key, size_t len) {
 
 uint64_t ChargeOf(size_t len) {
   return sizeof(uint64_t) + len * sizeof(uint32_t);
+}
+
+/// The shard a key lands in, replicating the cache's hash mix.
+uint64_t ShardOf(uint64_t key, size_t num_shards) {
+  uint64_t h = static_cast<uint64_t>(std::hash<uint64_t>{}(key));
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h & (num_shards - 1);
+}
+
+/// The first `count` keys at or above `from` that land in `shard`.
+std::vector<uint64_t> KeysInShard(size_t shard, size_t num_shards,
+                                  size_t count, uint64_t from = 0) {
+  std::vector<uint64_t> keys;
+  for (uint64_t key = from; keys.size() < count; ++key) {
+    if (ShardOf(key, num_shards) == shard) keys.push_back(key);
+  }
+  return keys;
+}
+
+/// Summed charges of the keys in [0, keyspace) still resident, each
+/// payload's length giving its charge; `entries` counts them.
+uint64_t ResidentCharges(Cache& cache, uint64_t keyspace, uint64_t* entries) {
+  uint64_t bytes = 0;
+  *entries = 0;
+  for (uint64_t key = 0; key < keyspace; ++key) {
+    cache.Visit(key, [&](const std::vector<uint32_t>& value) {
+      bytes += ChargeOf(value.size());
+      ++*entries;
+      return false;  // count without marking
+    });
+  }
+  return bytes;
 }
 
 TEST(ShardedLruCacheTest, GetMissThenHit) {
@@ -148,6 +184,77 @@ TEST(ShardedLruCacheTest, ByteAccountingNeverExceedsBudget) {
   EXPECT_GT(stats.entries, 0u);
 }
 
+/// Payload length for a stream key: 8..71 words, so a keyspace's values
+/// total about 200 bytes a key.
+size_t StreamPayloadLen(uint64_t key) { return 8 + key % 64; }
+
+struct StreamResult {
+  double hit_rate = 0;
+  uint64_t peak_bytes = 0;  // highest GetStats().bytes sampled
+  Cache::Stats end;
+};
+
+/// Drives `ops` Get-or-Insert operations against a fresh cache with the
+/// default shard count, sampling the books every 256 operations.
+template <typename NextKey>
+StreamResult DriveStream(uint64_t budget_bytes, size_t ops, NextKey&& next) {
+  Cache cache(budget_bytes);
+  StreamResult result;
+  uint64_t hits = 0;
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < ops; ++i) {
+    const uint64_t key = next();
+    if (cache.Get(key, &out)) {
+      ++hits;
+    } else {
+      const size_t len = StreamPayloadLen(key);
+      cache.Insert(key, PayloadFor(key, len), len * sizeof(uint32_t));
+    }
+    if (i % 256 == 0) {
+      result.peak_bytes = std::max(result.peak_bytes, cache.GetStats().bytes);
+    }
+  }
+  result.end = cache.GetStats();
+  result.peak_bytes = std::max(result.peak_bytes, result.end.bytes);
+  result.hit_rate = static_cast<double>(hits) / static_cast<double>(ops);
+  return result;
+}
+
+constexpr uint64_t kStreamKeyspace = 20000;       // values total ~4 MB
+constexpr size_t kStreamOps = 3 * kStreamKeyspace;
+constexpr uint64_t kStreamBudget = 1600 * 1024;   // ~40% of the keyspace
+
+// A skewed stream keeps its hot head resident under a budget well below
+// the keyspace, so it loses little hit rate against unbounded memory.
+TEST(ShardedLruCacheTest, ZipfStreamUnderBudgetLosesLittleHitRate) {
+  Rng bounded_rng(17);
+  ZipfianGenerator zipf(kStreamKeyspace, 0.99);
+  const StreamResult bounded = DriveStream(
+      kStreamBudget, kStreamOps, [&] { return zipf.Sample(bounded_rng); });
+  Rng unbounded_rng(17);
+  const StreamResult unbounded = DriveStream(
+      0, kStreamOps, [&] { return zipf.Sample(unbounded_rng); });
+
+  EXPECT_GT(bounded.end.evictions, 0u);
+  EXPECT_LE(bounded.peak_bytes, kStreamBudget);
+  EXPECT_EQ(unbounded.end.evictions, 0u);
+  EXPECT_GT(unbounded.peak_bytes, kStreamBudget);
+  EXPECT_LT(unbounded.hit_rate - bounded.hit_rate, 0.10)
+      << "bounded " << bounded.hit_rate << ", unbounded "
+      << unbounded.hit_rate;
+}
+
+// The worst case, a uniform stream over a keyspace larger than the budget,
+// evicts and never books more than the budget.
+TEST(ShardedLruCacheTest, UniformStreamPastBudgetEvictsAndStaysUnderIt) {
+  Rng rng(18);
+  const StreamResult bounded = DriveStream(
+      kStreamBudget, kStreamOps, [&] { return rng.Uniform(kStreamKeyspace); });
+  EXPECT_GT(bounded.end.evictions, 0u);
+  EXPECT_LE(bounded.peak_bytes, kStreamBudget);
+  EXPECT_GT(bounded.end.entries, 0u);
+}
+
 TEST(ShardedLruCacheTest, OversizedEntryIsNotAdmitted) {
   Cache cache(ChargeOf(4) * 2, /*num_shards=*/1);
   cache.Insert(1, PayloadFor(1, 4), 4 * sizeof(uint32_t));
@@ -161,6 +268,20 @@ TEST(ShardedLruCacheTest, OversizedEntryIsNotAdmitted) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.bytes, ChargeOf(4));
+}
+
+TEST(ShardedLruCacheTest, OversizedReplacementDropsTheOldValue) {
+  Cache cache(ChargeOf(4) * 2, /*num_shards=*/1);
+  cache.Insert(1, PayloadFor(1, 4), 4 * sizeof(uint32_t));
+  // A same-key insert replaces; one too large to cache must not leave the
+  // old value behind, nor its charge on the books.
+  cache.Insert(1, PayloadFor(2, 1000), 1000 * sizeof(uint32_t));
+  std::vector<uint32_t> out;
+  EXPECT_FALSE(cache.Get(1, &out));
+  const Cache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(ShardedLruCacheTest, UnboundedNeverEvicts) {
@@ -190,70 +311,41 @@ TEST(ShardedLruCacheTest, DuplicateInsertReplacesValueAndKeepsCharge) {
 }
 
 // Regression: a same-key replacement with a different-sized value must
-// re-book exactly the size delta, in the shard books and in the global
-// reservation, in both the growing and the shrinking direction.
+// re-book exactly the size delta, in both the growing and the shrinking
+// direction.
 TEST(ShardedLruCacheTest, ReplacementRebooksSizeDeltaExactly) {
   const uint64_t budget = 4096;
   Cache cache(budget, /*num_shards=*/2);
   cache.Insert(9, PayloadFor(9, 4), 4 * sizeof(uint32_t));
   EXPECT_EQ(cache.GetStats().bytes, ChargeOf(4));
-  EXPECT_EQ(cache.reserved_bytes(), ChargeOf(4));
 
   cache.Insert(9, PayloadFor(9, 32), 32 * sizeof(uint32_t));  // grow
   EXPECT_EQ(cache.GetStats().entries, 1u);
   EXPECT_EQ(cache.GetStats().bytes, ChargeOf(32));
-  EXPECT_EQ(cache.reserved_bytes(), ChargeOf(32));
 
   cache.Insert(9, PayloadFor(9, 2), 2 * sizeof(uint32_t));  // shrink
   EXPECT_EQ(cache.GetStats().entries, 1u);
   EXPECT_EQ(cache.GetStats().bytes, ChargeOf(2));
-  EXPECT_EQ(cache.reserved_bytes(), ChargeOf(2));
 
   std::vector<uint32_t> out;
   ASSERT_TRUE(cache.Get(9, &out));
   EXPECT_EQ(out, PayloadFor(9, 2));
 }
 
-TEST(ShardedLruCacheTest, EraseReleasesChargeAndClearEmptiesEveryShard) {
-  const uint64_t budget = 1 << 16;
-  Cache cache(budget, /*num_shards=*/4);
-  for (uint64_t key = 0; key < 64; ++key) {
-    cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t));
-  }
-  ASSERT_EQ(cache.GetStats().entries, 64u);
-
-  EXPECT_TRUE(cache.Erase(7));
-  EXPECT_FALSE(cache.Erase(7));    // already gone
-  EXPECT_FALSE(cache.Erase(999));  // never present
-  std::vector<uint32_t> out;
-  EXPECT_FALSE(cache.Get(7, &out));
-  EXPECT_EQ(cache.GetStats().entries, 63u);
-  EXPECT_EQ(cache.GetStats().bytes, 63 * ChargeOf(4));
-  EXPECT_EQ(cache.reserved_bytes(), 63 * ChargeOf(4));
-
-  cache.Clear();
-  const Cache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
-  EXPECT_EQ(stats.evictions, 0u);  // clears are not evictions
-  for (uint64_t key = 0; key < 64; ++key) {
-    EXPECT_FALSE(cache.Get(key, &out)) << key;
-  }
-}
-
-// The accounting-storm regression: across borrowing shards, after an
-// arbitrary insert / different-size-replace / erase storm, erasing every
-// surviving key must return BOTH books — per-shard committed bytes and the
-// global atomic reservation — to exactly zero, and the full budget must be
-// usable again. Any leak in the replacement or removal paths shows up here
-// as a nonzero residue or a spuriously shrunken budget.
+// The accounting-storm regression: after an arbitrary insert /
+// different-size-replace / oversized-replace storm, the books must equal
+// the summed charges of the entries still resident, and dropping every
+// key (an oversized replacement leaves its key absent) must return them
+// to exactly zero with every shard's whole slice usable again. Any leak
+// in the replacement or eviction paths shows up here as a residue or a
+// spuriously shrunken slice.
 TEST(ShardedLruCacheTest, StormAccountingReturnsExactlyToZero) {
+  const size_t kShards = 8;
   const uint64_t charge4 = ChargeOf(4);
-  const uint64_t budget = 48 * charge4;  // small: forces cross-shard borrow
-  Cache cache(budget, /*num_shards=*/8);
+  const uint64_t budget = 48 * charge4;  // small: six entries a shard
+  const size_t oversized = 64;           // a charge past one slice
+  Cache cache(budget, kShards);
   Rng rng(20250808);
-  std::vector<uint64_t> live;
   for (int i = 0; i < 20000; ++i) {
     const uint64_t key = rng.Uniform(96);
     switch (rng.Uniform(3)) {
@@ -263,7 +355,8 @@ TEST(ShardedLruCacheTest, StormAccountingReturnsExactlyToZero) {
         break;
       }
       case 1:
-        (void)cache.Erase(key);
+        cache.Insert(key, PayloadFor(key, oversized),
+                     oversized * sizeof(uint32_t));
         break;
       default: {
         std::vector<uint32_t> out;
@@ -273,31 +366,42 @@ TEST(ShardedLruCacheTest, StormAccountingReturnsExactlyToZero) {
     }
     if (i % 1024 == 0) {
       EXPECT_LE(cache.GetStats().bytes, budget);
-      EXPECT_LE(cache.reserved_bytes(), budget);
     }
   }
-  // Drain: erase the whole keyspace, then the books must be exactly zero.
-  for (uint64_t key = 0; key < 96; ++key) (void)cache.Erase(key);
+  uint64_t resident = 0;
+  const uint64_t resident_bytes = ResidentCharges(cache, 96, &resident);
+  EXPECT_EQ(cache.GetStats().entries, resident);
+  EXPECT_EQ(cache.GetStats().bytes, resident_bytes);
+
+  // Drain: drop the whole keyspace, then the books must be exactly zero.
+  for (uint64_t key = 0; key < 96; ++key) {
+    cache.Insert(key, PayloadFor(key, oversized),
+                 oversized * sizeof(uint32_t));
+  }
   EXPECT_EQ(cache.GetStats().entries, 0u);
   EXPECT_EQ(cache.GetStats().bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
-  // The full budget is available again: exactly 48 four-word entries fit
+  // Every slice is whole again: six four-word entries fit in each shard
   // with zero evictions.
-  for (uint64_t key = 1000; key < 1048; ++key) {
-    EXPECT_EQ(cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t)),
-              0u);
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    for (uint64_t key : KeysInShard(shard, kShards, 6, 1000)) {
+      EXPECT_EQ(cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t)),
+                0u);
+    }
   }
   EXPECT_EQ(cache.GetStats().entries, 48u);
   EXPECT_EQ(cache.GetStats().bytes, budget);
-  EXPECT_EQ(cache.reserved_bytes(), budget);
 }
 
-// Concurrent flavor of the storm: 8 threads mixing inserts, replacements,
-// erases, and clears, then a single-threaded drain. The final books must
-// still be exactly zero (run under ASan/TSan configurations this also
-// gates the locking of the new Erase/Clear paths).
+// Concurrent flavor of the storm: 8 threads mixing lookups, inserts,
+// different-size replacements and oversized replacements that drop their
+// key. Afterwards the books must equal the summed charges of the resident
+// entries, and a drain must return them to exactly zero (run under the
+// ASan/TSan configurations this also gates the locking of the replace and
+// drop paths).
 TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
   const uint64_t budget = 1 << 14;
+  const uint64_t keyspace = 512;
+  const size_t oversized = 1024;  // a charge past one 2 KiB slice
   Cache cache(budget, /*num_shards=*/8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -305,14 +409,17 @@ TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
       Rng rng(777 + static_cast<uint64_t>(t));
       std::vector<uint32_t> out;
       for (int i = 0; i < 8000; ++i) {
-        const uint64_t key = rng.Uniform(512);
+        const uint64_t key = rng.Uniform(keyspace);
         const uint64_t op = rng.Uniform(16);
-        if (op == 0) {
-          cache.Clear();
-        } else if (op < 5) {
-          (void)cache.Erase(key);
-        } else if (op < 10) {
+        if (op < 4) {
+          cache.Insert(key, PayloadFor(key, oversized),
+                       oversized * sizeof(uint32_t));
+        } else if (op < 7) {
           (void)cache.Get(key, &out);
+        } else if (op < 10) {
+          (void)cache.Visit(key, [](const std::vector<uint32_t>&) {
+            return true;
+          });
         } else {
           const size_t len = 1 + rng.Uniform(16);
           cache.Insert(key, PayloadFor(key, len), len * sizeof(uint32_t));
@@ -321,10 +428,18 @@ TEST(ShardedLruCacheTest, ConcurrentStormThenDrainReturnsToZero) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (uint64_t key = 0; key < 512; ++key) (void)cache.Erase(key);
+  uint64_t resident = 0;
+  const uint64_t resident_bytes = ResidentCharges(cache, keyspace, &resident);
+  EXPECT_EQ(cache.GetStats().entries, resident);
+  EXPECT_EQ(cache.GetStats().bytes, resident_bytes);
+  EXPECT_LE(resident_bytes, budget);
+
+  for (uint64_t key = 0; key < keyspace; ++key) {
+    cache.Insert(key, PayloadFor(key, oversized),
+                 oversized * sizeof(uint32_t));
+  }
   EXPECT_EQ(cache.GetStats().entries, 0u);
   EXPECT_EQ(cache.GetStats().bytes, 0u);
-  EXPECT_EQ(cache.reserved_bytes(), 0u);
 }
 
 TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {
@@ -334,88 +449,57 @@ TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(one.num_shards(), 1u);
 }
 
-// Regression for the per-shard budget split: when every key hashes to the
-// same shard, the cache must still be able to fill the WHOLE budget from
-// that one shard (global accounting / shard borrowing) instead of
-// thrashing its 1/N slice while sibling shards sit empty.
-TEST(ShardedLruCacheTest, SkewedKeysUseWholeBudgetNotOneShardSlice) {
+// Each shard owns budget/N bytes: keys that all hash to one shard share
+// that shard's slice and never use a sibling's.
+TEST(ShardedLruCacheTest, SkewedKeysStayWithinOneShardSlice) {
   const size_t kShards = 16;
   const uint64_t charge = ChargeOf(4);
-  const uint64_t budget = 64 * charge;  // room for 64 entries globally
+  const uint64_t budget = 64 * charge;  // room for 64 entries, 4 a shard
   Cache cache(budget, kShards);
+  const std::vector<uint64_t> skewed = KeysInShard(0, kShards, 64);
 
-  // Replicate the cache's shard mix to mine keys that all land in shard 0.
-  auto shard_of = [&](uint64_t key) {
-    uint64_t h = static_cast<uint64_t>(std::hash<uint64_t>{}(key));
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h & (kShards - 1);
-  };
-  std::vector<uint64_t> skewed;
-  for (uint64_t key = 0; skewed.size() < 64; ++key) {
-    if (shard_of(key) == 0) skewed.push_back(key);
-  }
-
+  uint64_t evicted = 0;
   for (uint64_t key : skewed) {
-    cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t));
+    evicted += cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t));
   }
 
-  // With the old budget/num_shards split only 4 of these 64 entries could
-  // be resident; with global accounting all 64 fit and none were evicted.
   const Cache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 64u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.bytes, budget);
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.evictions, 60u);
+  EXPECT_EQ(evicted, 60u);
+  EXPECT_EQ(stats.bytes, 4 * charge);
+  // The four most recent inserts are the ones resident.
   std::vector<uint32_t> out;
-  for (uint64_t key : skewed) {
-    EXPECT_TRUE(cache.Get(key, &out)) << key;
+  for (size_t i = 0; i < skewed.size(); ++i) {
+    EXPECT_EQ(cache.Get(skewed[i], &out), i >= 60) << skewed[i];
   }
-
-  // One more skewed insert must evict exactly the LRU entry, keeping the
-  // total pinned at the budget.
-  for (uint64_t key = skewed.back() + 1;; ++key) {
-    if (shard_of(key) != 0) continue;
-    EXPECT_EQ(cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t)),
-              1u);
-    break;
-  }
-  EXPECT_EQ(cache.GetStats().bytes, budget);
-  EXPECT_FALSE(cache.Get(skewed.front(), &out));  // LRU victim
 }
 
-// Borrowing: a hot shard that needs room may evict from a cold sibling
-// when its own list is empty, instead of failing the insert.
-TEST(ShardedLruCacheTest, BorrowsFromSiblingShardWhenOwnShardEmpty) {
+// An insert that needs room evicts from its own shard only: a full shard
+// next door is left as it is.
+TEST(ShardedLruCacheTest, InsertEvictsOnlyFromItsOwnShard) {
   const size_t kShards = 4;
   const uint64_t charge = ChargeOf(4);
-  Cache cache(2 * charge, kShards);
-  auto shard_of = [&](uint64_t key) {
-    uint64_t h = static_cast<uint64_t>(std::hash<uint64_t>{}(key));
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h & (kShards - 1);
-  };
-  // Fill the budget entirely from one shard...
-  uint64_t shard_a = 0;
-  while (shard_of(shard_a) != 0) ++shard_a;
-  uint64_t shard_a2 = shard_a + 1;
-  while (shard_of(shard_a2) != 0) ++shard_a2;
-  cache.Insert(shard_a, PayloadFor(shard_a, 4), 4 * sizeof(uint32_t));
-  cache.Insert(shard_a2, PayloadFor(shard_a2, 4), 4 * sizeof(uint32_t));
+  Cache cache(kShards * 2 * charge, kShards);  // two entries a shard
+  const std::vector<uint64_t> full = KeysInShard(0, kShards, 2);
+  for (uint64_t key : full) {
+    cache.Insert(key, PayloadFor(key, 4), 4 * sizeof(uint32_t));
+  }
   ASSERT_EQ(cache.GetStats().bytes, 2 * charge);
 
-  // ...then insert into a different, empty shard: it must borrow (evict
-  // from shard 0) rather than give up or blow the budget.
-  uint64_t other = 0;
-  while (shard_of(other) != 1) ++other;
+  const uint64_t other = KeysInShard(1, kShards, 1).front();
   EXPECT_EQ(cache.Insert(other, PayloadFor(other, 4), 4 * sizeof(uint32_t)),
-            1u);
+            0u);
   std::vector<uint32_t> out;
   EXPECT_TRUE(cache.Get(other, &out));
-  EXPECT_EQ(cache.GetStats().bytes, 2 * charge);
-  EXPECT_EQ(cache.GetStats().entries, 2u);
+  for (uint64_t key : full) {
+    ASSERT_TRUE(cache.Get(key, &out)) << key;
+    EXPECT_EQ(out, PayloadFor(key, 4));
+  }
+  const Cache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.bytes, 3 * charge);
 }
 
 // Multi-threaded stress: concurrent Get/Visit/Insert over a keyspace

@@ -28,7 +28,6 @@
 #include "rdf/knowledge_base.h"
 #include "rdf/mutable_kb.h"
 #include "serve/server.h"
-#include "util/lru_cache.h"
 #include "util/thread_pool.h"
 
 namespace kbqa {
@@ -62,36 +61,6 @@ TEST(RaceStressTest, ThreadPoolDrivenFromAnotherThread) {
     EXPECT_EQ(ran.load(), 16);
     pool.reset();
   }
-}
-
-// ---------- ShardedLruCache ----------
-
-TEST(RaceStressTest, LruCacheConcurrentMixedOperations) {
-  constexpr uint64_t kBudget = 1 << 14;
-  ShardedLruCache<uint64_t, std::vector<int>> cache(kBudget, 8);
-  std::vector<std::thread> threads;
-  std::atomic<uint64_t> hits{0};
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, &hits, t] {
-      std::vector<int> out;
-      for (int i = 0; i < 2000; ++i) {
-        const uint64_t key = static_cast<uint64_t>((i * 7 + t * 13) % 257);
-        if (cache.Get(key, &out)) {
-          hits.fetch_add(1, std::memory_order_relaxed);
-          // Copied-out value must be intact even if the entry is being
-          // evicted concurrently.
-          ASSERT_EQ(out.size(), key % 17 + 1);
-        } else {
-          cache.Insert(key, std::vector<int>(key % 17 + 1, t),
-                       (key % 17 + 1) * sizeof(int));
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto stats = cache.GetStats();
-  EXPECT_LE(stats.bytes, kBudget);
-  EXPECT_GT(hits.load(), 0u);
 }
 
 // ---------- MetricsRegistry / wide-event ring ----------
